@@ -14,12 +14,15 @@ no sample can be lost untracked.
 
 Two storage layouts share the accounting machinery:
 
-* :class:`RingBuffer` — the generic deque of Python objects.
-* :class:`ColumnarRing` — a struct-of-arrays layout for fixed-schema
-  counter samples (the columnar core): one preallocated ``array('q')``
-  per event column plus one for timestamps, pushed row-wise and
-  drained as a :class:`ColumnBatch` of column slices, so the hot path
-  never builds a per-sample dict.
+* :class:`ColumnarRing` — the K-LEB sample pool: a struct-of-arrays
+  layout with one preallocated ``array('q')`` per event column plus
+  one for timestamps, pushed row-wise and drained as a
+  :class:`ColumnBatch` of column slices, so the interrupt hot path
+  never builds a per-sample dict.  Every session has a fixed row
+  schema (a multiplexed one included), so this is the only layout the
+  module allocates; :class:`PerCpuRing` keeps one per core.
+* :class:`RingBuffer` — the generic deque of Python objects, kept as
+  the plain reference model the columnar rings are checked against.
 """
 
 from __future__ import annotations
@@ -318,12 +321,6 @@ class ColumnarRing(RingBuffer):
         self._size += 1
         self._committed()
         return True
-
-    def push(self, item) -> bool:
-        """Dict-sample compatibility push (tests, non-hot callers)."""
-        return self.push_row(
-            item.timestamp, [item.values.get(name, 0) for name in self.names]
-        )
 
     def peek_timestamp(self, index: int) -> int:
         """Timestamp of the ``index``-th oldest pending row (no removal).

@@ -29,6 +29,7 @@ The contract that keeps observability honest:
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
@@ -125,6 +126,12 @@ class Recorder(NullRecorder):
             if (trace or flight is not None) else None
         )
         self.flight = flight
+        # A recorder built in a fork-pool worker cannot write into the
+        # parent's ring: the pid tells child_for_trial where it runs,
+        # and ``_ships_flight`` marks a child whose ring rides home in
+        # its chunk.
+        self._pid = os.getpid()
+        self._ships_flight = False
         self.publisher = publisher
         if publisher is not None:
             publisher.bind(self)
@@ -506,31 +513,50 @@ class Recorder(NullRecorder):
     def child_for_trial(self, trial: int) -> "Recorder":
         """A fresh recorder with this one's flags, stamped ``pid=trial``.
 
-        The flight ring is *shared* (one bounded window of the recent
-        past per process); the publisher is *cloned* per trial so
+        In-process, the flight ring is *shared*, so a dump taken
+        mid-trial (crash, watchdog trip, quarantine) holds the trial's
+        events.  In a fork-pool worker the child records into a fresh
+        ring of the same capacity, whose tail rides home in
+        :meth:`chunk` and is folded in trial order by
+        :meth:`merge_chunk`.  The publisher is *cloned* per trial so
         snapshots carry the right trial index and sequence numbers.
         """
+        flight = self.flight
+        forked = flight is not None and os.getpid() != self._pid
+        if forked:
+            from repro.obs.live.flight import FlightRecorder
+
+            flight = FlightRecorder(flight.capacity)
         child = Recorder(trace=(self.tracer is not None
                                 and self.tracer.retain),
                          metrics=self.metrics_enabled,
                          wallclock=self.wallclock,
-                         flight=self.flight,
+                         flight=flight,
                          publisher=(self.publisher.for_trial(trial)
                                     if self.publisher is not None
                                     else None))
+        child._ships_flight = forked
         if child.tracer is not None:
             child.tracer.pid = trial
         return child
 
     def chunk(self) -> Dict[str, object]:
         """Everything recorded, as plain picklable data."""
-        return {
+        chunk = {
             "events": (self.tracer.dump_events()
                        if self.tracer is not None else []),
             "metrics": self.registry.to_json(),
         }
+        if self._ships_flight:
+            chunk["flight"] = self.flight.tail()
+        return chunk
 
     def merge_chunk(self, chunk: Dict[str, object]) -> None:
+        # A forked trial's flight tail first, so a dump taken after
+        # this merge sees the trial's recent past.
+        tail = chunk.get("flight")
+        if tail is not None and self.flight is not None:
+            self.flight.absorb(tail)
         if self.tracer is not None:
             self.tracer.absorb_events(chunk.get("events", []))
         self.registry.merge(MetricsRegistry.from_json(chunk["metrics"]))

@@ -10,6 +10,13 @@ sees every span and instant the hooks emit **even when full tracing is
 off** (the recorder runs the tracer in non-retaining mode then — see
 ``retain`` in :class:`~repro.obs.trace.Tracer`).
 
+A serial run's trials record straight into the run's ring.  A trial
+in a fork-pool worker records into its own ring of the same capacity,
+whose :meth:`~FlightRecorder.tail` rides home in the trial's obs chunk
+and is folded into the run's ring in trial order
+(:meth:`~FlightRecorder.absorb`) — so a ``jobs=N`` run-end dump equals
+the serial one.
+
 On a trigger, :meth:`FlightRecorder.dump` snapshots the rings into a
 plain JSON document (Chrome trace-event dicts grouped by track, newest
 last) and :meth:`write` lands it as ``<out>.flight.json``.  Dumps are
@@ -82,6 +89,27 @@ class FlightRecorder:
             ring = deque(maxlen=self.capacity)
             self._rings[tid] = ring
         ring.append((self._seq, event))
+
+    def tail(self) -> Dict[str, object]:
+        """The retained events as plain picklable data, for
+        :meth:`absorb` into another ring (a trial chunk's share)."""
+        return {"recorded": self.recorded,
+                "rings": {tid: list(ring)
+                          for tid, ring in self._rings.items()}}
+
+    def absorb(self, tail: Dict[str, object]) -> None:
+        """Fold another ring's :meth:`tail` in as if its events had been
+        recorded here next: sequence numbers continue from this ring's,
+        and each track keeps only its newest ``capacity`` events."""
+        base = self._seq
+        for tid, events in tail["rings"].items():
+            ring = self._rings.get(tid)
+            if ring is None:
+                ring = deque(maxlen=self.capacity)
+                self._rings[tid] = ring
+            ring.extend((base + seq, event) for seq, event in events)
+        self._seq += tail["recorded"]
+        self.recorded += tail["recorded"]
 
     def instant(self, name: str, track: str, ts_ns: int,
                 args: Optional[Dict[str, object]] = None,

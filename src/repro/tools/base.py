@@ -67,9 +67,12 @@ class SampleColumns(_SequenceABC):
 
     @classmethod
     def from_batches(cls, batches: Iterable) -> "SampleColumns":
-        """Concatenate drained :class:`ColumnBatch` objects (one schema)."""
+        """Concatenate drained :class:`ColumnBatch` objects (one schema).
+
+        No batches make an empty series with no columns.
+        """
         batches = list(batches)
-        names = batches[0].names
+        names = batches[0].names if batches else ()
         timestamps = array("q")
         columns = [array("q") for _ in names]
         for batch in batches:

@@ -35,7 +35,6 @@ from repro.kernel.ringbuffer import ColumnBatch
 from repro.obs import hooks as _obs_hooks
 from repro.sim.clock import ms
 from repro.tools import costs
-from repro.tools.base import Sample
 from repro.tools.kleb.module import (KLebAdaptRequest, KLebModule,
                                      KLebModuleConfig)
 from repro.workloads.base import Block, Program, RateBlock, SyscallBlock
@@ -64,10 +63,9 @@ def _backoff_ns(attempt: int) -> int:
 class ControllerState:
     """Shared state between the controller program and the tool session."""
 
-    samples: List[Sample] = field(default_factory=list)
-    # Columnar sessions (non-multiplexed module) accumulate drained
-    # ColumnBatch objects here instead of exploding them into Samples;
-    # the session concatenates them into one SampleColumns at finalize.
+    # Drained ColumnBatch objects, kept whole instead of exploded into
+    # Samples; the session concatenates them into one SampleColumns at
+    # finalize.
     sample_batches: List[ColumnBatch] = field(default_factory=list)
     totals: Optional[Dict[str, int]] = None
     stop_requested: bool = False
@@ -218,7 +216,7 @@ class KLebControllerProgram(Program):
                 ),
                 label="read-backoff",
             )
-        batch = outcome.pop("batch", [])
+        batch = outcome.pop("batch", ())
         holder["batch_len"] = len(batch)
         holder["paused"] = outcome.pop("paused", False)
         holder["dropped"] = outcome.pop("dropped", 0)
@@ -227,14 +225,10 @@ class KLebControllerProgram(Program):
             holder["monitor_ns"] = outcome.pop("monitor_ns", 0)
             holder["pressure"] = outcome.pop("pressure", 0.0)
             holder["signal"] = outcome.pop("signal", None)
-        if isinstance(batch, ColumnBatch):
+        if batch:
             # Zero-copy hand-off: the drained columns are kept whole;
             # no per-sample dicts are ever built on this path.
-            if len(batch):
-                state.sample_batches.append(batch)
-        else:
-            state.samples.extend(batch)
-        if batch:
+            state.sample_batches.append(batch)
             # CSV formatting in user space, then one buffered write.
             instructions = (
                 len(batch)
@@ -266,24 +260,17 @@ class KLebControllerProgram(Program):
             outcome["pressure"] = 0.0
         signal = None
         if len(batch) >= 2:
-            if isinstance(batch, ColumnBatch):
-                timestamps = batch.timestamps
-                span = timestamps[-1] - timestamps[0]
-                if span > 0:
-                    try:
-                        column = batch.column(self._signal_event)
-                        first, last = column[0], column[-1]
-                    except KeyError:
-                        first = last = 0
-                    signal = (last - first) / span * 1000.0
-            else:
-                span = batch[-1].timestamp - batch[0].timestamp
-                if span > 0:
-                    first = batch[0].values.get(self._signal_event, 0)
-                    last = batch[-1].values.get(self._signal_event, 0)
-                    # Per-microsecond rate: spacing-independent, so the
-                    # tracker survives its own period changes.
-                    signal = (last - first) / span * 1000.0
+            timestamps = batch.timestamps
+            span = timestamps[-1] - timestamps[0]
+            if span > 0:
+                try:
+                    column = batch.column(self._signal_event)
+                    first, last = column[0], column[-1]
+                except KeyError:
+                    first = last = 0
+                # Per-microsecond rate: spacing-independent, so the
+                # tracker survives its own period changes.
+                signal = (last - first) / span * 1000.0
         outcome["signal"] = signal
 
     def _adaptive_step(self, holder: Dict[str, object],

@@ -20,13 +20,14 @@ buffer fills, collection pauses until a drain frees space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ModuleError, ToolError, TransientModuleError
 from repro.kernel.kprobes import ProbePoint
 from repro.kernel.module import KernelModule
 from repro.kernel.process import Task
-from repro.kernel.ringbuffer import ColumnarRing, PerCpuRing, RingBuffer
+from repro.kernel.ringbuffer import ColumnarRing, PerCpuRing
 from repro.kernel.hrtimer import HrTimer
 from repro.hw import events as ev
 from repro.hw import schedule
@@ -34,7 +35,6 @@ from repro.hw.pmu import (COUNTER_WIDTH_BITS, NUM_PROGRAMMABLE,
                           RDPMC_FIXED_FLAG)
 from repro.sim.clock import us
 from repro.tools import costs
-from repro.tools.base import Sample
 
 _COUNTER_WRAP = 1 << COUNTER_WIDTH_BITS
 
@@ -91,7 +91,7 @@ class KLebModuleConfig:
             raise ToolError("K-LEB period must be positive")
         if self.buffer_capacity <= 0:
             # Caught here at the tool layer, not as a KernelError from
-            # RingBuffer halfway through the config ioctl.
+            # the ring halfway through the config ioctl.
             raise ToolError(
                 f"K-LEB buffer capacity must be positive, "
                 f"got {self.buffer_capacity}"
@@ -180,11 +180,14 @@ class SmpContext:
 
     ``kernels`` are the cluster's per-core kernels in cpu order;
     ``home`` is the cpu hosting the controller (the module itself is
-    loaded into the home kernel).  When present, the module programs
-    every core's PMU identically, arms one HRTimer per core, registers
-    its kprobes on every core (including ``sched:migrate``), and pools
-    samples in a :class:`~repro.kernel.ringbuffer.PerCpuRing` — one
-    tool instance following a migrating task across cores.
+    loaded into the home kernel).  The module always programs every
+    session kernel's PMU identically, arms one HRTimer per kernel and
+    registers its kprobes on every kernel (including
+    ``sched:migrate``); a classic session is the one-kernel case.
+    With a context the samples pool in a
+    :class:`~repro.kernel.ringbuffer.PerCpuRing` — one tool instance
+    following a migrating task across cores — and the report gains the
+    ``smp_*`` metadata.
     """
 
     kernels: Sequence[object]
@@ -215,9 +218,10 @@ class KLebModule(KernelModule):
         super().__init__()
         self.smp = smp
         self.config: Optional[KLebModuleConfig] = None
-        self.buffer: Optional[RingBuffer] = None
-        self.timer: Optional[HrTimer] = None
-        # One timer per cpu on an SMP session; None on the classic path.
+        self.buffer: Optional[Union[ColumnarRing, PerCpuRing]] = None
+        # Per-cpu views, indexed by cpu: the session's kernels and
+        # their HRTimers.  A classic session has exactly one of each.
+        self._kernels: Sequence[object] = ()
         self.timers: Optional[List[HrTimer]] = None
         self.final_totals_by_cpu: Optional[List[Dict[str, int]]] = None
         self.traced_pids: set = set()
@@ -238,34 +242,27 @@ class KLebModule(KernelModule):
     # Module lifecycle
     # ------------------------------------------------------------------
     def on_load(self, kernel) -> None:
-        if self.smp is None:
-            self.timer = HrTimer(kernel, self._timer_fire, label="k-leb")
-            return
+        context = self.smp or SmpContext(kernels=(kernel,))
+        self._kernels = tuple(context.kernels)
         # One HRTimer per core, each bound to its own kernel so fires
         # charge interrupt time (and draw jitter) on the right cpu.
         # The home timer keeps the classic label.
-        self.timers = []
-        for cpu, cpu_kernel in enumerate(self.smp.kernels):
-            label = "k-leb" if cpu == self.smp.home else f"k-leb:cpu{cpu}"
-
-            def fire(when: int, _cpu: int = cpu) -> None:
-                self._timer_fire_smp(when, _cpu)
-
-            self.timers.append(HrTimer(cpu_kernel, fire, label=label))
-        self.timer = self.timers[self.smp.home]
+        self.timers = [
+            HrTimer(cpu_kernel, partial(self._timer_fire, cpu=cpu),
+                    label=("k-leb" if cpu == context.home
+                           else f"k-leb:cpu{cpu}"))
+            for cpu, cpu_kernel in enumerate(self._kernels)
+        ]
 
     def on_unload(self) -> None:
         if self.collecting:
             self._stop_collection()
-        self.timer = None
         self.timers = None
 
     @property
     def timer_misses_total(self) -> int:
         """Missed-deadline count across every armed timer (all cpus)."""
-        if self.timers is not None:
-            return sum(timer.missed for timer in self.timers)
-        return self.timer.missed if self.timer is not None else 0
+        return sum(timer.missed for timer in self.timers or ())
 
     # ------------------------------------------------------------------
     # ioctl interface (what the controller calls)
@@ -326,52 +323,46 @@ class KLebModule(KernelModule):
             # The constraint scheduler degenerates to the historical
             # positional layout when every event allows every counter,
             # so this path stays bit-identical for the legacy catalogue.
+            # Every core gets the same slots, so counter rows share one
+            # schema; fault preloads stay on the home core only.
             self.mux = None
             assignment = schedule.assign_counters(argument.resolved_events())
-            for event, index in assignment.programmable:
-                pmu.program_counter(index, event, user=True,
-                                    kernel=argument.count_kernel)
-                preload = self.kernel.faults.counter_preload(index,
-                                                             self.kernel.now)
-                if preload is not None:
-                    # Fault injection: start near the 48-bit ceiling so
-                    # the counter wraps mid-run and downstream analysis
-                    # must cope with the discontinuity.
-                    pmu.write_counter(index, preload)
-        pmu.enable_fixed(user=True, kernel=argument.count_kernel)
-        pmu.global_disable()
-        if self.smp is not None:
-            # Mirror the programmed layout onto every other core's PMU
-            # (identical slots, so counter rows share one schema); fault
-            # preloads stay on the home core only.
-            assignment = schedule.assign_counters(argument.resolved_events())
-            for cpu_kernel in self.smp.kernels:
-                other = cpu_kernel.pmu
-                if other is pmu:
-                    continue
-                other.reset_counters()
+            for cpu_kernel in self._kernels:
+                cpu_pmu = cpu_kernel.pmu
+                if cpu_pmu is not pmu:
+                    cpu_pmu.reset_counters()
                 for event, index in assignment.programmable:
-                    other.program_counter(index, event, user=True,
-                                          kernel=argument.count_kernel)
-                other.enable_fixed(user=True, kernel=argument.count_kernel)
-                other.global_disable()
+                    cpu_pmu.program_counter(index, event, user=True,
+                                            kernel=argument.count_kernel)
+                    if cpu_pmu is not pmu:
+                        continue
+                    preload = self.kernel.faults.counter_preload(
+                        index, self.kernel.now)
+                    if preload is not None:
+                        # Fault injection: start near the 48-bit ceiling
+                        # so the counter wraps mid-run and downstream
+                        # analysis must cope with the discontinuity.
+                        pmu.write_counter(index, preload)
+        for cpu_kernel in self._kernels:
+            cpu_kernel.pmu.enable_fixed(user=True,
+                                        kernel=argument.count_kernel)
+            cpu_kernel.pmu.global_disable()
+        # Fixed row layout for the whole session: the columnar ring is
+        # allocated against it and the interrupt handler pushes typed
+        # rows, never dicts.  A multiplexed row is the fixed counters
+        # plus the cumulative raw count of every rotated event, so
+        # rotation never changes its schema.
         if self.mux is not None:
-            # Rotation changes the per-sample event schema between
-            # windows, so multiplexed sessions keep the generic ring.
-            self.buffer = RingBuffer(argument.buffer_capacity)
+            row_names = ev.FIXED_EVENTS + tuple(self.mux.plan.rotated_names)
         else:
-            # Fixed schema for the whole session: the columnar ring is
-            # allocated against the programmed counter-row layout and
-            # the interrupt handler pushes typed rows, never dicts.
             row_names, _ = pmu.counter_row()
-            if self.smp is not None:
-                # One private ring per core (capacity each), merged in
-                # timestamp order at drain time.
-                self.buffer = PerCpuRing(argument.buffer_capacity, row_names,
-                                         cpus=len(self.smp.kernels))
-            else:
-                self.buffer = ColumnarRing(argument.buffer_capacity,
-                                           row_names)
+        if self.smp is not None:
+            # One private ring per core (capacity each), merged in
+            # timestamp order at drain time.
+            self.buffer = PerCpuRing(argument.buffer_capacity, row_names,
+                                     cpus=len(self._kernels))
+        else:
+            self.buffer = ColumnarRing(argument.buffer_capacity, row_names)
         return True
 
     def _ioctl_start(self, argument: object) -> bool:
@@ -391,49 +382,27 @@ class KLebModule(KernelModule):
         self.final_totals = None
         self.final_totals_by_cpu = None
         self.stats = KLebStats()
-        if self.smp is None:
-            probes = self.kernel.kprobes
-            self._probe_handles = [
-                (probes,
-                 probes.register(ProbePoint.SCHED_SWITCH_IN,
-                                 self._switch_in)),
-                (probes,
-                 probes.register(ProbePoint.SCHED_SWITCH_OUT,
-                                 self._switch_out)),
-                (probes, probes.register(ProbePoint.PROCESS_FORK,
-                                         self._fork)),
-                (probes, probes.register(ProbePoint.PROCESS_EXIT,
-                                         self._exit)),
-            ]
-        else:
-            # Probes on *every* core: the traced task may run (and
-            # exit) anywhere, and sched:migrate fires on the
-            # destination core so counting follows the task.
-            self._probe_handles = []
-            for cpu, cpu_kernel in enumerate(self.smp.kernels):
-                probes = cpu_kernel.kprobes
-                for point, handler in (
-                    (ProbePoint.SCHED_SWITCH_IN,
-                     self._smp_switch_in(cpu)),
-                    (ProbePoint.SCHED_SWITCH_OUT,
-                     self._smp_switch_out(cpu)),
-                    (ProbePoint.SCHED_MIGRATE, self._migrated),
-                    (ProbePoint.PROCESS_FORK, self._fork),
-                    (ProbePoint.PROCESS_EXIT, self._exit),
-                ):
-                    self._probe_handles.append(
-                        (probes, probes.register(point, handler)))
+        # Probes on *every* core: the traced task may run (and exit)
+        # anywhere, and sched:migrate fires on the destination core so
+        # counting follows the task.
+        self._probe_handles = []
+        for cpu, cpu_kernel in enumerate(self._kernels):
+            probes = cpu_kernel.kprobes
+            for point, handler in (
+                (ProbePoint.SCHED_SWITCH_IN, self._switch_in(cpu)),
+                (ProbePoint.SCHED_SWITCH_OUT, self._switch_out(cpu)),
+                (ProbePoint.SCHED_MIGRATE, self._migrated),
+                (ProbePoint.PROCESS_FORK, self._fork),
+                (ProbePoint.PROCESS_EXIT, self._exit),
+            ):
+                self._probe_handles.append(
+                    (probes, probes.register(point, handler)))
         self.collecting = True
         # If the monitored task is already on a CPU, begin right away.
-        if self.smp is None:
-            current = self.kernel.scheduler.current
+        for cpu, cpu_kernel in enumerate(self._kernels):
+            current = cpu_kernel.scheduler.current
             if current is not None and current.pid in self.traced_pids:
-                self._begin_counting()
-        else:
-            for cpu, cpu_kernel in enumerate(self.smp.kernels):
-                current = cpu_kernel.scheduler.current
-                if current is not None and current.pid in self.traced_pids:
-                    self._begin_counting(cpu)
+                self._begin_counting(cpu)
         return True
 
     def _ioctl_stop(self) -> Dict[str, int]:
@@ -466,24 +435,21 @@ class KLebModule(KernelModule):
         self.active_period_ns = int(argument.period_ns)
         self.skip_factor = int(argument.skip_factor)
         self.rotate_slowdown = int(argument.rotate_slowdown)
-        if self.timers is not None:
-            for timer in self.timers:
-                if timer.period_ns != self.active_period_ns:
-                    timer.reprogram(self.active_period_ns)
-        elif self.timer is not None \
-                and self.timer.period_ns != self.active_period_ns:
+        for timer in self.timers or ():
             # In place if running; an inactive timer (victim switched
             # out, or paused on back-pressure) just stores the new
             # period and picks it up on the next switch-in.
-            self.timer.reprogram(self.active_period_ns)
+            if timer.period_ns != self.active_period_ns:
+                timer.reprogram(self.active_period_ns)
         return True
 
     # ------------------------------------------------------------------
     # Device read (controller drains samples)
     # ------------------------------------------------------------------
     def read(self, max_items: Optional[int] = None):
-        """Drain pooled samples: a :class:`ColumnBatch` from a columnar
-        session (non-multiplexed), a ``List[Sample]`` otherwise."""
+        """Drain pooled samples as one :class:`ColumnBatch` (an SMP
+        session's batch is merged across cores and carries a trailing
+        ``cpu`` column)."""
         if self.buffer is None:
             raise ModuleError("K-LEB: read before config")
         if max_items is not None and max_items < 0:
@@ -512,21 +478,13 @@ class KLebModule(KernelModule):
     # ------------------------------------------------------------------
     # kprobe handlers: per-PID isolation (paper Fig. 3)
     # ------------------------------------------------------------------
-    def _switch_in(self, task: Task) -> None:
-        if self.collecting and task.pid in self.traced_pids:
-            self._begin_counting()
-
-    def _switch_out(self, task: Task) -> None:
-        if self.collecting and task.pid in self.traced_pids:
-            self._pause_counting()
-
-    def _smp_switch_in(self, cpu: int):
+    def _switch_in(self, cpu: int):
         def handler(task: Task) -> None:
             if self.collecting and task.pid in self.traced_pids:
                 self._begin_counting(cpu)
         return handler
 
-    def _smp_switch_out(self, cpu: int):
+    def _switch_out(self, cpu: int):
         def handler(task: Task) -> None:
             if self.collecting and task.pid in self.traced_pids:
                 self._pause_counting(cpu)
@@ -555,67 +513,43 @@ class KLebModule(KernelModule):
     # ------------------------------------------------------------------
     # Counting control
     # ------------------------------------------------------------------
-    def _begin_counting(self, cpu: Optional[int] = None) -> None:
-        assert self.config is not None
-        if cpu is None:
-            assert self.timer is not None
-            self.kernel.pmu.global_enable()
-            # The adapt ioctl may have retuned the period since config;
-            # equals config.period_ns when the controller never adapted.
-            self.timer.start(self.active_period_ns or self.config.period_ns)
-            return
-        assert self.timers is not None and self.smp is not None
-        self.smp.kernels[cpu].pmu.global_enable()
+    def _begin_counting(self, cpu: int) -> None:
+        assert self.config is not None and self.timers is not None
+        self._kernels[cpu].pmu.global_enable()
+        # The adapt ioctl may have retuned the period since config;
+        # equals config.period_ns when the controller never adapted.
         self.timers[cpu].start(self.active_period_ns or self.config.period_ns)
 
-    def _pause_counting(self, cpu: Optional[int] = None) -> None:
-        if cpu is None:
-            assert self.timer is not None
-            self.timer.cancel()
-            if self.mux is not None:
-                # Harvest the partial window before the counters freeze
-                # so drained samples stay fresh across descheduled
-                # stretches.
-                self._mux_harvest()
-            self.kernel.pmu.global_disable()
-            return
-        assert self.timers is not None and self.smp is not None
+    def _pause_counting(self, cpu: int) -> None:
+        assert self.timers is not None
         self.timers[cpu].cancel()
-        self.smp.kernels[cpu].pmu.global_disable()
+        if self.mux is not None:
+            # Harvest the partial window before the counters freeze so
+            # drained samples stay fresh across descheduled stretches.
+            self._mux_harvest()
+        self._kernels[cpu].pmu.global_disable()
 
     def _stop_collection(self) -> None:
-        if self.smp is not None:
-            self._stop_collection_smp()
-            return
-        if self.timer is not None:
-            self.timer.cancel()
+        for timer in self.timers or ():
+            timer.cancel()
         if self.mux is not None:
             self._mux_harvest()
             self.final_totals = self._mux_totals()
+            self.kernel.pmu.global_disable()
         else:
-            self.final_totals = dict(
-                self.kernel.pmu.snapshot(self.kernel.now).by_event
-            )
-        self.kernel.pmu.global_disable()
-        for probes, handle in self._probe_handles:
-            probes.unregister(handle)
-        self._probe_handles = []
-        self.collecting = False
-
-    def _stop_collection_smp(self) -> None:
-        assert self.smp is not None and self.timers is not None
-        for timer in self.timers:
-            timer.cancel()
-        totals_by_cpu: List[Dict[str, int]] = []
-        merged: Dict[str, int] = {}
-        for cpu_kernel in self.smp.kernels:
-            snapshot = dict(cpu_kernel.pmu.snapshot(cpu_kernel.now).by_event)
-            cpu_kernel.pmu.global_disable()
-            totals_by_cpu.append(snapshot)
-            for name, value in snapshot.items():
-                merged[name] = merged.get(name, 0) + value
-        self.final_totals_by_cpu = totals_by_cpu
-        self.final_totals = merged
+            # Per-cpu snapshots, summed in cpu order: over one kernel
+            # the sum is that kernel's snapshot, in the same order.
+            totals_by_cpu: List[Dict[str, int]] = []
+            merged: Dict[str, int] = {}
+            for cpu_kernel in self._kernels:
+                snapshot = dict(
+                    cpu_kernel.pmu.snapshot(cpu_kernel.now).by_event)
+                cpu_kernel.pmu.global_disable()
+                totals_by_cpu.append(snapshot)
+                for name, value in snapshot.items():
+                    merged[name] = merged.get(name, 0) + value
+            self.final_totals_by_cpu = totals_by_cpu
+            self.final_totals = merged
         for probes, handle in self._probe_handles:
             probes.unregister(handle)
         self._probe_handles = []
@@ -674,6 +608,20 @@ class KLebModule(KernelModule):
                 mux.raw[name] += delta
             mux.start[slot] = value
 
+    def _mux_window_done(self) -> bool:
+        """Count one fire toward the active group's window; True once
+        the window is complete and the groups should rotate.
+
+        The rotation-slowed ladder rung stretches each window by
+        ``rotate_slowdown`` (1 when not adapted).
+        """
+        assert self.mux is not None
+        mux = self.mux
+        if len(mux.plan.groups) < 2:
+            return False
+        mux.fires_in_window += 1
+        return mux.fires_in_window >= mux.rotate_fires * self.rotate_slowdown
+
     def _mux_rotate(self) -> None:
         """Advance to the next group (called after a harvest)."""
         assert self.mux is not None
@@ -688,18 +636,17 @@ class KLebModule(KernelModule):
         self.stats.rotate_ns += costs.KLEB_ROTATE_NS
         self._mux_program_active()
 
-    def _mux_sample_values(self) -> Dict[str, int]:
-        """Fixed counters plus cumulative raw counts of every rotated
-        event (counts observed so far; descheduled events hold still)."""
+    def _mux_sample_row(self) -> List[int]:
+        """Fixed counters, then the cumulative raw count of every
+        rotated event (counts observed so far; descheduled events hold
+        still) — the column order of a multiplexed session's ring."""
         assert self.mux is not None
         mux = self.mux
         pmu = self.kernel.pmu
-        values: Dict[str, int] = {}
-        for index, event_name in enumerate(ev.FIXED_EVENTS):
-            values[event_name] = pmu.rdpmc(index | RDPMC_FIXED_FLAG)
-        for name in mux.plan.rotated_names:
-            values[name] = int(mux.raw[name])
-        return values
+        row = [pmu.rdpmc(index | RDPMC_FIXED_FLAG)
+               for index in range(len(ev.FIXED_EVENTS))]
+        row.extend(int(mux.raw[name]) for name in mux.plan.rotated_names)
+        return row
 
     def _mux_totals(self) -> Dict[str, int]:
         """Final totals: exact fixed counts, scaled rotated estimates."""
@@ -719,104 +666,63 @@ class KLebModule(KernelModule):
     # ------------------------------------------------------------------
     # HRTimer interrupt handler
     # ------------------------------------------------------------------
-    def _timer_fire(self, when: int) -> None:
+    def _timer_fire(self, when: int, cpu: int) -> None:
+        """One core's HRTimer interrupt: read that core's PMU and push
+        one row into that core's ring (interrupt time is charged on
+        ``cpu``'s kernel)."""
         if not self.collecting:
             return
-        self.stats.timer_fires += 1
-        if self.stats.timer_fires == 1:
+        kernel = self._kernels[cpu]
+        stats = self.stats
+        mux = self.mux
+        stats.timer_fires += 1
+        if stats.timer_fires == 1:
             # Lazy one-time work on the first fire: buffer page faults,
             # module-path cache warmup.
-            self.kernel.charge_kernel_time(costs.KLEB_FIRST_FIRE_NS)
-        if (self.skip_factor > 1
-                and self.stats.timer_fires % self.skip_factor != 0):
+            kernel.charge_kernel_time(costs.KLEB_FIRST_FIRE_NS)
+        if self.skip_factor > 1 and stats.timer_fires % self.skip_factor != 0:
             # Sample-dropping ladder rung: the handler enters, checks
             # the skip counter, and bails without touching the PMU or
             # the buffer.  The gap is accounted (samples_skipped) so
             # downstream analysis can distinguish dropped-by-policy
             # from lost-to-pressure.  Rotation fires still tick so a
             # multiplexed session keeps cycling its groups.
-            self.kernel.charge_kernel_time(costs.KLEB_SKIP_FIRE_NS)
-            self.stats.handler_time_ns += costs.KLEB_SKIP_FIRE_NS
-            self.stats.samples_skipped += 1
-            if self.mux is not None and len(self.mux.plan.groups) > 1:
-                self.mux.fires_in_window += 1
-                if (self.mux.fires_in_window
-                        >= self.mux.rotate_fires * self.rotate_slowdown):
-                    self._mux_harvest()
-                    self._mux_rotate()
+            kernel.charge_kernel_time(costs.KLEB_SKIP_FIRE_NS)
+            stats.handler_time_ns += costs.KLEB_SKIP_FIRE_NS
+            stats.samples_skipped += 1
+            if mux is not None and self._mux_window_done():
+                self._mux_harvest()
+                self._mux_rotate()
             return
-        self.kernel.charge_kernel_time(costs.KLEB_HANDLER_NS)
-        self.stats.handler_time_ns += costs.KLEB_HANDLER_NS
-        assert self.buffer is not None
+        kernel.charge_kernel_time(costs.KLEB_HANDLER_NS)
+        stats.handler_time_ns += costs.KLEB_HANDLER_NS
+        buffer = self.buffer
+        assert buffer is not None
         # Fault injection: memory pressure may squeeze the sample pool's
         # effective capacity for a window of fires.
-        squeezed = self.kernel.faults.squeeze_capacity(self.buffer.capacity,
-                                                       self.kernel.now)
+        squeezed = kernel.faults.squeeze_capacity(buffer.capacity,
+                                                  kernel.now)
         if squeezed is not None:
-            self.buffer.squeeze(squeezed)
+            buffer.squeeze(squeezed)
         else:
-            self.buffer.unsqueeze()
-        if self.mux is not None:
+            buffer.unsqueeze()
+        if mux is not None:
             self._mux_harvest()
-            values = self._mux_sample_values()
-            pushed = self.buffer.push(
-                Sample(timestamp=self.kernel.now, values=values)
-            )
+            row = self._mux_sample_row()
         else:
-            # Columnar hot path: one typed row straight into the ring's
-            # preallocated columns — no snapshot dict, no Sample object.
-            _, row = self.kernel.pmu.counter_row()
-            pushed = self.buffer.push_row(self.kernel.now, row)
+            # One typed row straight into the ring's preallocated
+            # columns — no snapshot dict, no Sample object.
+            _, row = kernel.pmu.counter_row()
+        if self.smp is None:
+            pushed = buffer.push_row(kernel.now, row)
+        else:
+            pushed = buffer.push_row(cpu, kernel.now, row)
         if pushed:
-            self.stats.samples_recorded += 1
+            stats.samples_recorded += 1
         else:
             # Safety mechanism: buffer full, controller starved —
             # sample dropped, collection paused until a drain.
-            self.stats.samples_dropped += 1
-        self.stats.pause_episodes = self.buffer.pause_episodes
-        if self.mux is not None and len(self.mux.plan.groups) > 1:
-            self.mux.fires_in_window += 1
-            # The rotation-slowed ladder rung stretches each group's
-            # window by rotate_slowdown (1 when not adapted).
-            if (self.mux.fires_in_window
-                    >= self.mux.rotate_fires * self.rotate_slowdown):
-                self._mux_rotate()
-
-    def _timer_fire_smp(self, when: int, cpu: int) -> None:
-        """Per-core variant of :meth:`_timer_fire`.
-
-        Mirrors the classic handler (skip ladder, squeeze faults,
-        columnar push, back-pressure accounting) but charges interrupt
-        time on ``cpu``'s kernel, reads ``cpu``'s PMU, and pushes into
-        that core's private ring.  SMP sessions never multiplex, so the
-        rotation arms are absent.
-        """
-        if not self.collecting:
-            return
-        assert self.smp is not None
-        cpu_kernel = self.smp.kernels[cpu]
-        self.stats.timer_fires += 1
-        if self.stats.timer_fires == 1:
-            cpu_kernel.charge_kernel_time(costs.KLEB_FIRST_FIRE_NS)
-        if (self.skip_factor > 1
-                and self.stats.timer_fires % self.skip_factor != 0):
-            cpu_kernel.charge_kernel_time(costs.KLEB_SKIP_FIRE_NS)
-            self.stats.handler_time_ns += costs.KLEB_SKIP_FIRE_NS
-            self.stats.samples_skipped += 1
-            return
-        cpu_kernel.charge_kernel_time(costs.KLEB_HANDLER_NS)
-        self.stats.handler_time_ns += costs.KLEB_HANDLER_NS
-        assert isinstance(self.buffer, PerCpuRing)
-        squeezed = cpu_kernel.faults.squeeze_capacity(self.buffer.capacity,
-                                                      cpu_kernel.now)
-        if squeezed is not None:
-            self.buffer.squeeze(squeezed)
-        else:
-            self.buffer.unsqueeze()
-        _, row = cpu_kernel.pmu.counter_row()
-        pushed = self.buffer.push_row(cpu, cpu_kernel.now, row)
-        if pushed:
-            self.stats.samples_recorded += 1
-        else:
-            self.stats.samples_dropped += 1
-        self.stats.pause_episodes = self.buffer.pause_episodes
+            stats.samples_dropped += 1
+        stats.pause_episodes = buffer.pause_episodes
+        if mux is not None and self._mux_window_done():
+            self._mux_rotate()

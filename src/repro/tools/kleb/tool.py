@@ -7,7 +7,7 @@ and able to run at HRTimer rates (100 µs) rather than user-timer rates
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.control import AdaptiveController, ControlConfig
 from repro.errors import ToolError
@@ -15,8 +15,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Task, TaskState
 from repro.sim.clock import seconds
 from repro.tools import costs
-from repro.tools.base import (MonitoringTool, Sample, SampleColumns, Session,
-                              ToolReport)
+from repro.tools.base import MonitoringTool, SampleColumns, Session, ToolReport
 from repro.tools.kleb.controller import ControllerState, KLebControllerProgram
 from repro.tools.kleb.module import (KLebModule, KLebModuleConfig,
                                      SmpContext)
@@ -103,18 +102,13 @@ class KLebSession(Session):
                 "multiplex_min_running_cycles": float(min(running) if running
                                                       else 0),
             })
-        if self.state.sample_batches:
-            # Columnar session: one concatenation of the drained column
-            # batches; Sample objects only ever materialize if a
-            # consumer indexes into the series.
-            samples = SampleColumns.from_batches(self.state.sample_batches)
-        else:
-            samples = list(self.state.samples)
         return ToolReport(
             tool="k-leb",
             events=self.events,
             period_ns=self.period_ns,
-            samples=samples,
+            # One concatenation of the drained column batches; Sample
+            # objects only ever materialize if a consumer indexes in.
+            samples=SampleColumns.from_batches(self.state.sample_batches),
             totals={name: float(value) for name, value in totals.items()},
             victim_wall_ns=self.victim.wall_time_ns or 0,
             victim_pid=self.victim.pid,
@@ -179,6 +173,47 @@ class KLebTool(MonitoringTool):
                 raise ToolError("module name collision on k_leb")
         else:
             module = kernel.load_module(KLebModule())
+        return self._start_session(kernel, module, task, events, period_ns)
+
+    def attach_cluster(self, cluster, task: Task, events: Sequence[str],
+                       period_ns: int, home: int = 0) -> KLebSession:
+        """Attach one tool instance to a whole SMP cluster.
+
+        The module loads into the ``home`` core's kernel (where the
+        victim was spawned and the controller runs, pinned there), but
+        programs every core's PMU, registers kprobes on every core —
+        including ``sched:migrate`` — and pools samples in a per-CPU
+        ring, so a single session follows the victim across cores.
+        """
+        if self.multiplex_period_ns is not None:
+            raise ToolError(
+                "K-LEB: multiplexing is not supported on an SMP session")
+        if self.control is not None:
+            raise ToolError(
+                "K-LEB: adaptive control is not supported on an SMP session")
+        period_ns = self.effective_period(period_ns)
+        kernel = cluster.kernel(home)
+        if "k_leb" in kernel.modules:
+            module = kernel.get_module("k_leb")
+            if not isinstance(module, KLebModule) or module.smp is None:
+                raise ToolError(
+                    "k_leb already loaded on the home kernel without "
+                    "SMP wiring")
+        else:
+            module = kernel.load_module(KLebModule(
+                smp=SmpContext(kernels=tuple(cluster.kernels), home=home)))
+        session = self._start_session(kernel, module, task, events,
+                                      period_ns)
+        # The controller never migrates: its ioctl/read loop drains the
+        # merged ring from the home core (taskset semantics).
+        session.controller.pinned = True
+        return session
+
+    def _start_session(self, kernel: Kernel, module: KLebModule, task: Task,
+                       events: Sequence[str],
+                       period_ns: int) -> KLebSession:
+        """Spawn the controller that configures ``module`` and drains
+        it for ``task`` — the body every attach flavour shares."""
         config = KLebModuleConfig(
             events=list(events),
             period_ns=period_ns,
@@ -215,67 +250,6 @@ class KLebTool(MonitoringTool):
         )
         controller = kernel.spawn(controller_program,
                                   nice=self.controller_nice)
-        return KLebSession(
-            kernel=kernel,
-            module=module,
-            victim=task,
-            controller=controller,
-            state=state,
-            events=events,
-            period_ns=period_ns,
-        )
-
-    def attach_cluster(self, cluster, task: Task, events: Sequence[str],
-                       period_ns: int, home: int = 0) -> KLebSession:
-        """Attach one tool instance to a whole SMP cluster.
-
-        The module loads into the ``home`` core's kernel (where the
-        victim was spawned and the controller runs, pinned there), but
-        programs every core's PMU, registers kprobes on every core —
-        including ``sched:migrate`` — and pools samples in a per-CPU
-        ring, so a single session follows the victim across cores.
-        """
-        if self.multiplex_period_ns is not None:
-            raise ToolError(
-                "K-LEB: multiplexing is not supported on an SMP session")
-        if self.control is not None:
-            raise ToolError(
-                "K-LEB: adaptive control is not supported on an SMP session")
-        period_ns = self.effective_period(period_ns)
-        kernel = cluster.kernel(home)
-        if "k_leb" in kernel.modules:
-            module = kernel.get_module("k_leb")
-            if not isinstance(module, KLebModule) or module.smp is None:
-                raise ToolError(
-                    "k_leb already loaded on the home kernel without "
-                    "SMP wiring")
-        else:
-            module = kernel.load_module(KLebModule(
-                smp=SmpContext(kernels=tuple(cluster.kernels), home=home)))
-        config = KLebModuleConfig(
-            events=list(events),
-            period_ns=period_ns,
-            buffer_capacity=self.buffer_capacity,
-            count_kernel=self.count_kernel,
-        )
-        state = ControllerState()
-        cost_rng = kernel.rng.stream("tool-cost:k-leb")
-        cost_factor = float(
-            cost_rng.lognormal(0.0, costs.COST_SIGMA["k-leb"])
-        )
-        controller_program = KLebControllerProgram(
-            module=module,
-            target_pid=task.pid,
-            module_config=config,
-            state=state,
-            cost_factor=cost_factor,
-            start_target=task.state is TaskState.SLEEPING,
-        )
-        controller = kernel.spawn(controller_program,
-                                  nice=self.controller_nice)
-        # The controller never migrates: its ioctl/read loop drains the
-        # merged ring from the home core (taskset semantics).
-        controller.pinned = True
         return KLebSession(
             kernel=kernel,
             module=module,

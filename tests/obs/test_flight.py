@@ -43,6 +43,32 @@ class TestRing:
         assert sorted(seqs) == [1, 2]
 
 
+def _events(prefix, count):
+    """``count`` instants spread over three tracks."""
+    return [("i", f"{prefix}{n}", "cat", n, None, 0, 1 + n % 3, None)
+            for n in range(count)]
+
+
+class TestAbsorb:
+    @pytest.mark.parametrize("before,during", [(0, 5), (3, 14), (13, 2)])
+    def test_absorbed_tail_equals_recording_in_place(self, before, during):
+        """Folding a trial ring's tail into the run's ring gives the same
+        dump as recording the trial's events straight into it: same
+        sequence numbers, same per-track eviction, same counts."""
+        direct, folded, trial = (FlightRecorder(capacity=4) for _ in "abc")
+        for event in _events("run", before):
+            direct.record(event)
+            folded.record(event)
+        for event in _events("trial", during):
+            direct.record(event)
+            trial.record(event)
+        folded.absorb(trial.tail())
+        expected = direct.dump("end")
+        actual = folded.dump("end")
+        del expected["wall_time_s"], actual["wall_time_s"]
+        assert actual == expected
+
+
 class TestTracingOffCapture:
     def test_non_retaining_tracer_feeds_the_ring(self):
         """With full tracing off the tracer retains nothing, but every

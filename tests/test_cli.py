@@ -1,4 +1,8 @@
-"""CLI entry points (run via main() with argv injection)."""
+"""CLI entry points (run via main() with argv injection).
+
+Every ``run`` passes ``--jobs`` explicitly: the default is the host's
+core count, which would make a test's path depend on the machine.
+"""
 
 import pytest
 
@@ -170,12 +174,12 @@ class TestMonitorSmp:
 
 class TestRun:
     def test_run_fig9(self, capsys):
-        assert main(["run", "fig9", "--seed", "0"]) == 0
+        assert main(["run", "fig9", "--seed", "0", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "worst deviation" in out
 
     def test_run_table1_with_overrides(self, capsys):
-        assert main(["run", "table1", "--runs", "2"]) == 0
+        assert main(["run", "table1", "--runs", "2", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "GFlops" in out
 
@@ -184,13 +188,13 @@ class TestRun:
             main(["run", "table99"])
 
     def test_run_multiplex(self, capsys):
-        assert main(["run", "multiplex", "--seed", "0"]) == 0
+        assert main(["run", "multiplex", "--seed", "0", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "rotation" in out
         assert "time_enabled/time_running" in out
 
     def test_run_adaptive(self, capsys):
-        assert main(["run", "adaptive", "--seed", "0"]) == 0
+        assert main(["run", "adaptive", "--seed", "0", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "adaptive controller:" in out
         assert "adaptive dominates" in out
@@ -220,7 +224,8 @@ class TestLivePlane:
 
         monkeypatch.setattr(live_server.LiveServer, "start",
                             start_and_scrape)
-        assert main(["run", "table1", "--runs", "2", "--live", "0"]) == 0
+        assert main(["run", "table1", "--runs", "2", "--jobs", "4",
+                     "--live", "0"]) == 0
         live_out = capsys.readouterr().out
         assert live_out.startswith("live telemetry at http://127.0.0.1:")
         assert "# TYPE live_snapshots_total counter" in scraped["/metrics"]
@@ -228,37 +233,63 @@ class TestLivePlane:
         assert json.loads(scraped["/healthz"])["status"] == "ok"
         assert "run" in json.loads(scraped["/runs"])
 
-        assert main(["run", "table1", "--runs", "2"]) == 0
+        assert main(["run", "table1", "--runs", "2", "--jobs", "4"]) == 0
         plain_out = capsys.readouterr().out
         assert live_out.split("\n", 1)[1] == plain_out
 
-    def test_flight_dump_written_on_run_end(self, capsys, tmp_path):
+    @pytest.fixture(scope="class")
+    def flight_run(self, tmp_path_factory):
+        """``run table1 --flight`` at a given ``--jobs``, memoized:
+        (stdout, dump path, dump document without its wall-clock
+        stamp)."""
+        import contextlib
+        import io
         import json
 
-        flight_path = tmp_path / "run.flight.json"
-        assert main(["run", "table1", "--runs", "2", "--flight",
-                     str(flight_path)]) == 0
-        assert f"flight ring written to {flight_path}" \
-            in capsys.readouterr().out
-        document = json.loads(flight_path.read_text())
+        runs = {}
+
+        def run(jobs):
+            if jobs not in runs:
+                path = tmp_path_factory.mktemp("flight") / "run.flight.json"
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["run", "table1", "--runs", "2",
+                                 "--jobs", jobs, "--flight", str(path)]) == 0
+                document = json.loads(path.read_text())
+                del document["wall_time_s"]
+                runs[jobs] = (out.getvalue(), path, document)
+            return runs[jobs]
+
+        return run
+
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_flight_dump_written_on_run_end(self, flight_run, jobs):
+        """Trials in forked workers record into rings that fold back in
+        trial order, so the dump matches the serial run's exactly."""
+        out, path, document = flight_run(jobs)
+        assert f"flight ring written to {path}" in out
         assert document["format"] == "repro-flight-v1"
         assert document["reason"] == "run-complete"
         assert document["events_recorded"] > 0
+        assert document == flight_run("1")[2]
 
     def test_flight_dump_on_quarantine(self, capsys, tmp_path):
         """A quarantined trial triggers a mid-run flight dump (later
         overwritten by the run-end dump only if the run finishes; the
-        quarantine reason must have been written at some point)."""
+        quarantine reason must have been written at some point).  A
+        serial trial records straight into the run's ring, so each
+        quarantine dump already holds that trial's quarantine event."""
         import json
 
         from repro.obs.live import flight as flight_module
 
-        reasons = []
+        dumps = []
         original_write = flight_module.FlightRecorder.write
 
         def spy_write(self, path, reason, extra=None):
-            reasons.append(reason)
-            return original_write(self, path, reason, extra)
+            written = original_write(self, path, reason, extra)
+            dumps.append(json.loads(written.read_text()))
+            return written
 
         flight_path = tmp_path / "q.flight.json"
         try:
@@ -268,8 +299,15 @@ class TestLivePlane:
                          "--flight", str(flight_path)]) == 0
         finally:
             flight_module.FlightRecorder.write = original_write
-        assert any(reason.startswith("quarantine:trial-")
-                   for reason in reasons), reasons
+        reasons = [dump["reason"] for dump in dumps]
+        quarantines = [dump for dump in dumps
+                       if dump["reason"].startswith("quarantine:trial-")]
+        assert quarantines, reasons
+        for dump in quarantines:
+            trial = int(dump["reason"].rsplit("-", 1)[1])
+            assert any(event["name"] == "trial-quarantined"
+                       and event["args"]["trial"] == trial
+                       for event in dump["tracks"]["runner"]), dump["reason"]
         assert reasons[-1] == "run-complete"
         assert json.loads(flight_path.read_text())["reason"] \
             == "run-complete"
@@ -278,8 +316,8 @@ class TestLivePlane:
                                                     tmp_path):
         trace = tmp_path / "t.json.gz"
         metrics = tmp_path / "m.prom.gz"
-        assert main(["run", "table1", "--runs", "2", "--live", "0",
-                     "--trace", str(trace), "--metrics",
+        assert main(["run", "table1", "--runs", "2", "--jobs", "4",
+                     "--live", "0", "--trace", str(trace), "--metrics",
                      str(metrics)]) == 0
         from repro.io import load_metrics, load_trace_events
 

@@ -16,15 +16,8 @@ EVENTS = ("LOADS", "STORES")
 
 
 def collected(state):
-    """Everything the controller drained, as sample-shaped rows.
-
-    Non-multiplexed sessions accumulate ColumnBatch objects in
-    ``state.sample_batches``; multiplexed ones fill ``state.samples``.
-    """
-    rows = list(state.samples)
-    for batch in state.sample_batches:
-        rows.extend(batch)
-    return rows
+    """Everything the controller drained, as sample-shaped rows."""
+    return [row for batch in state.sample_batches for row in batch]
 
 
 def build_system(victim_instructions=2e7, period=us(100)):

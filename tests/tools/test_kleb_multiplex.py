@@ -5,9 +5,13 @@ import pytest
 from repro.errors import ToolError
 from repro.experiments.runner import run_monitored, run_trials
 from repro.faults import FaultInjector, FaultPlan
-from repro.sim.clock import ms, us
+from repro.hw import events as ev
+from repro.hw import schedule
+from repro.kernel.ringbuffer import ColumnBatch
+from repro.sim.clock import ms, seconds, us
+from repro.tools.base import SampleColumns
 from repro.tools.kleb import KLebTool
-from repro.tools.kleb.module import KLebModuleConfig
+from repro.tools.kleb.module import KLebModule, KLebModuleConfig
 from repro.workloads.synthetic import UniformComputeWorkload
 
 
@@ -116,6 +120,36 @@ class TestRotation:
     def test_fixed_counters_exact_under_mux(self, eight):
         assert eight.report.totals["INST_RETIRED"] == \
             pytest.approx(2e7, rel=1e-6)
+
+    def test_report_samples_are_columnar(self, eight):
+        samples = eight.report.samples
+        assert isinstance(samples, SampleColumns)
+        assert samples.names == (
+            ev.FIXED_EVENTS + schedule.plan_groups(EIGHT_EVENTS).rotated_names)
+
+
+class TestRowFormat:
+    """Rotation never changes the row schema: a multiplexed session
+    drains the same columnar batches as any other session."""
+
+    def test_read_returns_fixed_then_rotated_columns(self, kernel):
+        module = kernel.load_module(KLebModule())
+        victim = kernel.spawn(UniformComputeWorkload(1e7))
+        module.ioctl("config", KLebModuleConfig(
+            events=list(EIGHT_EVENTS), period_ns=us(100),
+            multiplex_period_ns=us(500)))
+        module.ioctl("start", victim.pid)
+        kernel.run_until_exit(victim, deadline=seconds(1))
+        assert module.stats.rotations >= 2
+        batch = module.read()
+        assert isinstance(batch, ColumnBatch)
+        assert batch.names == (ev.FIXED_EVENTS
+                               + module.mux.plan.rotated_names)
+        assert len(batch) == module.stats.samples_recorded
+        # Cumulative raw counts: every rotated column is non-decreasing.
+        for name in module.mux.plan.rotated_names:
+            column = list(batch.column(name))
+            assert column == sorted(column), name
 
 
 class TestFaultInteraction:
