@@ -9,7 +9,7 @@ matters.
 
 import pytest
 
-from repro.apps.smp import corun_parallel
+from repro.kernel.smp import corun_parallel
 from repro.experiments.report import text_table
 from repro.workloads.synthetic import (
     PointerChaseWorkload,

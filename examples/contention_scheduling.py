@@ -10,7 +10,7 @@ nearly free.
 """
 
 from repro.apps.colocation import plan_colocation, validate_plan
-from repro.apps.smp import corun_parallel
+from repro.kernel.smp import corun_parallel
 from repro.experiments.report import text_table
 from repro.experiments.runner import run_monitored
 from repro.sim.clock import ms

@@ -12,9 +12,10 @@ three on top of the monitoring substrate:
 * :mod:`repro.apps.verification` — program identity/version
   verification from counter signatures;
 * :mod:`repro.apps.colocation` — contention-aware workload co-location
-  (the Fig. 5 classification put to work);
-* :mod:`repro.apps.smp` — shared-LLC multi-core clusters for true
-  parallel contention studies (and per-core K-LEB monitoring).
+  (the Fig. 5 classification put to work).
+
+Shared-LLC multi-core clusters for true parallel contention studies
+live in :mod:`repro.kernel.smp`.
 """
 
 from repro.apps.power import PowerModel, PowerEstimate, estimate_power_series
@@ -30,11 +31,6 @@ from repro.apps.colocation import (
     corun,
     plan_colocation,
 )
-from repro.apps.smp import (
-    SmpCluster,
-    ParallelCorunResult,
-    corun_parallel,
-)
 
 __all__ = [
     "PowerModel",
@@ -48,7 +44,4 @@ __all__ = [
     "CorunResult",
     "corun",
     "plan_colocation",
-    "SmpCluster",
-    "ParallelCorunResult",
-    "corun_parallel",
 ]

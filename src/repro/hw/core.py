@@ -24,10 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-try:  # numpy powers the batch trace planner; without it the scalar
-    import numpy as _np  # reference path handles everything.
-except ImportError:  # pragma: no cover - numpy is in the test matrix
-    _np = None
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.hw.cache import CacheHierarchy
@@ -44,7 +41,7 @@ _FLUSH_LATENCY_CYCLES = 40
 _EPSILON_NS = 1e-6
 
 # Epoch-accumulation column order.  Matches the insertion order of the
-# per-slice events dict the scalar replay paths build, so the PMU
+# per-slice events dict the scalar replay path builds, so the PMU
 # applies contributions in the same sequence either way (each counter
 # counts exactly one event, so the order is load-bearing only for
 # keeping the two paths obviously symmetric).
@@ -315,26 +312,25 @@ class Core:
     def _run_trace(self, cursor: BlockCursor, block: TraceBlock,
                    budget_ns: float) -> tuple:
         cache = self.cache
-        if cache._num_levels == 3 and not cache.prefetch_next_line:
-            if _np is not None and len(block.ops) >= _BATCH_MIN_OPS:
-                # The batch path accumulates cycles/instructions in
-                # Python ints, which reproduces the scalar float sums
-                # bit-for-bit only when every per-op increment is
-                # integral (sums of integers below 2^53 are exact and
-                # order-independent).  Fractional increments — and
-                # fractional latencies — take the scalar reference.
-                event_scale = float(block.event_scale)
-                folded = float(block.instructions_per_op
-                               + block.event_scale - 1.0)
-                folded_cycles = folded * block.cpi
-                if (event_scale.is_integer() and folded.is_integer()
-                        and folded_cycles.is_integer()
-                        and self._integer_latencies()):
-                    plan = _trace_plan(block.ops, cache._descriptors)
-                    if plan is not None:
-                        return self._run_trace_batch(
-                            cursor, block, budget_ns, plan)
-            return self._run_trace3(cursor, block, budget_ns)
+        if (cache._num_levels == 3 and not cache.prefetch_next_line
+                and len(block.ops) >= _BATCH_MIN_OPS):
+            # The batch path accumulates cycles/instructions in Python
+            # ints, which reproduces the scalar float sums bit-for-bit
+            # only when every per-op increment is integral (sums of
+            # integers below 2^53 are exact and order-independent).
+            # Fractional increments — and fractional latencies — take
+            # the scalar reference.
+            event_scale = float(block.event_scale)
+            folded = float(block.instructions_per_op
+                           + block.event_scale - 1.0)
+            folded_cycles = folded * block.cpi
+            if (event_scale.is_integer() and folded.is_integer()
+                    and folded_cycles.is_integer()
+                    and self._integer_latencies()):
+                plan = _trace_plan(block.ops, cache._descriptors)
+                if plan is not None:
+                    return self._run_trace_batch(
+                        cursor, block, budget_ns, plan)
         return self._run_trace_generic(cursor, block, budget_ns)
 
     def _integer_latencies(self) -> bool:
@@ -356,9 +352,9 @@ class Core:
         columns instead of re-deriving them from the address.  All
         statistics accumulate in flat integers flushed once per slice,
         and the PMU receives one epoch-accumulation call.  Bit-identical
-        to :meth:`_run_trace3` under the seam's integrality guard: every
-        cache mutation happens with the same semantics (deletion order
-        within a flush run cannot affect dict state; MRU shortcuts
+        to :meth:`_run_trace_generic` under the seam's integrality guard:
+        every cache mutation happens with the same semantics (deletion
+        order within a flush run cannot affect dict state; MRU shortcuts
         mutate nothing), and all counter sums are exact integer
         arithmetic below 2^53.
         """
@@ -571,171 +567,6 @@ class Core:
             block.privilege)
         cursor.consume_ops(ops_done)
         return self.cycles_to_ns(cycles), float(instructions)
-
-    def _run_trace3(self, cursor: BlockCursor, block: TraceBlock,
-                    budget_ns: float) -> tuple:
-        """Trace replay specialized for the standard 3-level hierarchy.
-
-        The generic path pays a function call plus descriptor iteration
-        per memory operation; this version unpacks the entire hierarchy
-        geometry into locals once per slice and replays the ops in one
-        straight-line loop, accumulating every statistic in local ints
-        that are flushed to the cache/stats objects when the slice ends.
-        Bit-identical to :meth:`_run_trace_generic`: the cache state
-        mutations happen in the same order with the same semantics, and
-        the counter flushes are exact integer/float sums.  Hierarchies
-        with the next-line prefetcher enabled (or a non-standard level
-        count) take the generic path instead.
-        """
-        budget_cycles = self.ns_to_cycles(budget_ns)
-        folded_instructions = block.instructions_per_op + block.event_scale - 1.0
-        folded_cycles = folded_instructions * block.cpi
-        event_scale = block.event_scale
-        op_instructions = block.instructions_per_op + event_scale
-        flush_instructions = folded_instructions + 1.0
-        cache = self.cache
-        d1, d2, d3 = cache._descriptors
-        level1, s1, m1, t1, sets1, w1, _n1 = d1
-        level2, s2, m2, t2, sets2, w2, _n2 = d2
-        level3, s3, m3, t3, sets3, w3, _n3 = d3
-        lat1 = level1.config.hit_latency_cycles
-        lat2 = level2.config.hit_latency_cycles
-        lat3 = level3.config.hit_latency_cycles
-        lat_mem = cache.memory_latency_cycles
-        flush_kind = OpKind.FLUSH
-        store_kind = OpKind.STORE
-
-        cycles = 0.0
-        loads = stores = 0.0
-        instructions = 0.0
-        n_access = n_flush = 0
-        l1h = l1m = l2h = l2m = l3h = l3m = 0
-        # Same-line run fast path: a load/store immediately following an
-        # access to the same L1 line is a guaranteed L1 hit (the line is
-        # MRU and nothing ran in between to evict it).  A flush, or a
-        # prefetching memory miss (whose next-line fill could in a
-        # degenerate geometry evict the line), resets the run.
-        last_line = -1
-        ops_done = 0
-        start = cursor.op_index
-        ops = block.ops
-        total = len(ops)
-        while start + ops_done < total and cycles < budget_cycles:
-            address, kind = ops[start + ops_done]
-            ops_done += 1
-            cycles += folded_cycles
-            if kind is flush_kind:
-                line = address >> s1
-                sets1[line & m1].pop(line >> t1, None)
-                line = address >> s2
-                sets2[line & m2].pop(line >> t2, None)
-                line = address >> s3
-                sets3[line & m3].pop(line >> t3, None)
-                cycles += _FLUSH_LATENCY_CYCLES
-                n_flush += 1
-                instructions += flush_instructions
-                last_line = -1
-                continue
-            n_access += 1
-            instructions += op_instructions
-            # The folded accesses are additional memory instructions
-            # hitting L1 (spatial locality within the cached line).
-            if kind is store_kind:
-                stores += event_scale
-            else:
-                loads += event_scale
-            line1 = address >> s1
-            if line1 == last_line:
-                l1h += 1
-                cycles += lat1
-                continue
-            tag1 = line1 >> t1
-            entries1 = sets1[line1 & m1]
-            if tag1 in entries1:
-                entries1.move_to_end(tag1)
-                l1h += 1
-                cycles += lat1
-                last_line = line1
-                continue
-            l1m += 1
-            line2 = address >> s2
-            tag2 = line2 >> t2
-            entries2 = sets2[line2 & m2]
-            if tag2 in entries2:
-                entries2.move_to_end(tag2)
-                l2h += 1
-                cycles += lat2
-                # Fill L1 (the tag is known absent: evict if full, and a
-                # fresh insert is already MRU).
-                if len(entries1) >= w1:
-                    entries1.popitem(last=False)
-                entries1[tag1] = True
-                last_line = line1
-                continue
-            l2m += 1
-            line3 = address >> s3
-            tag3 = line3 >> t3
-            entries3 = sets3[line3 & m3]
-            if tag3 in entries3:
-                entries3.move_to_end(tag3)
-                l3h += 1
-                cycles += lat3
-            else:
-                l3m += 1
-                cycles += lat_mem
-                if len(entries3) >= w3:
-                    entries3.popitem(last=False)
-                entries3[tag3] = True
-            if len(entries2) >= w2:
-                entries2.popitem(last=False)
-            entries2[tag2] = True
-            if len(entries1) >= w1:
-                entries1.popitem(last=False)
-            entries1[tag1] = True
-            last_line = line1
-
-        if n_flush:
-            cache.stats.flushes += n_flush
-        if n_access:
-            stats = cache.stats
-            stats.accesses += n_access
-            level1.hits += l1h
-            level1.misses += l1m
-            level2.hits += l2h
-            level2.misses += l2m
-            level3.hits += l3h
-            level3.misses += l3m
-            hits = stats.hits
-            hits[_n1] += l1h
-            hits[_n2] += l2h
-            hits[_n3] += l3h
-            misses = stats.misses
-            misses[_n1] += l1m
-            misses[_n2] += l2m
-            misses[_n3] += l3m
-            misses["memory"] += l3m
-        if ops_done:
-            events: Dict[str, float] = {
-                "INST_RETIRED": instructions,
-                "CORE_CYCLES": cycles,
-                "REF_CYCLES": cycles * self.tsc_ratio,
-            }
-            if loads:
-                events["LOADS"] = loads
-            if stores:
-                events["STORES"] = stores
-            if n_flush:
-                events["CACHE_FLUSHES"] = float(n_flush)
-            if l1m:
-                events["L1D_MISSES"] = float(l1m)
-            if l2m:
-                events["L2_MISSES"] = float(l2m)
-                events["LLC_REFERENCES"] = float(l2m)
-            if l3m:
-                events["LLC_MISSES"] = float(l3m)
-            self.pmu.accumulate(events, block.privilege)
-            cursor.consume_ops(ops_done)
-        return self.cycles_to_ns(cycles), instructions
 
     def _run_trace_generic(self, cursor: BlockCursor, block: TraceBlock,
                            budget_ns: float) -> tuple:

@@ -49,7 +49,7 @@ class Machine:
     ``shared_llc`` replaces the config's last cache level with a
     pre-built, shared :class:`~repro.hw.cache.CacheLevel` — the building
     block for multi-core clusters where private L1/L2 sit in front of
-    one last-level cache (see :mod:`repro.apps.smp`).
+    one last-level cache (see :mod:`repro.kernel.smp`).
     """
 
     def __init__(self, config: MachineConfig,

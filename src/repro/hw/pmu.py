@@ -11,7 +11,8 @@ Tools program the PMU through :meth:`Pmu.wrmsr` / :meth:`Pmu.rdmsr`
 exactly as a driver would; :meth:`Pmu.rdpmc` models the unprivileged
 fast-read instruction LiMiT uses from user space.
 
-Counts are delivered by the simulated core via :meth:`accumulate`.
+Counts are delivered by the simulated core via :meth:`accumulate_epoch`
+(or its dict entry point :meth:`accumulate`).
 Internally counters keep fractional accumulators (rate-based workload
 blocks may contribute fractional events for a partial slice); reads
 expose the floored integer value, as hardware would.
@@ -347,64 +348,29 @@ class Pmu:
                 executed in; counters whose privilege mask excludes the
                 ring ignore the contribution.
 
+        The dict entry point into :meth:`accumulate_epoch`: the key
+        tuple is the epoch's name tuple, so each distinct dict shape
+        compiles its apply list once per control-register signature.
+        """
+        self.accumulate_epoch(tuple(counts), tuple(counts.values()),
+                              privilege)
+
+    def accumulate_epoch(self, names: Tuple[str, ...], values,
+                         privilege: str) -> None:
+        """Add one execution epoch: ``values`` aligned with ``names``.
+
+        ``names`` is a (stable, hashable) event-name tuple, compiled
+        once per control-register signature into a flat apply list
+        ``[(value index, is_fixed, counter index)]`` — cached on the
+        plan-cache entry, so multiplex rotation and enable toggles
+        reinstall it — and the hot path is a single list walk with
+        float adds.  Zero and negative amounts are skipped.
+
         Bit-identical to walking the registers per call: each counter is
         programmed with exactly one event, so it receives at most one
         add per call, and the deferred overflow sweep visits counters in
         the same canonical order (fixed 32..34, programmable 0..3) the
         register walk did.
-        """
-        if privilege == "user":
-            plan = self._plan_user
-        elif privilege == "kernel":
-            plan = self._plan_kernel
-        else:
-            raise PMUError(f"invalid privilege {privilege!r}")
-        if self._plan_version != self.msrs.version:
-            self._compile_plan()
-            plan = self._plan_user if privilege == "user" else self._plan_kernel
-        if not self._counting or not counts:
-            return
-
-        fixed = self._fixed
-        pmc = self._pmc
-        wrapped = False
-        for name, amount in counts.items():
-            targets = plan.get(name)
-            if targets is None or amount <= 0.0:
-                continue
-            for is_fixed, index in targets:
-                if is_fixed:
-                    value = fixed[index] + amount
-                    fixed[index] = value
-                else:
-                    value = pmc[index] + amount
-                    pmc[index] = value
-                if value >= _COUNTER_WRAP:
-                    wrapped = True
-        if wrapped:
-            self._sweep_overflow()
-        if self._pending_overflow and self._overflow_handler is not None:
-            pending, self._pending_overflow = self._pending_overflow, []
-            # PMI delivery happens at slice granularity — the analogue of
-            # real PMU interrupt skid.
-            self._overflow_handler(pending)
-
-    def accumulate_epoch(self, names: Tuple[str, ...], values,
-                         privilege: str) -> None:
-        """Fused accumulation of a whole execution epoch.
-
-        The batch replay path delivers every event of a slice at once:
-        ``names`` is a (stable, hashable) event-name tuple and
-        ``values`` the aligned occurrence counts.  The name tuple is
-        compiled once per control-register signature into a flat apply
-        list ``[(value index, is_fixed, counter index)]`` — cached on
-        the plan-cache entry, so multiplex rotation and enable toggles
-        reinstall it — and the hot path is a single list walk with
-        float adds.  Semantically identical to :meth:`accumulate` with
-        ``dict(zip(names, values))``: zero and negative amounts are
-        skipped the same way, each counter is programmed with exactly
-        one event so it still receives at most one add per call, and
-        the overflow sweep and PMI delivery share the same tail.
         """
         if privilege == "user":
             plan = self._plan_user
@@ -450,6 +416,8 @@ class Pmu:
             self._sweep_overflow()
         if self._pending_overflow and self._overflow_handler is not None:
             pending, self._pending_overflow = self._pending_overflow, []
+            # PMI delivery happens at slice granularity — the analogue of
+            # real PMU interrupt skid.
             self._overflow_handler(pending)
 
     def _sweep_overflow(self) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.smp import SmpCluster, corun_parallel
+from repro.kernel.smp import SmpCluster, corun_parallel
 from repro.errors import ExperimentError
 from repro.sim.clock import ms, seconds, us
 from repro.workloads.synthetic import (

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.hw.cache import CacheConfig, CacheHierarchy
 from repro.hw.core import Core, ExecStop
+from repro.hw.machine import Machine
 from repro.hw.pmu import Pmu, RDPMC_FIXED_FLAG
+from repro.hw.presets import i7_920
 from repro.workloads.base import (
     BlockCursor,
     ListProgram,
@@ -159,6 +161,39 @@ class TestTraceBlocks:
         result = core.execute(cursor, budget_ns=10)
         assert result.consumed_ns == 100
         assert result.stop is ExecStop.BUDGET
+
+
+class TestTraceRouting:
+    """``_run_trace`` has two executors: the batch path for slices that
+    pass its checks, the generic per-op reference for everything else."""
+
+    def _route(self, n_ops, **block_kwargs):
+        core = Machine(i7_920()).core
+        calls = []
+        for name in ("_run_trace_batch", "_run_trace_generic"):
+            original = getattr(core, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            setattr(core, name, spy)
+        ops = tuple(MemOp(i * LINE) for i in range(n_ops))
+        cursor = cursor_for(TraceBlock(ops=ops, **block_kwargs))
+        result = core.execute(cursor, budget_ns=10_000_000)
+        assert result.stop is ExecStop.PROGRAM_DONE
+        return calls
+
+    def test_short_trace_takes_generic_path(self):
+        assert self._route(63) == ["_run_trace_generic"]
+
+    def test_fractional_increments_take_generic_path(self):
+        assert self._route(64, instructions_per_op=2.5) == [
+            "_run_trace_generic"]
+
+    def test_integral_trace_at_batch_floor_takes_batch_path(self):
+        assert self._route(64, instructions_per_op=2.0) == [
+            "_run_trace_batch"]
 
 
 class TestSyscallBlocks:

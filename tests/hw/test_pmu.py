@@ -238,6 +238,32 @@ class TestPlanCache:
         pmu.accumulate({"LOADS": 5, "STORES": 3}, "user")
         assert pmu.rdpmc(0) == before  # programming zeroed, then +5
 
+    @pytest.mark.parametrize("entry", ["accumulate", "accumulate_epoch"])
+    def test_apply_list_follows_reprogramming(self, pmu, entry):
+        """The apply list compiled for one event shape must land on the
+        counters programmed at each delivery, across a mux-style
+        rotation of counter 0 away from its event and back."""
+        names = ("LOADS", "STORES", "LLC_MISSES")
+        values = (5.0, 3.0, 2.0)
+
+        def deliver():
+            if entry == "accumulate":
+                pmu.accumulate(dict(zip(names, values)), "user")
+            else:
+                pmu.accumulate_epoch(names, values, "user")
+
+        _arm(pmu)
+        pmu.program_counter(1, "LLC_MISSES")
+        deliver()
+        assert (pmu.rdpmc(0), pmu.rdpmc(1)) == (5, 2)
+        pmu.program_counter(0, "STORES")
+        deliver()
+        assert (pmu.rdpmc(0), pmu.rdpmc(1)) == (3, 4)
+        pmu.program_counter(0, "LOADS")  # back to the cached signature
+        deliver()
+        assert (pmu.rdpmc(0), pmu.rdpmc(1)) == (5, 6)
+        assert len(pmu._plan_cache) == 2
+
     def test_cache_is_bounded(self, pmu):
         from repro.hw.pmu import _PLAN_CACHE_LIMIT
 

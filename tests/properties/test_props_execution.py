@@ -100,7 +100,7 @@ class TestSlicingConservation:
 
 
 # ---------------------------------------------------------------------------
-# Batch replay equivalence: _run_trace_batch vs the scalar _run_trace3
+# Batch replay equivalence: _run_trace_batch vs _run_trace_generic
 # ---------------------------------------------------------------------------
 
 def make_core3():
@@ -124,14 +124,23 @@ def make_core3():
     return Core(frequency_hz=1e9, pmu=pmu, cache=cache)
 
 
-def run_trace3(program, budgets, force_scalar):
+def run_three_level(program, budgets, force_generic):
     """Run ``program`` sliced by ``budgets`` on a 3-level core; returns
-    every externally observable total.  ``force_scalar`` defeats the
+    every externally observable total.  ``force_generic`` defeats the
     batch seam (via its integrality guard) so the same inputs replay
-    through the per-op reference loop."""
+    through ``_run_trace_generic``, the per-op reference that defines
+    the semantics; the run asserts that the reference actually ran."""
     core = make_core3()
-    if force_scalar:
+    generic_calls = []
+    if force_generic:
         core._integer_latencies = lambda: False
+        original = core._run_trace_generic
+
+        def counting(*args):
+            generic_calls.append(1)
+            return original(*args)
+
+        core._run_trace_generic = counting
     cursor = BlockCursor(program)
     instructions = 0.0
     consumed = 0
@@ -148,6 +157,8 @@ def run_trace3(program, budgets, force_scalar):
             consumed += result.consumed_ns
             if result.stop is ExecStop.PROGRAM_DONE:
                 break
+    if force_generic:
+        assert generic_calls
     stats = core.cache.stats
     return (
         instructions,
@@ -206,9 +217,9 @@ class TestBatchReplayEquivalence:
         time, every PMU counter, and the cache statistics — under
         arbitrary preemption slicing."""
         program = _build_trace(round_spec, repeats, ipo, event_scale)
-        scalar = run_trace3(program, budgets, force_scalar=True)
-        batch = run_trace3(program, budgets, force_scalar=False)
-        assert batch == scalar
+        generic = run_three_level(program, budgets, force_generic=True)
+        batch = run_three_level(program, budgets, force_generic=False)
+        assert batch == generic
 
     @given(_round_ops, st.integers(min_value=2, max_value=8),
            budget_lists)
@@ -218,7 +229,6 @@ class TestBatchReplayEquivalence:
         """Guard against the equivalence test going vacuous: with the
         seam's preconditions met, the batch path must be the one that
         runs (at least once for a big-enough trace)."""
-        from repro.hw import core as core_module
         # Tile past the batch floor (64 ops) or the seam won't engage.
         floor_repeats = -(-64 // len(round_spec))
         program = _build_trace(round_spec, max(repeats, floor_repeats),
@@ -232,7 +242,6 @@ class TestBatchReplayEquivalence:
             return original(cursor, block, budget_ns, plan)
 
         core._run_trace_batch = counting
-        assert core_module._np is not None  # numpy ships in the test env
         cursor = BlockCursor(program)
         for budget in budgets:
             if core.execute(cursor, budget).stop is ExecStop.PROGRAM_DONE:
