@@ -1,24 +1,27 @@
-"""Parallel trial execution: fan independent trials over a worker pool.
+"""Trial populations: one order-preserving map over seeded trials.
 
 Every paper artifact (Tables I–III, Figs 4–9, the ablations) is a
-population of **independent, seeded** trials of
-:func:`repro.experiments.runner.run_monitored` — there is no shared
-state between trials, so they parallelize perfectly.  This module fans
-them out over a ``multiprocessing`` pool while preserving bit-for-bit
-determinism with the serial path:
+population of **independent, seeded** trials — there is no shared state
+between trials, so they parallelize perfectly.  :func:`map_trials` is
+the one place that runs such a population, serially or over a
+``multiprocessing`` pool, with bit-for-bit determinism across worker
+counts:
 
-* trial ``t`` always gets seed ``base_seed + t``, exactly as the serial
-  loop assigns it;
-* summaries come back in trial order regardless of completion order;
-* ``jobs=1`` (and any environment without ``fork``) falls back to the
-  in-process loop, so seed tests stay byte-identical.
+* trial ``i`` is ``fn(i)``, a pure function of its index (seed
+  ``base_seed + i``, fault fate ``(plan.seed, i)``);
+* values come back in index order regardless of completion order;
+* every ``fn(i)`` runs under :func:`repro.obs.hooks.trial_capture`, and
+  its obs chunk travels beside the value and merges in index order, so
+  trace and metrics exports are byte-identical at any ``jobs`` — this
+  is the only place chunks are captured or merged;
+* ``jobs=1`` (and any environment without ``fork``, and any call from
+  inside a pool worker) runs inline.
 
-The pool uses the ``fork`` start method: workers inherit the trial
-context (program, tool, configs) by copy-on-write instead of pickling
-it, so any program/tool combination the serial path accepts — including
-ones holding closures — works unchanged.  Only the returned
-:class:`~repro.experiments.runner.TrialSummary` objects cross the
-process boundary, and they are plain data by construction.
+The pool uses the ``fork`` start method: workers inherit ``fn`` — and
+the program, tool and configs it closes over — by copy-on-write instead
+of pickling it, so any trial body the serial path accepts works
+unchanged.  Only ``(value, chunk)`` pairs cross the process boundary;
+values must be picklable.
 """
 
 from __future__ import annotations
@@ -27,16 +30,10 @@ import logging
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import ExperimentError
-from repro.faults import FaultPlan, RunLedger
-from repro.hw.machine import MachineConfig
-from repro.kernel.config import KernelConfig
 from repro.obs import hooks as obs_hooks
-from repro.tools.base import MonitoringTool
-from repro.workloads.base import Program
 
 logger = logging.getLogger(__name__)
 
@@ -64,192 +61,69 @@ def resolve_jobs(jobs: Optional[int], runs: int) -> int:
     return min(jobs, max(runs, 1))
 
 
-@dataclass
-class _TrialContext:
-    """Everything a worker needs; inherited via fork, never pickled."""
-
-    program: Program
-    tool: MonitoringTool
-    runs: int
-    events: Sequence[str]
-    period_ns: int
-    base_seed: int
-    machine_config: Optional[MachineConfig]
-    kernel_config: Optional[KernelConfig]
-    fault_plan: Optional[FaultPlan] = None
+def _capture(fn: Callable[[int], object],
+             index: int) -> Tuple[object, Optional[dict]]:
+    """``fn(index)`` under a fresh child recorder, with its obs chunk."""
+    with obs_hooks.trial_capture(index) as child:
+        value = fn(index)
+        return value, (child.chunk() if child is not None else None)
 
 
 # Set in the parent immediately before the pool forks; workers read it.
-_context: Optional[_TrialContext] = None
+_map_fn: Optional[Callable[[int], object]] = None
 
 
-def _run_one(trial: int):
-    """Worker body: one seeded trial, summarized for the trip home.
-
-    Under an active fault plan the whole retry/quarantine loop runs
-    inside the worker — every retry decision is a pure function of
-    ``(plan.seed, trial)``, so the returned
-    :class:`~repro.experiments.runner.TrialOutcome` is identical to
-    what the serial path computes.
-    """
-    from repro.experiments.runner import (
-        run_monitored,
-        run_trial_faulted,
-        summarize_trial,
-    )
-
-    ctx = _context
-    assert ctx is not None, "worker forked without a trial context"
-    if ctx.fault_plan is not None:
-        return run_trial_faulted(
-            ctx.program, ctx.tool, trial, plan=ctx.fault_plan,
-            events=ctx.events, period_ns=ctx.period_ns,
-            base_seed=ctx.base_seed, machine_config=ctx.machine_config,
-            kernel_config=ctx.kernel_config,
-        )
-    started = time.perf_counter()
-    # Workers inherit the parent's recorder via fork; each trial runs
-    # under a fresh child recorder whose chunk rides home on the
-    # summary for the parent's trial-ordered merge.
-    with obs_hooks.trial_capture(trial) as obs_child:
-        if obs_child is not None:
-            obs_child.trial_started(trial)
-        result = run_monitored(
-            ctx.program, ctx.tool, events=ctx.events,
-            period_ns=ctx.period_ns, seed=ctx.base_seed + trial,
-            machine_config=ctx.machine_config,
-            kernel_config=ctx.kernel_config,
-        )
-        summary = summarize_trial(
-            result, trial=trial, seed=ctx.base_seed + trial,
-            host_seconds=time.perf_counter() - started,
-        )
-        if obs_child is not None:
-            obs_child.trial_span(
-                trial, summary.seed, summary.program_name,
-                result.report.tool, summary.wall_ns, summary.sample_count,
-            )
-            summary.obs = obs_child.chunk()
-    return summary
-
-
-def run_trials_parallel(program: Program, tool: MonitoringTool, runs: int,
-                        *, jobs: Optional[int],
-                        events: Sequence[str], period_ns: int,
-                        base_seed: int = 0,
-                        machine_config: Optional[MachineConfig] = None,
-                        kernel_config: Optional[KernelConfig] = None,
-                        faults: Optional[FaultPlan] = None,
-                        fault_ledger: Optional[RunLedger] = None
-                        ) -> List["TrialSummary"]:
-    """Run ``runs`` seeded trials across ``jobs`` worker processes.
-
-    Exceptions raised by a trial (e.g. ``ToolUnsupportedError``)
-    propagate to the caller exactly as in the serial path.  An active
-    ``faults`` plan makes workers return
-    :class:`~repro.experiments.runner.TrialOutcome` objects, folded
-    into ``fault_ledger`` in trial order on the way out.
-    """
-    from repro.experiments.runner import (
-        TrialSummary,
-        collect_outcomes,
-        run_trials,
-    )
-
-    faulted = faults is not None and faults.active
-    effective = resolve_jobs(jobs, runs)
-    if effective <= 1 or runs <= 1:
-        return run_trials(
-            program, tool, runs, events=events, period_ns=period_ns,
-            base_seed=base_seed, machine_config=machine_config,
-            kernel_config=kernel_config, jobs=1,
-            faults=faults if faulted else None, fault_ledger=fault_ledger,
-        )
-
-    global _context
-    context = multiprocessing.get_context("fork")
-    _context = _TrialContext(
-        program=program, tool=tool, runs=runs, events=events,
-        period_ns=period_ns, base_seed=base_seed,
-        machine_config=machine_config, kernel_config=kernel_config,
-        fault_plan=faults if faulted else None,
-    )
-    results: List[Optional[object]] = [None] * runs
-    started = time.perf_counter()
-    done = 0
-    try:
-        with context.Pool(processes=effective) as pool:
-            # chunksize=1 for load balance; order is restored by index.
-            for result in pool.imap_unordered(_run_one, range(runs),
-                                              chunksize=1):
-                results[result.trial] = result
-                done += 1
-                if faulted:
-                    logger.info("trial %d/%d (#%d) done: %s", done, runs,
-                                result.trial,
-                                "quarantined" if result.quarantined
-                                else f"{result.attempts} attempt(s)")
-                    continue
-                logger.info(
-                    "trial %d/%d (#%d, %s under %s) done in %.2fs: "
-                    "sim wall %.4fs, %d samples", done, runs, result.trial,
-                    result.program_name, result.report.tool,
-                    result.host_seconds, result.wall_ns / 1e9,
-                    result.sample_count,
-                )
-    finally:
-        _context = None
-    logger.info("%d trials over %d workers in %.2fs", runs, effective,
-                time.perf_counter() - started)
-    if faulted:
-        return collect_outcomes(
-            [outcome for outcome in results if outcome is not None],
-            fault_ledger,
-        )
-    for summary in results:
-        if summary is not None:
-            obs_hooks.merge_chunk(summary.obs)
-            summary.obs = None
-    return results  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# Generic seeded fan-out (SMP populations and other custom trial bodies)
-# ----------------------------------------------------------------------
-
-# Set in the parent immediately before the pool forks; workers read it.
-_map_fn = None
-
-
-def _map_one(index: int):
+def _map_one(index: int) -> Tuple[object, Optional[dict]]:
     fn = _map_fn
     assert fn is not None, "worker forked without a map context"
-    return (index, fn(index))
+    return _capture(fn, index)
 
 
-def map_trials(fn, runs: int, *, jobs: Optional[int] = None) -> List[object]:
-    """Order-preserving fork-pool map of ``fn`` over ``range(runs)``.
+def _merge(captured: Iterable[Tuple[object, Optional[dict]]]) -> List[object]:
+    """Values in index order, each trial's chunk merged as it arrives."""
+    values: List[object] = []
+    for value, chunk in captured:
+        obs_hooks.merge_chunk(chunk)
+        values.append(value)
+    return values
 
-    The same determinism contract as :func:`run_trials_parallel`, for
-    trial bodies that don't fit the ``run_monitored`` shape (e.g. whole
-    SMP cluster runs): as long as ``fn(i)`` is a pure function of ``i``
-    — which every seeded trial already is — any worker count yields a
-    bit-identical, index-ordered result list.  ``fn`` is inherited via
-    fork (never pickled); returned values must be picklable.
+
+def map_trials(fn: Callable[[int], object], runs: int, *,
+               jobs: Optional[int] = None) -> List[object]:
+    """Order-preserving map of ``fn`` over ``range(runs)``; see module doc.
+
+    As long as ``fn(i)`` is a pure function of ``i`` — which every
+    seeded trial is — any worker count yields a bit-identical,
+    index-ordered result list and the same merged obs exports.
+    Exceptions raised by ``fn`` propagate to the caller.
     """
     effective = resolve_jobs(jobs, runs)
-    if effective <= 1 or runs <= 1:
-        return [fn(index) for index in range(runs)]
+    if effective <= 1:
+        # ``fn`` is called directly, never via ``_map_fn``: an inline
+        # population nested in a pool worker would overwrite the global
+        # the worker's own trials read.
+        return _merge(_capture(fn, index) for index in range(runs))
     global _map_fn
-    context = multiprocessing.get_context("fork")
     _map_fn = fn
-    results: List[object] = [None] * runs
+    started = time.perf_counter()
     try:
-        with context.Pool(processes=effective) as pool:
-            # chunksize=1 for load balance; order is restored by index.
-            for index, value in pool.imap_unordered(_map_one, range(runs),
-                                                    chunksize=1):
-                results[index] = value
+        with multiprocessing.get_context("fork").Pool(effective) as pool:
+            # chunksize=1 hands each free worker the next trial; ``imap``
+            # still yields results in index order, which is merge order.
+            values = _merge(pool.imap(_map_one, range(runs), chunksize=1))
     finally:
         _map_fn = None
-    return results
+    logger.info("%d trials over %d workers in %.2fs", runs, effective,
+                time.perf_counter() - started)
+    return values
+
+
+def run_trials_parallel(program, tool, runs: int, **kwargs):
+    """Former name of :func:`repro.experiments.runner.run_trials`.
+
+    Kept only because the ``benchmarks/e2e`` harness wraps it by name;
+    it is deleted at the next change to that harness.
+    """
+    from repro.experiments.runner import run_trials
+
+    return run_trials(program, tool, runs, **kwargs)

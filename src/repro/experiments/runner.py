@@ -9,11 +9,14 @@ Every experiment in the paper reduces to repetitions of this recipe:
 4. run until the victim exits; finalize the session (drain buffers).
 
 :func:`run_monitored` returns a :class:`RunResult` holding the live
-``Kernel``/``Task`` for white-box inspection.  :func:`run_trials`
-returns plain-data :class:`TrialSummary` objects instead — picklable,
-so independent trials can fan out over a worker pool (see
-:mod:`repro.experiments.parallel`) and experiments never reach back
-into a kernel that may have run in another process.
+``Kernel``/``Task`` for white-box inspection.  :func:`run_trial` is the
+one trial body: it wraps :func:`run_monitored` in the retry/quarantine
+policy of an optional fault plan and returns a plain-data
+:class:`TrialOutcome`.  :func:`run_trials` maps it over a population
+with :func:`repro.experiments.parallel.map_trials` and folds the
+outcomes into trial-ordered :class:`TrialSummary` objects — picklable,
+so experiments never reach back into a kernel that may have run in
+another process.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import KernelError, TransientModuleError, TrialCrashError
 from repro.faults import (
+    BENIGN_FATE,
     FaultInjector,
     FaultPlan,
     FaultRecord,
@@ -113,11 +117,6 @@ class TrialSummary:
     program_metadata: Dict[str, float] = field(default_factory=dict)
     scratch: Dict[str, object] = field(default_factory=dict)
     host_seconds: float = field(default=0.0, compare=False)
-    # Observability chunk (trace events + metrics) recorded during the
-    # trial; picklable, merged into the parent recorder in trial order
-    # and then dropped.  Excluded from comparisons like host_seconds.
-    obs: Optional[Dict[str, object]] = field(default=None, compare=False,
-                                             repr=False)
 
     @property
     def sample_count(self) -> int:
@@ -206,11 +205,10 @@ def run_monitored(program: Program, tool: MonitoringTool,
 
 @dataclass
 class TrialOutcome:
-    """Plain-data result of one *fault-injected* trial.
+    """Plain-data result of one trial: its summary plus retry accounting.
 
-    Wraps the :class:`TrialSummary` (``None`` when the trial was
-    quarantined) with the retry/fault accounting the run ledger needs.
-    Picklable, so the parallel path returns it unchanged.
+    ``summary`` is ``None`` when the trial was quarantined.  Picklable,
+    so a pool worker returns it unchanged.
     """
 
     trial: int
@@ -220,8 +218,6 @@ class TrialOutcome:
     quarantined: bool = False
     error: str = ""
     records: List[FaultRecord] = field(default_factory=list)
-    obs: Optional[Dict[str, object]] = field(default=None, compare=False,
-                                             repr=False)
 
 
 def _trial_backoff_s(attempt: int) -> float:
@@ -230,18 +226,21 @@ def _trial_backoff_s(attempt: int) -> float:
                TRIAL_BACKOFF_CAP_S)
 
 
-def run_trial_faulted(program: Program, tool: MonitoringTool, trial: int, *,
-                      plan: FaultPlan,
-                      events: Sequence[str] = DEFAULT_EVENTS,
-                      period_ns: int = 10_000_000,
-                      base_seed: int = 0,
-                      machine_config: Optional[MachineConfig] = None,
-                      kernel_config: Optional[KernelConfig] = None
-                      ) -> TrialOutcome:
-    """One trial under a fault plan, with retry and quarantine.
+def run_trial(program: Program, tool: MonitoringTool, trial: int, *,
+              plan: Optional[FaultPlan] = None,
+              events: Sequence[str] = DEFAULT_EVENTS,
+              period_ns: int = 10_000_000,
+              base_seed: int = 0,
+              machine_config: Optional[MachineConfig] = None,
+              kernel_config: Optional[KernelConfig] = None
+              ) -> TrialOutcome:
+    """One seeded trial (seed ``base_seed + trial``), with retry and
+    quarantine under a fault plan.
 
-    The trial's fate (crash / timeout / persistent failure / benign) is
-    a pure function of ``(plan.seed, trial)`` — see
+    Without a ``plan`` the trial's fate is benign: no injector is
+    built, the one attempt succeeds or its error propagates.  Under a
+    plan the fate (crash / timeout / persistent failure / benign) is a
+    pure function of ``(plan.seed, trial)`` — see
     :meth:`~repro.faults.FaultPlan.trial_fate` — so serial and parallel
     execution reach identical decisions.  Each attempt rebuilds a fresh
     :class:`~repro.faults.FaultInjector` for the same ``(plan, trial)``
@@ -249,117 +248,92 @@ def run_trial_faulted(program: Program, tool: MonitoringTool, trial: int, *,
     final successful attempt is reproducible in isolation.
 
     Only *injected* failure modes are caught and retried; a genuine
-    bug (any other exception) propagates exactly as in the plain path.
+    bug (any other exception) propagates unchanged.
     """
     seed = base_seed + trial
-    fate = plan.trial_fate(trial)
+    fate = plan.trial_fate(trial) if plan is not None else BENIGN_FATE
+    recorder = obs_hooks.recorder()
+    recorder.trial_started(trial)
     records: List[FaultRecord] = []
     last_error = ""
-    with obs_hooks.trial_capture(trial) as obs_child:
-        if obs_child is not None:
-            obs_child.trial_started(trial)
-        for attempt in range(1, MAX_TRIAL_ATTEMPTS + 1):
-            injector = FaultInjector(plan, trial=trial)
-            inject_timeout = (fate.kind == "timeout"
-                              and attempt <= fate.failing_attempts)
-            started = time.perf_counter()
-            try:
-                if (fate.kind in ("crash", "persistent")
-                        and attempt <= fate.failing_attempts):
-                    flavour = ("persistent worker failure"
-                               if fate.kind == "persistent"
-                               else "transient worker crash")
-                    raise TrialCrashError(
-                        f"trial {trial}: injected {flavour} "
-                        f"(attempt {attempt})"
-                    )
-                result = run_monitored(
-                    program, tool, events=events, period_ns=period_ns,
-                    seed=seed, machine_config=machine_config,
-                    kernel_config=kernel_config,
-                    deadline_s=(TRIAL_TIMEOUT_DEADLINE_S if inject_timeout
-                                else 300.0),
-                    faults=injector,
+    for attempt in range(1, MAX_TRIAL_ATTEMPTS + 1):
+        injector = (FaultInjector(plan, trial=trial) if plan is not None
+                    else None)
+        failing = attempt <= fate.failing_attempts
+        inject_timeout = fate.kind == "timeout" and failing
+        started = time.perf_counter()
+        try:
+            if fate.kind in ("crash", "persistent") and failing:
+                flavour = ("persistent worker failure"
+                           if fate.kind == "persistent"
+                           else "transient worker crash")
+                raise TrialCrashError(
+                    f"trial {trial}: injected {flavour} (attempt {attempt})"
                 )
-            except TrialCrashError as error:
-                kind = ("persistent-failure" if fate.kind == "persistent"
-                        else "worker-crash")
-                records.append(FaultRecord(time_ns=0, site="runner",
-                                           kind=kind, detail=str(error)))
-                last_error = str(error)
-                if obs_child is not None:
-                    obs_child.fault_landed(0, "runner", kind)
-            except TransientModuleError as error:
-                # Controller exhausted its own retry budget against an
-                # injected device failure; the whole trial is retryable.
-                records.append(FaultRecord(time_ns=0, site="runner",
-                                           kind="device-failure",
-                                           detail=str(error)))
-                last_error = str(error)
-                if obs_child is not None:
-                    obs_child.fault_landed(0, "runner", "device-failure")
-            except KernelError as error:
-                if not inject_timeout:
-                    raise  # a real bug, not our watchdog — propagate
-                records.append(FaultRecord(time_ns=0, site="runner",
-                                           kind="trial-timeout",
-                                           detail=str(error)))
-                last_error = str(error)
-                if obs_child is not None:
-                    obs_child.fault_landed(0, "runner", "trial-timeout")
-            else:
+            result = run_monitored(
+                program, tool, events=events, period_ns=period_ns,
+                seed=seed, machine_config=machine_config,
+                kernel_config=kernel_config,
+                deadline_s=(TRIAL_TIMEOUT_DEADLINE_S if inject_timeout
+                            else 300.0),
+                faults=injector,
+            )
+        except TrialCrashError as error:
+            kind = ("persistent-failure" if fate.kind == "persistent"
+                    else "worker-crash")
+            last_error = str(error)
+        except TransientModuleError as error:
+            # Controller exhausted its own retry budget against an
+            # injected device failure; the whole trial is retryable.
+            kind = "device-failure"
+            last_error = str(error)
+        except KernelError as error:
+            if not inject_timeout:
+                raise  # a real bug, not our watchdog — propagate
+            kind = "trial-timeout"
+            last_error = str(error)
+        else:
+            if injector is not None:
                 records.extend(injector.ledger.records)
-                summary = summarize_trial(
-                    result, trial=trial, seed=seed,
-                    host_seconds=time.perf_counter() - started,
-                )
-                outcome = TrialOutcome(trial=trial, seed=seed,
-                                       summary=summary, attempts=attempt,
-                                       records=records)
-                if obs_child is not None:
-                    obs_child.trial_span(
-                        trial, seed, summary.program_name,
-                        result.report.tool, summary.wall_ns,
-                        summary.sample_count,
-                    )
-                    outcome.obs = obs_child.chunk()
-                return outcome
-            if attempt < MAX_TRIAL_ATTEMPTS:
-                backoff_s = _trial_backoff_s(attempt)
-                records.append(FaultRecord(
-                    time_ns=0, site="runner", kind="retry-backoff",
-                    detail=f"attempt {attempt} failed; "
-                           f"backing off {backoff_s:.2f}s",
-                ))
-                if obs_child is not None:
-                    obs_child.trial_retry(trial, attempt, records[-2].kind)
-                time.sleep(min(backoff_s, TRIAL_BACKOFF_REAL_CAP_S))
-        logger.warning("trial %d quarantined after %d attempts: %s",
-                       trial, MAX_TRIAL_ATTEMPTS, last_error)
-        outcome = TrialOutcome(trial=trial, seed=seed, summary=None,
-                               attempts=MAX_TRIAL_ATTEMPTS,
-                               quarantined=True, error=last_error,
-                               records=records)
-        if obs_child is not None:
-            obs_child.trial_quarantined(trial, MAX_TRIAL_ATTEMPTS)
-            outcome.obs = obs_child.chunk()
-    return outcome
+            summary = summarize_trial(
+                result, trial=trial, seed=seed,
+                host_seconds=time.perf_counter() - started,
+            )
+            recorder.trial_span(trial, seed, summary.program_name,
+                                summary.report.tool, summary.wall_ns,
+                                summary.sample_count)
+            return TrialOutcome(trial=trial, seed=seed, summary=summary,
+                                attempts=attempt, records=records)
+        records.append(FaultRecord(time_ns=0, site="runner", kind=kind,
+                                   detail=last_error))
+        recorder.fault_landed(0, "runner", kind)
+        if attempt < MAX_TRIAL_ATTEMPTS:
+            backoff_s = _trial_backoff_s(attempt)
+            records.append(FaultRecord(
+                time_ns=0, site="runner", kind="retry-backoff",
+                detail=f"attempt {attempt} failed; "
+                       f"backing off {backoff_s:.2f}s",
+            ))
+            recorder.trial_retry(trial, attempt, kind)
+            time.sleep(min(backoff_s, TRIAL_BACKOFF_REAL_CAP_S))
+    recorder.trial_quarantined(trial, MAX_TRIAL_ATTEMPTS)
+    return TrialOutcome(trial=trial, seed=seed, summary=None,
+                        attempts=MAX_TRIAL_ATTEMPTS, quarantined=True,
+                        error=last_error, records=records)
 
 
 def collect_outcomes(outcomes: Sequence[TrialOutcome],
                      fault_ledger: Optional[RunLedger] = None
                      ) -> List[TrialSummary]:
-    """Fold trial outcomes into the ledger; return surviving summaries.
+    """Fold trial-ordered outcomes into the ledger; return survivors.
 
-    Quarantined trials contribute a ledger entry (and a warning) but no
-    summary — downstream statistics run on the survivors, exactly as a
-    robust harness would treat a persistently broken host.
+    Logs one INFO line per surviving trial.  Quarantined trials
+    contribute a ledger entry (and a warning) but no summary —
+    downstream statistics run on the survivors, exactly as a robust
+    harness would treat a persistently broken host.
     """
     summaries: List[TrialSummary] = []
-    for outcome in sorted(outcomes, key=lambda o: o.trial):
-        # Trial-ordered merge keeps obs output identical across jobs=N.
-        obs_hooks.merge_chunk(outcome.obs)
-        outcome.obs = None
+    for outcome in outcomes:
         if fault_ledger is not None:
             fault_ledger.add(TrialLedger(
                 trial=outcome.trial, seed=outcome.seed,
@@ -368,8 +342,19 @@ def collect_outcomes(outcomes: Sequence[TrialOutcome],
                 error=outcome.error,
                 records=list(outcome.records),
             ))
-        if outcome.summary is not None:
-            summaries.append(outcome.summary)
+        summary = outcome.summary
+        if summary is None:
+            logger.warning("trial %d quarantined after %d attempts: %s",
+                           outcome.trial, outcome.attempts, outcome.error)
+            continue
+        logger.info(
+            "trial %d/%d (%s under %s) done in %.2fs after %d attempt(s): "
+            "sim wall %.4fs, %d samples", outcome.trial + 1, len(outcomes),
+            summary.program_name, summary.report.tool,
+            summary.host_seconds, outcome.attempts, summary.wall_ns / 1e9,
+            summary.sample_count,
+        )
+        summaries.append(summary)
     return summaries
 
 
@@ -384,69 +369,27 @@ def run_trials(program: Program, tool: MonitoringTool,
                faults: Optional[FaultPlan] = None,
                fault_ledger: Optional[RunLedger] = None
                ) -> List[TrialSummary]:
-    """Repeat :func:`run_monitored` with per-trial seeds.
+    """``runs`` trials of :func:`run_trial`, fanned over ``jobs`` workers.
 
-    Trial ``t`` always runs with seed ``base_seed + t``.  With
-    ``jobs=1`` the trials run in-process; ``jobs>1`` fans them out over
-    a worker pool (``jobs=None`` uses every core).  Both paths assign
-    seeds identically and return summaries in trial order, so the
-    results are bit-for-bit identical regardless of ``jobs``.
+    Trial ``t`` always runs with seed ``base_seed + t``.  ``jobs=1``
+    runs in-process, ``jobs>1`` over a fork pool (``jobs=None`` uses
+    every core); see :func:`~repro.experiments.parallel.map_trials`.
+    Summaries come back in trial order and are bit-for-bit identical
+    regardless of ``jobs``.
 
-    An active ``faults`` plan routes every trial through
-    :func:`run_trial_faulted` (retry + quarantine); ``fault_ledger``
-    collects per-trial fault records.  An inert plan (or ``None``)
-    keeps this path byte-identical to the unfaulted one.
+    An active ``faults`` plan gives every trial retry and quarantine;
+    ``fault_ledger`` collects per-trial fault records.  An inert plan
+    (or ``None``) is the unfaulted run.
     """
-    from repro.experiments.parallel import resolve_jobs, run_trials_parallel
+    from repro.experiments.parallel import map_trials
 
-    faulted = faults is not None and faults.active
-    if resolve_jobs(jobs, runs) > 1:
-        return run_trials_parallel(
-            program, tool, runs, jobs=jobs, events=events,
-            period_ns=period_ns, base_seed=base_seed,
-            machine_config=machine_config, kernel_config=kernel_config,
-            faults=faults if faulted else None, fault_ledger=fault_ledger,
-        )
-    if faulted:
-        assert faults is not None
-        outcomes = [
-            run_trial_faulted(
-                program, tool, trial, plan=faults, events=events,
-                period_ns=period_ns, base_seed=base_seed,
-                machine_config=machine_config, kernel_config=kernel_config,
-            )
-            for trial in range(runs)
-        ]
-        return collect_outcomes(outcomes, fault_ledger)
-    summaries: List[TrialSummary] = []
-    for trial in range(runs):
-        started = time.perf_counter()
-        with obs_hooks.trial_capture(trial) as obs_child:
-            if obs_child is not None:
-                obs_child.trial_started(trial)
-            result = run_monitored(
-                program, tool, events=events, period_ns=period_ns,
-                seed=base_seed + trial, machine_config=machine_config,
-                kernel_config=kernel_config,
-            )
-            summary = summarize_trial(
-                result, trial=trial, seed=base_seed + trial,
-                host_seconds=time.perf_counter() - started,
-            )
-            if obs_child is not None:
-                obs_child.trial_span(
-                    trial, summary.seed, summary.program_name,
-                    result.report.tool, summary.wall_ns,
-                    summary.sample_count,
-                )
-                summary.obs = obs_child.chunk()
-        obs_hooks.merge_chunk(summary.obs)
-        summary.obs = None
-        logger.info(
-            "trial %d/%d (%s under %s) done in %.2fs: sim wall %.4fs, "
-            "%d samples", trial + 1, runs, summary.program_name,
-            result.report.tool, summary.host_seconds,
-            summary.wall_ns / 1e9, summary.sample_count,
-        )
-        summaries.append(summary)
-    return summaries
+    plan = faults if faults is not None and faults.active else None
+
+    def one(trial: int) -> TrialOutcome:
+        return run_trial(program, tool, trial, plan=plan, events=events,
+                         period_ns=period_ns, base_seed=base_seed,
+                         machine_config=machine_config,
+                         kernel_config=kernel_config)
+
+    return collect_outcomes(map_trials(one, runs, jobs=jobs),
+                            fault_ledger if plan is not None else None)

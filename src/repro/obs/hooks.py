@@ -22,9 +22,10 @@ The contract that keeps observability honest:
   reports too.
 * **Worker merging is trial-ordered.**  :func:`trial_capture` swaps in
   a fresh child recorder for one trial; its :meth:`Recorder.chunk` is
-  plain data that rides home on the summary, and
+  plain data that travels beside the trial's value, and
   :func:`merge_chunk` folds chunks into the parent in trial order —
-  ``jobs=4`` output is byte-identical to ``jobs=1``.
+  ``jobs=4`` output is byte-identical to ``jobs=1``.  Both are called
+  from one place, :func:`repro.experiments.parallel.map_trials`.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ class TestSharedLlcContention:
         # shared LLC (but not from core 0's private levels).
         for index in range(300_000):
             cache1.access_fast(0x8000_0000 + index * 64)
-        assert not cluster.shared_llc.contains(victim_address)
+        assert not cluster.llcs[0].contains(victim_address)
 
     def test_streamer_slows_cache_resident_service(self):
         results = corun_parallel([service(), streamer()], seed=1)

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import ExperimentError, ToolUnsupportedError
-from repro.experiments.parallel import (
-    default_jobs,
-    resolve_jobs,
-    run_trials_parallel,
-)
+from repro.experiments.parallel import default_jobs, map_trials, resolve_jobs
 from repro.experiments.runner import run_trials
+from repro.obs import hooks
 from repro.sim.clock import ms
 from repro.tools.limit import LimitTool
 from repro.tools.registry import create_tool
@@ -75,8 +72,39 @@ class TestErrorPropagation:
 
 class TestFallbacks:
     def test_single_run_goes_serial(self):
-        results = run_trials_parallel(
-            TripleLoopMatmul(128), create_tool("none"), 1, jobs=4,
+        results = run_trials(
+            TripleLoopMatmul(128), create_tool("none"), runs=1, jobs=4,
             events=EVENTS, period_ns=ms(10), base_seed=0,
         )
         assert len(results) == 1 and results[0].trial == 0
+
+
+def _nested_population(outer_jobs):
+    """Outer trial ``i`` runs an inner two-trial population inline."""
+
+    def outer(index):
+        return run_trials(TripleLoopMatmul(64), create_tool("k-leb"),
+                          runs=2, events=EVENTS, period_ns=ms(10),
+                          base_seed=10 * index, jobs=1)
+
+    recorder = hooks.Recorder()
+    hooks.install(recorder)
+    try:
+        values = map_trials(outer, 3, jobs=outer_jobs)
+    finally:
+        hooks.reset()
+    return (values, recorder.tracer.to_chrome_json(),
+            recorder.registry.to_prometheus())
+
+
+class TestNestedPopulations:
+    def test_nested_population_identical_across_outer_jobs(self):
+        serial = _nested_population(outer_jobs=1)
+        parallel = _nested_population(outer_jobs=2)
+        assert [len(inner) for inner in serial[0]] == [2, 2, 2]
+        assert [[s.seed for s in inner] for inner in serial[0]] \
+            == [[0, 1], [10, 11], [20, 21]]
+        assert parallel[0] == serial[0]
+        assert parallel[1] == serial[1]
+        assert parallel[2] == serial[2]
+        assert "trials_total 6" in serial[2]

@@ -71,6 +71,30 @@ class TestRunTrials:
         walls = [result.wall_ns for result in results]
         assert len(set(walls)) > 1
 
+    def test_earlier_trials_kernels_are_released(self):
+        """A finished trial's ``Kernel`` (and the machine and caches it
+        owns) must be garbage by the time the next trial attaches, so a
+        population's memory is one trial's worth, not two."""
+        import gc
+        import weakref
+
+        class KernelWatchingTool(NullTool):
+            def __init__(self):
+                super().__init__()
+                self.kernels = []
+                self.alive_at_attach = []
+
+            def attach(self, kernel, task, events, period_ns):
+                gc.collect()
+                self.alive_at_attach.append(
+                    sum(ref() is not None for ref in self.kernels))
+                self.kernels.append(weakref.ref(kernel))
+                return super().attach(kernel, task, events, period_ns)
+
+        tool = KernelWatchingTool()
+        run_trials(UniformComputeWorkload(1e6), tool, runs=3)
+        assert tool.alive_at_attach == [0, 0, 0]
+
 
 class TestWallNsGuard:
     def test_unexited_victim_raises_instead_of_zero(self):

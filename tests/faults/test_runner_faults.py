@@ -1,10 +1,13 @@
 """Runner-level faults: retry with backoff, quarantine, jobs determinism."""
 
+import logging
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.runner import (
     MAX_TRIAL_ATTEMPTS,
-    run_trial_faulted,
+    run_trial,
     run_trials,
 )
 from repro.faults import FaultPlan, RunLedger
@@ -106,9 +109,38 @@ class TestJobsDeterminism:
             == [e.quarantined for e in ledger_b.trials]
 
 
+class TestTrialLogging:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_one_info_line_per_surviving_trial(self, caplog, jobs,
+                                               faulted):
+        plan = FaultPlan(seed=4, trial_persistent_prob=0.4) if faulted \
+            else None
+        with caplog.at_level(logging.INFO,
+                             logger="repro.experiments.runner"):
+            summaries, _ = run_faulted(plan, runs=6, jobs=jobs)
+        done = [record for record in caplog.records
+                if record.levelno == logging.INFO
+                and record.getMessage().startswith("trial ")]
+        assert len(done) == len(summaries) > 0
+        quarantined = [record for record in caplog.records
+                       if record.levelno == logging.WARNING]
+        assert len(done) + len(quarantined) == 6
+
+
 class TestSingleTrial:
+    def test_no_plan_is_one_clean_attempt(self):
+        outcome = run_trial(TripleLoopMatmul(64), create_tool("k-leb"), 3,
+                            period_ns=PERIOD_NS, base_seed=2)
+        assert outcome.attempts == 1 and not outcome.quarantined
+        assert outcome.records == []
+        [expected] = run_trials(TripleLoopMatmul(64), create_tool("k-leb"),
+                                runs=1, period_ns=PERIOD_NS, base_seed=5)
+        assert outcome.summary.seed == 5
+        assert replace(outcome.summary, trial=0) == expected
+
     def test_benign_fate_single_attempt(self):
-        outcome = run_trial_faulted(
+        outcome = run_trial(
             TripleLoopMatmul(64), create_tool("k-leb"), 0,
             plan=FaultPlan(seed=1, ioctl_failure_prob=0.0),
             period_ns=PERIOD_NS,
@@ -122,7 +154,7 @@ class TestSingleTrial:
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            run_trial_faulted(
+            run_trial(
                 TripleLoopMatmul(64), create_tool("k-leb"), 0,
                 plan=FaultPlan(seed=1, trial_crash_prob=0.5),
                 events=("NOT_AN_EVENT",), period_ns=PERIOD_NS,

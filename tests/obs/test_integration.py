@@ -81,8 +81,31 @@ class TestPopulationDeterminism:
         parsed = parse_prometheus_text(serial[2])
         assert parsed["trials_total"]["samples"][""] == 4
 
-    def test_chunks_are_dropped_after_merge(self, serial):
-        assert all(summary.obs is None for summary in serial[0])
+
+class TestSmpPopulation:
+    @staticmethod
+    def _exports(jobs):
+        from repro.experiments.smp import run_smp_trials
+
+        recorder = hooks.Recorder()
+        hooks.install(recorder)
+        try:
+            run_smp_trials(2, jobs=jobs, cores=2, migrate=True,
+                           service_accesses=20_000, streamer_accesses=10_000)
+        finally:
+            hooks.reset()
+        return (recorder.tracer.to_chrome_json(),
+                recorder.registry.to_prometheus())
+
+    def test_smp_exports_identical_across_jobs(self):
+        """Everything recorded inside SMP trials reaches the parent's
+        exports, whether the trials ran inline or in pool workers."""
+        serial = self._exports(jobs=1)
+        parallel = self._exports(jobs=2)
+        assert parallel[0] == serial[0]
+        assert parallel[1] == serial[1]
+        fires = parse_prometheus_text(serial[1])["hrtimer_fires_total"]
+        assert sum(fires["samples"].values()) > 0
 
 
 class TestFaultedPopulation:
