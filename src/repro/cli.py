@@ -19,17 +19,22 @@ prints the report summary (handy for poking at the tools).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.timeseries import deltas, find_gaps, samples_to_series
-from repro.errors import FaultError, PMUError, ToolError
-from repro.experiments import EXPERIMENTS
+from repro.control import ControlConfig, ControlLedger
+from repro.errors import FaultError, PMUError, ReproError, UsageError
+from repro.experiments import EXPERIMENTS, ExperimentEntry
 from repro.hw import events as hw_events
 from repro.experiments.report import sparkline, text_table
 from repro.experiments.runner import run_monitored
+from repro.experiments.smp import run_monitored_smp
 from repro.faults import FaultInjector, FaultPlan, RunLedger
+from repro.io import save_report_json, save_samples_csv
 from repro.sim.clock import ms
+from repro.tools.kleb.tool import KLebTool
 from repro.tools.registry import available_tools, create_tool
 from repro.workloads.dgemm import MklDgemm
 from repro.workloads.linpack import LinpackWorkload
@@ -43,10 +48,6 @@ _WORKLOADS = {
     "secret-printer": SecretPrinter,
     "meltdown": MeltdownAttack,
 }
-
-# Experiments whose trial populations can fan out over worker
-# processes (the rest are single-run comparisons).
-_PARALLEL_EXPERIMENTS = {"table1", "table2", "table3", "fig4", "fig6", "fig8"}
 
 # Small-parameter overrides for `run-all --quick`.
 _QUICK_KWARGS = {
@@ -195,48 +196,127 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(experiment_id: str, seed: int,
-                    runs: Optional[int], period_ms: Optional[float],
-                    jobs: Optional[int] = None,
-                    faults: Optional[FaultPlan] = None) -> str:
-    entry = EXPERIMENTS[experiment_id]
-    kwargs = {"seed": seed}
+def _single_run(args: argparse.Namespace) -> bool:
+    return EXPERIMENTS[args.experiment].count_param is None
+
+
+_POPULATIONS = ", ".join(sorted(
+    experiment_id for experiment_id, entry in EXPERIMENTS.items()
+    if entry.count_param is not None))
+
+_Rule = Tuple[Callable[[argparse.Namespace], bool], str]
+
+_SEED_RULE: _Rule = (lambda a: a.seed < 0,
+                     "--seed must be >= 0, got {a.seed}")
+_PERIOD_RULE: _Rule = (
+    lambda a: a.period_ms is not None and not 0 < a.period_ms < math.inf,
+    "--period-ms must be a positive sample period in milliseconds, "
+    "got {a.period_ms:g}")
+
+#: Flag rules per command, checked in order before any simulation: the
+#: first rule whose predicate holds rejects the command (exit 2) with
+#: its message, a ``str.format`` template over ``a`` (the parsed args).
+_RULES: Dict[str, List[_Rule]] = {
+    "run": [
+        _SEED_RULE,
+        _PERIOD_RULE,
+        (lambda a: a.runs is not None and a.runs < 1,
+         "--runs must be >= 1, got {a.runs}"),
+        (lambda a: a.runs is not None and _single_run(a),
+         "--runs is only supported for trial-population experiments "
+         "({populations}), not {a.experiment!r}"),
+        (lambda a: a.faults is not None and _single_run(a),
+         "--faults is only supported for trial-population experiments "
+         "({populations}), not {a.experiment!r}"),
+    ],
+    "run-all": [_SEED_RULE],
+    "monitor": [
+        _SEED_RULE,
+        _PERIOD_RULE,
+        (lambda a: a.multiplex is not None
+         and not 0 < a.multiplex < math.inf,
+         "--multiplex must be a positive rotation period in milliseconds, "
+         "got {a.multiplex:g}"),
+        (lambda a: a.overhead_budget is not None and not a.adapt,
+         "--overhead-budget requires --adapt"),
+        (lambda a: a.overhead_budget is not None
+         and not 0.0 < a.overhead_budget <= 100.0,
+         "--overhead-budget must be in (0, 100] percent, "
+         "got {a.overhead_budget:g}"),
+        (lambda a: a.multiplex is not None and a.tool != "k-leb",
+         "--multiplex is only supported by the k-leb tool, not {a.tool!r}"),
+        (lambda a: a.adapt and a.tool != "k-leb",
+         "--adapt is only supported by the k-leb tool, not {a.tool!r}"),
+        (lambda a: a.cores is None and a.migrate,
+         "--migrate requires --cores"),
+        (lambda a: a.cores is None and a.sockets != 1,
+         "--sockets requires --cores"),
+        # A non-positive geometry must die with a diagnostic, not a
+        # stack trace (and never a silently desynchronized cluster).
+        (lambda a: a.cores is not None and a.cores < 1,
+         "--cores must be >= 1, got {a.cores}"),
+        (lambda a: a.cores is not None and a.sockets < 1,
+         "--sockets must be >= 1, got {a.sockets}"),
+        (lambda a: a.cores is not None and a.cores % a.sockets,
+         "--cores ({a.cores}) must divide evenly across --sockets "
+         "({a.sockets})"),
+        (lambda a: a.cores is not None and a.migrate and a.cores < 2,
+         "--migrate needs --cores >= 2"),
+        (lambda a: a.cores is not None and a.tool != "k-leb",
+         "--cores is only supported by the k-leb tool, not {a.tool!r}"),
+        (lambda a: a.cores is not None and a.multiplex is not None,
+         "--multiplex is not supported on an SMP session (--cores)"),
+        (lambda a: a.cores is not None and a.adapt,
+         "--adapt is not supported on an SMP session (--cores)"),
+    ],
+}
+
+
+def _events(args: argparse.Namespace) -> Tuple[str, ...]:
+    return tuple(part.strip() for part in args.events.split(",") if part)
+
+
+def _check(args: argparse.Namespace) -> None:
+    """Reject an unusable flag combination with a :class:`UsageError`."""
+    if args.command == "monitor":
+        try:
+            for name in _events(args):
+                hw_events.lookup(name)
+        except PMUError as error:
+            # A typo'd event name gets the suggestion plus the catalogue
+            # grouped by kind, not a stack trace.
+            raise UsageError(f"{error}\n\n{_catalogue_table()}") from None
+    for violated, message in _RULES.get(args.command, ()):
+        if violated(args):
+            raise UsageError(message.format(a=args, populations=_POPULATIONS))
+
+
+def _run_experiment(entry: ExperimentEntry, args: argparse.Namespace,
+                    **overrides) -> str:
+    """Run one registry entry under the shared flags; returns its text.
+
+    Trial populations take ``--jobs`` and ``--faults`` (and append the
+    fault ledger); single-run comparisons ignore ``--jobs`` and run
+    clean.
+    """
+    kwargs = dict(overrides, seed=args.seed)
     ledger: Optional[RunLedger] = None
-    if experiment_id in _PARALLEL_EXPERIMENTS:
-        kwargs["jobs"] = jobs  # None = all cores (resolve_jobs)
-        if faults is not None:
+    if entry.count_param is not None:
+        kwargs["jobs"] = args.jobs  # None = all cores (resolve_jobs)
+        if args.faults is not None:
             ledger = RunLedger()
-            kwargs["faults"] = faults
-            kwargs["fault_ledger"] = ledger
-    elif faults is not None:
-        raise SystemExit(
-            f"--faults is only supported for trial-population experiments "
-            f"({', '.join(sorted(_PARALLEL_EXPERIMENTS))}), "
-            f"not {experiment_id!r}"
-        )
-    if runs is not None:
-        key = {"table1": "trials", "fig4": "trials",
-               "fig6": "rounds"}.get(experiment_id, "runs")
-        if experiment_id in ("fig7", "fig9", "crosscheck", "multiplex",
-                             "adaptive", "smp"):
-            pass  # single-run experiments
-        else:
-            kwargs[key] = runs
-    if period_ms is not None:
-        kwargs["period_ns"] = ms(period_ms)
-    result = entry.run(**kwargs)
-    output = entry.render(result)
+            kwargs.update(faults=args.faults, fault_ledger=ledger)
+    output = entry.render(entry.run(**kwargs))
     if ledger is not None:
         output += "\n\n" + ledger.render()
     return output
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> None:
     rows = [[entry.experiment_id, entry.description]
             for entry in EXPERIMENTS.values()]
     print(text_table(["id", "description"], rows,
                      title="Reproducible tables and figures"))
-    return 0
 
 
 _KIND_FLAGS = {"arch": hw_events.EventKind.ARCHITECTURAL,
@@ -262,198 +342,100 @@ def _catalogue_table(kind: Optional[str] = None) -> str:
     return "\n\n".join(sections)
 
 
-def _cmd_list_events(args: argparse.Namespace) -> int:
+def _cmd_list_events(args: argparse.Namespace) -> None:
     print(_catalogue_table(args.kind))
-    return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    print(_run_experiment(args.experiment, args.seed, args.runs,
-                          args.period_ms, jobs=args.jobs,
-                          faults=args.faults))
-    return 0
+def _cmd_run(args: argparse.Namespace) -> None:
+    entry = EXPERIMENTS[args.experiment]
+    overrides = {}
+    if args.runs is not None:
+        overrides[entry.count_param] = args.runs
+    if args.period_ms is not None:
+        overrides["period_ns"] = ms(args.period_ms)
+    print(_run_experiment(entry, args, **overrides))
 
 
-def _cmd_run_all(args: argparse.Namespace) -> int:
+def _cmd_run_all(args: argparse.Namespace) -> None:
     for experiment_id, entry in EXPERIMENTS.items():
-        kwargs = dict(_QUICK_KWARGS[experiment_id]) if args.quick else {}
-        kwargs["seed"] = args.seed
-        ledger: Optional[RunLedger] = None
-        if experiment_id in _PARALLEL_EXPERIMENTS:
-            kwargs["jobs"] = args.jobs
-            if args.faults is not None:
-                # Faults apply only to trial populations; single-run
-                # comparisons run clean.
-                ledger = RunLedger()
-                kwargs["faults"] = args.faults
-                kwargs["fault_ledger"] = ledger
-        print(entry.render(entry.run(**kwargs)))
-        if ledger is not None:
-            print("\n" + ledger.render())
+        overrides = _QUICK_KWARGS[experiment_id] if args.quick else {}
+        print(_run_experiment(entry, args, **overrides))
         print("\n" + "#" * 72 + "\n")
-    return 0
 
 
-def _cmd_monitor_smp(args: argparse.Namespace, program, events) -> int:
-    """One monitored trial on an N-core cluster (k-leb only)."""
-    from repro.errors import ExperimentError
-    from repro.experiments.smp import run_monitored_smp
+def _monitor_tool(args: argparse.Namespace):
+    """The single-core tool: K-LEB with mux/control knobs, or by name."""
+    if args.multiplex is None and not args.adapt:
+        return create_tool(args.tool)
+    control = None
+    if args.adapt:
+        control = (ControlConfig() if args.overhead_budget is None
+                   else ControlConfig(
+                       overhead_budget_percent=args.overhead_budget))
+    return KLebTool(
+        multiplex_period_ns=(ms(args.multiplex)
+                             if args.multiplex is not None else None),
+        control=control,
+    )
 
-    try:
+
+_RECOVERY_KEYS = ("timer_misses", "ioctl_retries", "read_retries",
+                  "recovery_reads", "drain_shrinks", "drain_restores",
+                  "starved_cycles")
+
+
+def _cmd_monitor(args: argparse.Namespace) -> None:
+    """One monitored trial: one core, or an N-core cluster (``--cores``)."""
+    program = _WORKLOADS[args.workload]()
+    events = _events(args)
+    # A single in-process trial: kernel-layer faults apply; the
+    # trial-level crash/timeout knobs only matter under `run`.
+    injector = (FaultInjector(args.faults) if args.faults is not None
+                else None)
+    smp = args.cores is not None
+    if smp:
         result = run_monitored_smp(
             program, events=events, period_ns=ms(args.period_ms),
             seed=args.seed, cores=args.cores, sockets=args.sockets,
-            migrate=args.migrate, fault_plan=args.faults,
-        )
-    except (PMUError, ToolError, ExperimentError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    report = result.report
-    print(f"workload : {program.name}")
-    print(f"tool     : {report.tool} @ {report.period_ns / 1e6:g} ms")
-    print(f"topology : {args.cores} core(s), {args.sockets} socket(s)"
-          f"{', migration on' if args.migrate else ''}")
-    print(f"wall time: {result.wall_ns / 1e9:.6f} s")
-    print(f"samples  : {report.sample_count}")
-    print(f"migrations: {report.metadata.get('smp_migrations', 0):g}")
-    rows = [[name, f"{value:,.0f}"]
-            for name, value in sorted(report.totals.items())]
-    print(text_table(["event", "total"], rows))
-    per_cpu = [[f"cpu{cpu}"] + [
-        f"{report.metadata.get(f'smp_cpu{cpu}:{name}', 0.0):,.0f}"
-        for name in events]
-        for cpu in range(args.cores)]
-    print(text_table(["core"] + list(events), per_cpu,
-                     title="per-core victim totals"))
-    for socket, bandwidth in enumerate(result.uncore_bandwidth_bytes_per_sec):
-        print(f"uncore[{socket}]: {bandwidth / 1e6:,.1f} MB/s smoothed "
-              f"({', '.join(f'{name}={value:,d}' for name, value in sorted(result.uncore_totals[socket].items()))})")
-    series = deltas(samples_to_series(report.samples))
-    for name in events:
-        if len(series) and name in series.values:
-            print(f"{name:16s} {sparkline(series.event(name))}")
-    if args.save_json:
-        from repro.io import save_report_json
-
-        save_report_json(report, args.save_json)
-        print(f"report written to {args.save_json}")
-    if args.save_csv:
-        from repro.io import save_samples_csv
-
-        save_samples_csv(report, args.save_csv)
-        print(f"samples written to {args.save_csv}")
-    return 0
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    program = _WORKLOADS[args.workload]()
-    events = tuple(part.strip() for part in args.events.split(",") if part)
-    try:
-        for name in events:
-            hw_events.lookup(name)
-    except PMUError as error:
-        # A typo'd event name gets the suggestion plus the catalogue
-        # grouped by kind, not a stack trace.
-        print(f"error: {error}\n", file=sys.stderr)
-        print(_catalogue_table(), file=sys.stderr)
-        return 2
-    if args.multiplex is not None and args.multiplex <= 0:
-        print(f"error: --multiplex must be a positive rotation period in "
-              f"milliseconds, got {args.multiplex:g}", file=sys.stderr)
-        return 2
-    if args.overhead_budget is not None:
-        if not args.adapt:
-            print("error: --overhead-budget requires --adapt",
-                  file=sys.stderr)
-            return 2
-        if not 0.0 < args.overhead_budget <= 100.0:
-            print(f"error: --overhead-budget must be in (0, 100] percent, "
-                  f"got {args.overhead_budget:g}", file=sys.stderr)
-            return 2
-    if (args.multiplex is not None or args.adapt) and args.tool != "k-leb":
-        flag = "--multiplex" if args.multiplex is not None else "--adapt"
-        print(f"error: {flag} is only supported by the k-leb tool, "
-              f"not {args.tool!r}", file=sys.stderr)
-        return 2
-    if args.cores is None:
-        if args.migrate:
-            print("error: --migrate requires --cores", file=sys.stderr)
-            return 2
-        if args.sockets != 1:
-            print("error: --sockets requires --cores", file=sys.stderr)
-            return 2
-    else:
-        # A non-positive geometry must die with a diagnostic, not a
-        # stack trace (and never a silently desynchronized cluster).
-        if args.cores < 1:
-            print(f"error: --cores must be >= 1, got {args.cores}",
-                  file=sys.stderr)
-            return 2
-        if args.sockets < 1:
-            print(f"error: --sockets must be >= 1, got {args.sockets}",
-                  file=sys.stderr)
-            return 2
-        if args.cores % args.sockets:
-            print(f"error: --cores ({args.cores}) must divide evenly "
-                  f"across --sockets ({args.sockets})", file=sys.stderr)
-            return 2
-        if args.migrate and args.cores < 2:
-            print("error: --migrate needs --cores >= 2", file=sys.stderr)
-            return 2
-        if args.tool != "k-leb":
-            print(f"error: --cores is only supported by the k-leb tool, "
-                  f"not {args.tool!r}", file=sys.stderr)
-            return 2
-        if args.multiplex is not None or args.adapt:
-            flag = "--multiplex" if args.multiplex is not None else "--adapt"
-            print(f"error: {flag} is not supported on an SMP session "
-                  f"(--cores)", file=sys.stderr)
-            return 2
-        return _cmd_monitor_smp(args, program, events)
-    if args.multiplex is not None or args.adapt:
-        from repro.control import ControlConfig
-        from repro.tools.kleb.tool import KLebTool
-
-        control = None
-        if args.adapt:
-            control = (ControlConfig() if args.overhead_budget is None
-                       else ControlConfig(
-                           overhead_budget_percent=args.overhead_budget))
-        tool = KLebTool(
-            multiplex_period_ns=(ms(args.multiplex)
-                                 if args.multiplex is not None else None),
-            control=control,
+            migrate=args.migrate, faults=injector,
         )
     else:
-        tool = create_tool(args.tool)
-    injector: Optional[FaultInjector] = None
-    if args.faults is not None:
-        # A single in-process trial: kernel-layer faults apply; the
-        # trial-level crash/timeout knobs only matter under `run`.
-        injector = FaultInjector(args.faults)
-    try:
         result = run_monitored(
-            program, tool, events=events,
+            program, _monitor_tool(args), events=events,
             period_ns=ms(args.period_ms), seed=args.seed, faults=injector,
         )
-    except (PMUError, ToolError) as error:
-        # Unsatisfiable counter constraints / too many events without
-        # --multiplex surface as a one-line diagnostic.
-        raise SystemExit(f"error: {error}") from None
     report = result.report
+    meta = report.metadata
     print(f"workload : {program.name}")
     print(f"tool     : {report.tool} @ {report.period_ns / 1e6:g} ms")
+    if smp:
+        print(f"topology : {args.cores} core(s), {args.sockets} socket(s)"
+              f"{', migration on' if args.migrate else ''}")
     print(f"wall time: {result.wall_ns / 1e9:.6f} s")
     print(f"samples  : {report.sample_count}")
+    if smp:
+        print(f"migrations: {meta.get('smp_migrations', 0):g}")
     rows = [[name, f"{value:,.0f}"]
             for name, value in sorted(report.totals.items())]
     print(text_table(["event", "total"], rows))
+    if smp:
+        per_cpu = [[f"cpu{cpu}"] + [
+            f"{meta.get(f'smp_cpu{cpu}:{name}', 0.0):,.0f}"
+            for name in events]
+            for cpu in range(args.cores)]
+        print(text_table(["core"] + list(events), per_cpu,
+                         title="per-core victim totals"))
+        for socket, (bandwidth, totals) in enumerate(zip(
+                result.uncore_bandwidth_bytes_per_sec, result.uncore_totals)):
+            counts = ", ".join(f"{name}={value:,d}"
+                               for name, value in sorted(totals.items()))
+            print(f"uncore[{socket}]: {bandwidth / 1e6:,.1f} MB/s smoothed "
+                  f"({counts})")
     series = deltas(samples_to_series(report.samples))
     for name in events:
         if len(series) and name in series.values:
             print(f"{name:16s} {sparkline(series.event(name))}")
     if report.control is not None:
-        meta = report.metadata
         print(f"\nadaptive control: "
               f"{meta.get('adaptive_observations', 0):g} observations, "
               f"period {meta.get('adaptive_min_period_ns', 0) / 1e6:g}.."
@@ -461,23 +443,19 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
               f"overhead {meta.get('adaptive_overhead_percent', 0):.2f}% "
               f"(budget {meta.get('adaptive_budget_percent', 0):g}%), "
               f"final level {meta.get('adaptive_final_level', 0):g}")
-        from repro.control import ControlLedger
-
         ledger_view = ControlLedger.from_rows(report.control)
         if len(ledger_view):
             print(ledger_view.render())
     if injector is not None:
-        print(f"\ninjected faults: {len(injector.ledger.records)}")
-        for record in injector.ledger.records[:20]:
+        records = injector.ledger.records
+        print(f"\ninjected faults: {len(records)}")
+        for record in records[:20]:
             print(f"  {record.time_ns:>14,d} ns  {record.site:10s} "
                   f"{record.kind}")
-        if len(injector.ledger.records) > 20:
-            print(f"  ... and {len(injector.ledger.records) - 20} more")
-        recovery_keys = ("timer_misses", "ioctl_retries", "read_retries",
-                         "recovery_reads", "drain_shrinks",
-                         "drain_restores", "starved_cycles")
-        recovered = {key: report.metadata[key] for key in recovery_keys
-                     if report.metadata.get(key)}
+        if len(records) > 20:
+            print(f"  ... and {len(records) - 20} more")
+        recovered = {key: meta[key] for key in _RECOVERY_KEYS
+                     if meta.get(key)}
         if recovered:
             print("recovery: " + ", ".join(
                 f"{key}={value:g}" for key, value in recovered.items()
@@ -492,16 +470,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 print(f"  {gap.start_ns:>14,d} -> {gap.end_ns:,d} ns "
                       f"(~{gap.missing} missing)")
     if args.save_json:
-        from repro.io import save_report_json
-
         save_report_json(report, args.save_json)
         print(f"report written to {args.save_json}")
     if args.save_csv:
-        from repro.io import save_samples_csv
-
         save_samples_csv(report, args.save_csv)
         print(f"samples written to {args.save_csv}")
-    return 0
 
 
 def _arm_live_plane(recorder, args, flight, dump_path: str):
@@ -554,12 +527,13 @@ def _arm_live_plane(recorder, args, flight, dump_path: str):
     return bus, server
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "list-events":
-        return _cmd_list_events(args)
+_COMMANDS = {"list": _cmd_list, "list-events": _cmd_list_events,
+             "run": _cmd_run, "run-all": _cmd_run_all,
+             "monitor": _cmd_monitor}
+
+
+def _run_observed(args: argparse.Namespace) -> None:
+    """Dispatch the command under the observability flags it asked for."""
     # Observability is off (null recorder, zero cost) unless asked for.
     wants_artifacts = bool(getattr(args, "trace", None)
                            or getattr(args, "metrics", None))
@@ -584,14 +558,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                           flight_dump_path)
         obs_hooks.install(recorder)
     try:
-        if args.command == "run":
-            status = _cmd_run(args)
-        elif args.command == "run-all":
-            status = _cmd_run_all(args)
-        elif args.command == "monitor":
-            status = _cmd_monitor(args)
-        else:
-            raise AssertionError("unreachable")
+        _COMMANDS[args.command](args)
     except BaseException as error:
         if flight is not None:
             # The post-mortem the flight recorder exists for.
@@ -609,7 +576,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.obs import hooks as obs_hooks
 
             obs_hooks.reset()
-    if recorder is not None and status == 0:
+    if recorder is not None:
         if args.trace:
             recorder.write_trace(args.trace)
             print(f"trace written to {args.trace}")
@@ -619,7 +586,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "flight", None):
             flight.write(args.flight, "run-complete")
             print(f"flight ring written to {args.flight}")
-    return status
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run the CLI; returns 0, or 2 for a rejected or failed command.
+
+    Every :class:`ReproError` — a flag rule, a typo'd event, a failure
+    inside the simulation — becomes one ``error:`` line on stderr and
+    exit status 2 here; any other exit status is a bug.
+    """
+    args = _build_parser().parse_args(argv)
+    try:
+        _check(args)
+        _run_observed(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

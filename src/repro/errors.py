@@ -100,5 +100,9 @@ class ControlError(ReproError):
     """Invalid adaptive-control configuration or controller misuse."""
 
 
+class UsageError(ReproError):
+    """A command-line flag combination the CLI rejects."""
+
+
 class TrialCrashError(ExperimentError):
     """A simulated worker crash injected into a runner trial."""

@@ -7,7 +7,7 @@ for the CLI and the benchmark harness.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.experiments import (
     adaptive,
@@ -36,12 +36,19 @@ from repro.experiments.runner import (
 
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """Registry record for one reproducible table/figure."""
+    """Registry record for one reproducible table/figure.
+
+    ``count_param`` names the ``run`` keyword that sets the trial
+    population size (``"trials"``, ``"runs"`` or ``"rounds"``); such
+    experiments also take ``jobs``, ``faults`` and ``fault_ledger``.
+    ``None`` marks a single-run comparison.
+    """
 
     experiment_id: str
     description: str
     run: Callable
     render: Callable
+    count_param: Optional[str] = None
 
 
 EXPERIMENTS: Dict[str, ExperimentEntry] = {
@@ -49,19 +56,19 @@ EXPERIMENTS: Dict[str, ExperimentEntry] = {
     for entry in [
         ExperimentEntry(
             "table1", "LINPACK GFLOPS across profiling tools",
-            table1.run, table1.render,
+            table1.run, table1.render, "trials",
         ),
         ExperimentEntry(
             "table2", "Overhead on triple-loop matmul (~2 s)",
-            table2.run, table2.render,
+            table2.run, table2.render, "runs",
         ),
         ExperimentEntry(
             "table3", "Overhead on MKL dgemm (<100 ms); LiMiT n/a",
-            table3.run, table3.render,
+            table3.run, table3.render, "runs",
         ),
         ExperimentEntry(
             "fig4", "LINPACK phase behaviour time series",
-            fig4.run, fig4.render,
+            fig4.run, fig4.render, "trials",
         ),
         ExperimentEntry(
             "fig5", "Docker image LLC MPKI classification",
@@ -69,7 +76,7 @@ EXPERIMENTS: Dict[str, ExperimentEntry] = {
         ),
         ExperimentEntry(
             "fig6", "Meltdown vs clean: mean LLC counts",
-            fig6.run, fig6.render,
+            fig6.run, fig6.render, "rounds",
         ),
         ExperimentEntry(
             "fig7", "Meltdown time series at 100 us + detection",
@@ -77,7 +84,7 @@ EXPERIMENTS: Dict[str, ExperimentEntry] = {
         ),
         ExperimentEntry(
             "fig8", "Normalized runtime spread (box plots)",
-            fig8.run, fig8.render,
+            fig8.run, fig8.render, "runs",
         ),
         ExperimentEntry(
             "fig9", "Cross-tool count accuracy",

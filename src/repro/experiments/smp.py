@@ -99,23 +99,20 @@ def run_monitored_smp(program: Program,
                       aggressors: Sequence[Program] = (),
                       machine_config: Optional[MachineConfig] = None,
                       kernel_config: Optional[KernelConfig] = None,
-                      fault_plan: Optional[FaultPlan] = None,
-                      trial: int = 0,
+                      faults: Optional[FaultInjector] = None,
                       deadline_ns: int = seconds(30)) -> SmpRunResult:
     """Monitor ``program`` with one K-LEB instance on an SMP cluster.
 
     The victim spawns (stopped) on core 0 — the controller's home —
     and, with ``migrate``, wanders under the seeded policy while the
     per-CPU ring keeps the sample stream merged.  ``aggressors`` spawn
-    round-robin on the remaining cores.  A ``fault_plan`` arms one
-    injector shared by every core's kernel.
+    round-robin on the remaining cores.  ``faults`` is one injector
+    shared by every core's kernel; its ledger is the run's fault record.
     """
     if len(aggressors) > max(0, cores - 1):
         raise ExperimentError(
             f"{len(aggressors)} aggressors need at least "
             f"{len(aggressors) + 1} cores, got {cores}")
-    faults = (FaultInjector(fault_plan, trial)
-              if fault_plan is not None and fault_plan.active else None)
     cluster = SmpCluster(
         cores=cores,
         machine_config=machine_config,
@@ -198,8 +195,9 @@ def run_smp_trials(runs: int,
             migrate=migrate,
             aggressors=[_streamer(index, streamer_accesses)
                         for index in range(cores - 1)],
-            fault_plan=fault_plan,
-            trial=trial,
+            faults=(FaultInjector(fault_plan, trial)
+                    if fault_plan is not None and fault_plan.active
+                    else None),
         )
 
     return map_trials(one, runs, jobs=jobs)

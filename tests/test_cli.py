@@ -4,9 +4,19 @@ Every ``run`` passes ``--jobs`` explicitly: the default is the host's
 core count, which would make a test's path depend on the machine.
 """
 
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.control import ControlLedger
+from repro.io import load_report_json
+from repro.tools.registry import available_tools
 
 
 class TestList:
@@ -93,12 +103,15 @@ class TestMonitor:
         err = capsys.readouterr().err
         assert "--multiplex must be a positive rotation period" in err
 
-    def test_monitor_too_many_events_without_multiplex_errors(self):
-        with pytest.raises(SystemExit, match="multiplex"):
-            main(["monitor", "--workload", "secret-printer",
-                  "--tool", "k-leb", "--period-ms", "0.1",
-                  "--events",
-                  "LOADS,STORES,BRANCHES,BRANCH_MISSES,LLC_MISSES"])
+    def test_monitor_too_many_events_without_multiplex_errors(self, capsys):
+        code = main(["monitor", "--workload", "secret-printer",
+                     "--tool", "k-leb", "--period-ms", "0.1",
+                     "--events",
+                     "LOADS,STORES,BRANCHES,BRANCH_MISSES,LLC_MISSES"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "pass a multiplex period" in err
 
 
 class TestMonitorAdaptive:
@@ -165,11 +178,118 @@ class TestMonitorSmp:
          "not supported on an SMP session"),
         (["--cores", "2", "--tool", "perf-stat"],
          "only supported by the k-leb tool"),
+        (["--period-ms", "-1"], "--period-ms must be a positive"),
+        (["--period-ms", "0"], "--period-ms must be a positive"),
+        (["--period-ms", "0", "--cores", "2"],
+         "--period-ms must be a positive"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--seed", "-1", "--cores", "2"], "--seed must be >= 0, got -1"),
+        (["--events", "LOADS,STORES,BRANCHES,BRANCH_MISSES,LLC_MISSES"],
+         "pass a multiplex period"),
+        (["--faults", "ioctl=1.0"], "transient ioctl('config') failure"),
+        (["--workload", "secret-printer", "--save-csv", "{tmp}/s.csv"],
+         "report has no samples to write"),
     ])
-    def test_monitor_smp_validation_exits_2(self, capsys, argv, fragment):
-        code = main(["monitor", "--workload", "dgemm"] + argv)
+    def test_monitor_smp_validation_exits_2(self, capsys, tmp_path, argv,
+                                            fragment):
+        code = main(["monitor", "--workload", "dgemm"]
+                    + [arg.format(tmp=tmp_path) for arg in argv])
         assert code == 2
-        assert fragment in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert fragment in err
+
+    def test_monitor_smp_prints_fault_summary(self, capsys):
+        code = main(["monitor", "--workload", "dgemm", "--period-ms", "1",
+                     "--cores", "2", "--faults", "seed=3,ioctl=0.5,read=0.3"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^injected faults: [1-9]\d*$", out, re.MULTILINE)
+        assert re.search(r"^recovery: ioctl_retries=\d+, read_retries=\d+$",
+                         out, re.MULTILINE)
+
+
+_FOUR_EVENTS = "LOADS,STORES,BRANCHES,LLC_MISSES"
+_FIVE_EVENTS = "LOADS,STORES,BRANCHES,BRANCH_MISSES,LLC_MISSES"
+_FAULTS = "seed=3,ioctl=0.3,read=0.2"
+
+#: The ``monitor`` flag grammar: each flag with the values it may take.
+#: None leaves the flag out; True/False toggle a switch.
+_MONITOR_GRAMMAR = [
+    ("--tool", available_tools()),
+    ("--workload", ["secret-printer", "dgemm"]),
+    ("--period-ms", ["-1", "0", "0.1", "1"]),
+    ("--events", [_FOUR_EVENTS, _FIVE_EVENTS]),
+    ("--multiplex", [None, "-1", "1"]),
+    ("--adapt", [False, True]),
+    ("--overhead-budget", [None, "0", "2", "150"]),
+    ("--cores", [None, "0", "1", "2", "4"]),
+    ("--sockets", ["1", "2", "3"]),
+    ("--migrate", [False, True]),
+    ("--faults", [None, _FAULTS, "ioctl=1.0"]),
+    ("--seed", ["-1", "0", "3"]),
+]
+
+#: Runnable starting points: a single-core multiplexed closed-loop run
+#: and a migrating SMP run, both under injected faults.  A uniform draw
+#: over all twelve flags is almost always rejected by some rule, so each
+#: example redraws a few flags of one baseline instead: both exit paths
+#: and the flag interactions get exercised.
+_MONITOR_BASELINES = [
+    {"--workload": "dgemm", "--period-ms": "1", "--events": _FIVE_EVENTS,
+     "--multiplex": "1", "--adapt": True, "--faults": _FAULTS},
+    {"--workload": "dgemm", "--period-ms": "1", "--cores": "2",
+     "--migrate": True, "--faults": _FAULTS},
+]
+
+
+def _monitor_argv(flags):
+    argv = ["monitor"]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif value not in (None, False):
+            argv += [flag, value]
+    return argv
+
+
+_MONITOR_ARGV = st.tuples(
+    st.sampled_from(_MONITOR_BASELINES),
+    st.lists(st.sampled_from(_MONITOR_GRAMMAR).flatmap(
+        lambda flag_values: st.tuples(st.just(flag_values[0]),
+                                      st.sampled_from(flag_values[1]))),
+             unique_by=lambda pair: pair[0], max_size=4),
+).map(lambda drawn: _monitor_argv({**drawn[0], **dict(drawn[1])}))
+
+
+class TestMonitorFlagGrammar:
+    """Every ``monitor`` flag combination runs or exits 2 -- never a
+    traceback -- and a run's saved report is internally consistent."""
+
+    @given(_MONITOR_ARGV)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_exit_status_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv + ["--save-json", str(path)])
+            assert code in (0, 2), argv
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert sum(line.startswith("error:") for line in lines) == 1
+                return
+            report = load_report_json(path)
+        meta = report.metadata
+        if report.control is not None:
+            assert ControlLedger.from_rows(report.control).conservation_ok(
+                int(meta["adaptive_open_depth"]))
+        printed = re.search(r"^injected faults: (\d+)$", out.getvalue(),
+                            re.MULTILINE)
+        injected = int(printed.group(1)) if printed else 0
+        assert (printed is not None) == ("--faults" in argv)
+        assert meta.get("injected_faults", 0.0) == injected
 
 
 class TestRun:
@@ -186,6 +306,26 @@ class TestRun:
     def test_run_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["run", "table99"])
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["fig5", "--runs", "2"],
+         "--runs is only supported for trial-population experiments "
+         "(fig4, fig6, fig8, table1, table2, table3), not 'fig5'"),
+        (["table2", "--runs", "0"], "--runs must be >= 1, got 0"),
+        (["table2", "--runs", "1", "--period-ms", "-5"],
+         "--period-ms must be a positive sample period in milliseconds, "
+         "got -5"),
+        (["table2", "--runs", "1", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["fig7", "--faults", "seed=1"],
+         "--faults is only supported for trial-population experiments"),
+    ])
+    def test_run_validation_exits_2(self, capsys, argv, fragment):
+        code = main(["run"] + argv + ["--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert fragment in err
 
     def test_run_multiplex(self, capsys):
         assert main(["run", "multiplex", "--seed", "0", "--jobs", "1"]) == 0
@@ -311,6 +451,19 @@ class TestLivePlane:
         assert reasons[-1] == "run-complete"
         assert json.loads(flight_path.read_text())["reason"] \
             == "run-complete"
+
+    def test_flight_dump_on_error_exit(self, capsys, tmp_path):
+        """A failure inside the run exits 2 and still leaves the crash
+        post-mortem behind."""
+        import json
+
+        path = tmp_path / "err.flight.json"
+        assert main(["monitor", "--workload", "dgemm", "--faults",
+                     "ioctl=1.0", "--flight", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"flight ring written to {path} (crash)" in err
+        assert "error: K-LEB: transient ioctl('config') failure" in err
+        assert json.loads(path.read_text())["reason"] == "crash"
 
     def test_trace_and_metrics_still_work_with_live(self, capsys,
                                                     tmp_path):
