@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.tools.base import Sample, SampleColumns
+from repro.samples import SampleColumns
 
 
 @dataclass
@@ -37,29 +37,19 @@ class EventSeries:
             ) from None
 
 
-def samples_to_series(samples: Sequence[Sample]) -> EventSeries:
-    """Stack samples into aligned arrays (cumulative values)."""
+def samples_to_series(samples: SampleColumns) -> EventSeries:
+    """Stack samples into aligned arrays (cumulative values).
+
+    Each typed column converts in one bulk buffer read, in sorted-name
+    order, with no per-sample dict ever built.
+    """
     if not samples:
         return EventSeries(np.array([], dtype=np.int64), {})
-    if isinstance(samples, SampleColumns):
-        # Columnar series: each typed column converts in one bulk
-        # buffer read — same sorted-name layout and values as stacking
-        # the materialized samples, with no per-sample dict ever built.
-        timestamps = np.frombuffer(samples.timestamps,
-                                   dtype=np.int64).copy()
-        values = {
-            name: np.frombuffer(samples.column(name),
-                                dtype=np.int64).astype(np.float64)
-            for name in sorted(samples.names)
-        }
-        return EventSeries(timestamps, values)
-    names = sorted(samples[0].values)
-    timestamps = np.array([sample.timestamp for sample in samples],
-                          dtype=np.int64)
+    timestamps = np.frombuffer(samples.timestamps, dtype=np.int64).copy()
     values = {
-        name: np.array([sample.values.get(name, 0) for sample in samples],
-                       dtype=np.float64)
-        for name in names
+        name: np.frombuffer(samples.column(name),
+                            dtype=np.int64).astype(np.float64)
+        for name in sorted(samples.names)
     }
     return EventSeries(timestamps, values)
 

@@ -17,8 +17,9 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.errors import ReproError
-from repro.tools.base import Sample, SampleColumns, ToolReport
+from repro.errors import ReproError, ToolError
+from repro.samples import SampleColumns
+from repro.tools.base import ToolReport
 
 _FORMAT_VERSION = 1
 
@@ -81,20 +82,10 @@ def save_report_json(report: ToolReport, path: PathLike,
     identically.
     """
     samples = report.samples
-    if isinstance(samples, SampleColumns):
-        # Columnar fast path: transpose the typed columns directly into
-        # the JSON row dicts instead of materializing Sample objects.
-        names = samples.names
-        sample_docs = [
-            {"timestamp": timestamp, "values": dict(zip(names, row))}
-            for timestamp, row in zip(samples.timestamps,
-                                      zip(*samples.columns))
-        ]
-    else:
-        sample_docs = [
-            {"timestamp": sample.timestamp, "values": dict(sample.values)}
-            for sample in samples
-        ]
+    sample_docs = [
+        {"timestamp": timestamp, "values": dict(zip(samples.names, row))}
+        for timestamp, row in zip(samples.timestamps, zip(*samples.columns))
+    ]
     document = {
         "format_version": _FORMAT_VERSION,
         "tool": report.tool,
@@ -119,7 +110,12 @@ def save_report_json(report: ToolReport, path: PathLike,
 
 
 def load_report_json(path: PathLike) -> ToolReport:
-    """Read a report previously written by :func:`save_report_json`."""
+    """Read a report previously written by :func:`save_report_json`.
+
+    Samples load as one :class:`SampleColumns`; a ragged document
+    (written before every tool fixed its row schema) is squared by
+    :meth:`SampleColumns.from_rows`.
+    """
     try:
         document = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as error:
@@ -131,12 +127,11 @@ def load_report_json(path: PathLike) -> ToolReport:
             f"(expected {_FORMAT_VERSION})"
         )
     try:
-        samples = [
-            Sample(timestamp=int(entry["timestamp"]),
-                   values={name: int(value)
-                           for name, value in entry["values"].items()})
+        samples = SampleColumns.from_rows(
+            (int(entry["timestamp"]),
+             {name: int(value) for name, value in entry["values"].items()})
             for entry in document["samples"]
-        ]
+        )
         return ToolReport(
             tool=document["tool"],
             events=list(document["events"]),
@@ -157,55 +152,38 @@ def load_report_json(path: PathLike) -> ToolReport:
 def save_samples_csv(report: ToolReport, path: PathLike) -> None:
     """Write the sample series as CSV (K-LEB's on-disk log layout).
 
-    Columns: ``timestamp_ns`` followed by one column per event present
-    in the first sample.
+    Columns: ``timestamp_ns`` followed by the series' event columns in
+    sorted order.
     """
-    if not report.samples:
-        raise ReportIOError("report has no samples to write")
     samples = report.samples
+    if not samples:
+        raise ReportIOError("report has no samples to write")
+    columns = sorted(samples.names)
     # One buffered writerows call: the controller can log hundreds of
     # thousands of samples, and per-row writerow round-trips through
     # the csv module dominate the write otherwise.
     with open(path, "w", newline="", buffering=1 << 16) as handle:
         writer = csv.writer(handle)
-        if isinstance(samples, SampleColumns):
-            # Columnar fast path: zip the typed columns straight into
-            # rows — same sorted layout, no Sample/dict per row.
-            columns = sorted(samples.names)
-            writer.writerow(["timestamp_ns"] + columns)
-            writer.writerows(zip(samples.timestamps,
-                                 *(samples.column(name)
-                                   for name in columns)))
-            return
-        columns = sorted(samples[0].values)
         writer.writerow(["timestamp_ns"] + columns)
-        writer.writerows(
-            [sample.timestamp]
-            + [sample.values.get(name, 0) for name in columns]
-            for sample in samples
-        )
+        writer.writerows(zip(samples.timestamps,
+                             *(samples.column(name) for name in columns)))
 
 
-def load_samples_csv(path: PathLike) -> List[Sample]:
-    """Read a CSV sample log back into :class:`Sample` objects."""
+def load_samples_csv(path: PathLike) -> SampleColumns:
+    """Read a CSV sample log back into a :class:`SampleColumns`."""
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if not header or header[0] != "timestamp_ns":
                 raise ReportIOError(f"{path}: not a sample log (bad header)")
-            columns = header[1:]
-            samples = []
+            samples = SampleColumns(header[1:])
             for row in reader:
-                samples.append(Sample(
-                    timestamp=int(row[0]),
-                    values={name: int(value)
-                            for name, value in zip(columns, row[1:])},
-                ))
+                samples.append(int(row[0]), [int(value) for value in row[1:]])
             return samples
     except OSError as error:
         raise ReportIOError(f"cannot read {path}: {error}") from error
-    except ValueError as error:
+    except (ToolError, ValueError) as error:
         raise ReportIOError(f"{path}: malformed sample row: {error}") from error
 
 

@@ -17,10 +17,11 @@ Two storage layouts share the accounting machinery:
 * :class:`ColumnarRing` — the K-LEB sample pool: a struct-of-arrays
   layout with one preallocated ``array('q')`` per event column plus
   one for timestamps, pushed row-wise and drained as a
-  :class:`ColumnBatch` of column slices, so the interrupt hot path
-  never builds a per-sample dict.  Every session has a fixed row
-  schema (a multiplexed one included), so this is the only layout the
-  module allocates; :class:`PerCpuRing` keeps one per core.
+  :class:`~repro.samples.SampleColumns` of column slices, so the
+  interrupt hot path never builds a per-sample dict.  Every session
+  has a fixed row schema (a multiplexed one included), so this is the
+  only layout the module allocates; :class:`PerCpuRing` keeps one per
+  core.
 * :class:`RingBuffer` — the generic deque of Python objects, kept as
   the plain reference model the columnar rings are checked against.
 """
@@ -30,11 +31,11 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import deque
-from typing import (Deque, Generic, Iterator, List, NamedTuple, Optional,
-                    Sequence, TypeVar)
+from typing import Deque, Generic, List, Optional, Sequence, TypeVar
 
 from repro.errors import KernelError
 from repro.obs import hooks as _obs_hooks
+from repro.samples import SampleColumns
 
 T = TypeVar("T")
 
@@ -168,7 +169,7 @@ class RingBuffer(Generic[T]):
         Raises :class:`KernelError` for a negative ``max_items`` — a
         silent empty batch would mask a caller bug as starvation.
         Returns a list for the generic buffer and a
-        :class:`ColumnBatch` for :class:`ColumnarRing`.
+        :class:`~repro.samples.SampleColumns` for :class:`ColumnarRing`.
         """
         if max_items is not None and max_items < 0:
             raise KernelError(
@@ -204,60 +205,13 @@ class RingBuffer(Generic[T]):
         self.paused = False
 
 
-class SampleRow(NamedTuple):
-    """One materialized row of a :class:`ColumnBatch` — duck-compatible
-    with :class:`repro.tools.base.Sample` (timestamp + values dict)."""
-
-    timestamp: int
-    values: dict
-
-
-class ColumnBatch:
-    """One drained batch in struct-of-arrays form.
-
-    ``timestamps`` and each entry of ``columns`` (aligned with
-    ``names``) are independent ``array('q')`` copies of the drained
-    window — one bulk slice copy per column, no per-sample object or
-    dict.  True aliasing views are deliberately *not* handed out: the
-    ring reuses drained slots for subsequent pushes, so a view would
-    observe future samples.
-    """
-
-    __slots__ = ("names", "timestamps", "columns")
-
-    def __init__(self, names: Sequence[str], timestamps: array,
-                 columns: List[array]) -> None:
-        self.names = tuple(names)
-        self.timestamps = timestamps
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def column(self, name: str):
-        """The values of one event column (KeyError for unknown names)."""
-        try:
-            return self.columns[self.names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
-    def __iter__(self) -> Iterator[SampleRow]:
-        """Iterate sample-shaped rows (compat/debugging; the hot paths
-        consume the columns directly)."""
-        names = self.names
-        for row, timestamp in enumerate(self.timestamps):
-            yield SampleRow(timestamp, {name: column[row]
-                                        for name, column
-                                        in zip(names, self.columns)})
-
-
 class ColumnarRing(RingBuffer):
     """Struct-of-arrays ring for fixed-schema counter samples.
 
     ``names`` fixes the event-column schema at allocation time (the
     K-LEB module knows its programmed layout before collection
     starts).  :meth:`push_row` appends one sample into the preallocated
-    typed columns; :meth:`drain` returns a :class:`ColumnBatch`.  All
+    typed columns; :meth:`drain` returns a :class:`SampleColumns`.  All
     back-pressure, squeeze, and conservation semantics are inherited
     unchanged from :class:`RingBuffer`.
     """
@@ -289,7 +243,7 @@ class ColumnarRing(RingBuffer):
             return ((head, head + count),)
         return ((head, capacity), (0, count - first))
 
-    def _take(self, count: int) -> ColumnBatch:
+    def _take(self, count: int) -> SampleColumns:
         segments = self._segments(count)
         if len(segments) == 1:
             start, stop = segments[0]
@@ -302,7 +256,7 @@ class ColumnarRing(RingBuffer):
                        for column in self._columns]
         self._head = (self._head + count) % self.capacity
         self._size -= count
-        return ColumnBatch(self.names, timestamps, columns)
+        return SampleColumns(self.names, timestamps, columns)
 
     def _wipe(self) -> None:
         self._head = 0
@@ -347,7 +301,7 @@ class PerCpuRing:
     pending row has the smallest ``(timestamp, cpu)`` key — per-CPU FIFO
     order is preserved by construction (a ring's rows are only ever
     consumed oldest-first) and ties are broken by cpu index.  The merged
-    :class:`ColumnBatch` carries an extra trailing ``cpu`` column.
+    :class:`SampleColumns` carries an extra trailing ``cpu`` column.
 
     Accounting (pause/drop/pushed/drained/cleared/high-watermark) lives
     in the per-CPU rings, exactly as on real hardware where each CPU's
@@ -452,7 +406,7 @@ class PerCpuRing:
         return self.rings[cpu].push_row(timestamp, values)
 
     # -- merging drain ---------------------------------------------------
-    def drain(self, max_items: Optional[int] = None) -> ColumnBatch:
+    def drain(self, max_items: Optional[int] = None) -> SampleColumns:
         """Merge up to ``max_items`` rows across CPUs in timestamp order.
 
         Two passes: first plan the interleaving by peeking each ring's
@@ -496,4 +450,4 @@ class PerCpuRing:
             for out, col in zip(value_cols, batch.columns):
                 out.append(col[row])
             cpu_col.append(cpu)
-        return ColumnBatch(self.names, merged_ts, merged_cols)
+        return SampleColumns(self.names, merged_ts, merged_cols)

@@ -10,6 +10,7 @@ from repro.tools.base import (
     CounterGate,
     MonitoringTool,
     Sample,
+    SampleColumns,
     Session,
     ToolReport,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "CounterGate",
     "MonitoringTool",
     "Sample",
+    "SampleColumns",
     "Session",
     "ToolReport",
     "DbiTool",

@@ -24,103 +24,16 @@ implementation here.
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ToolError, ToolUnsupportedError
 from repro.hw.pmu import NUM_PROGRAMMABLE
 from repro.kernel.kernel import Kernel
 from repro.kernel.kprobes import ProbePoint
 from repro.kernel.process import Task
+from repro.samples import Sample, SampleColumns  # noqa: F401 (re-exported)
 from repro.workloads.base import Program
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One periodic reading: cumulative counter values at a timestamp."""
-
-    timestamp: int
-    values: Dict[str, int]
-
-
-class SampleColumns(_SequenceABC):
-    """A sample series kept in struct-of-arrays form.
-
-    Duck-types ``Sequence[Sample]`` — indexing materializes a
-    :class:`Sample` on demand — while exposing the typed columns
-    (``timestamps`` plus one ``array('q')`` per event in ``names``)
-    directly, so columnar-aware consumers (CSV/JSON writers, the
-    time-series resampler) never build a per-sample dict.  Built by the
-    K-LEB session from the module's drained
-    :class:`~repro.kernel.ringbuffer.ColumnBatch` objects.
-    """
-
-    __slots__ = ("names", "timestamps", "columns")
-
-    def __init__(self, names: Sequence[str], timestamps: array,
-                 columns: Sequence[array]) -> None:
-        self.names: Tuple[str, ...] = tuple(names)
-        self.timestamps = timestamps
-        self.columns = list(columns)
-
-    @classmethod
-    def from_batches(cls, batches: Iterable) -> "SampleColumns":
-        """Concatenate drained :class:`ColumnBatch` objects (one schema).
-
-        No batches make an empty series with no columns.
-        """
-        batches = list(batches)
-        names = batches[0].names if batches else ()
-        timestamps = array("q")
-        columns = [array("q") for _ in names]
-        for batch in batches:
-            if batch.names != names:
-                raise ToolError(
-                    "cannot concatenate column batches with different "
-                    f"schemas: {names} vs {batch.names}"
-                )
-            timestamps.extend(batch.timestamps)
-            for column, part in zip(columns, batch.columns):
-                column.extend(part)
-        return cls(names, timestamps, columns)
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        timestamp = self.timestamps[index]  # raises IndexError as a list would
-        return Sample(
-            timestamp=timestamp,
-            values={name: column[index]
-                    for name, column in zip(self.names, self.columns)},
-        )
-
-    def column(self, name: str) -> array:
-        """The values of one event column (KeyError for unknown names)."""
-        try:
-            return self.columns[self.names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
-    def __eq__(self, other):
-        # Value equality, so reports survive dataclass comparison (the
-        # parallel-vs-serial determinism gate) and pickling round-trips.
-        if isinstance(other, SampleColumns):
-            return (self.names == other.names
-                    and self.timestamps == other.timestamps
-                    and self.columns == other.columns)
-        if isinstance(other, _SequenceABC) and not isinstance(
-                other, (str, bytes)):
-            return (len(self) == len(other)
-                    and all(mine == theirs
-                            for mine, theirs in zip(self, other)))
-        return NotImplemented
-
-    __hash__ = None
 
 
 @dataclass
@@ -130,10 +43,7 @@ class ToolReport:
     tool: str
     events: List[str]
     period_ns: int
-    # Either a plain list of Sample or a SampleColumns series — both
-    # satisfy Sequence[Sample]; columnar-aware consumers fast-path on
-    # isinstance(samples, SampleColumns).
-    samples: Sequence[Sample]
+    samples: SampleColumns
     totals: Dict[str, float]
     victim_wall_ns: int
     victim_pid: int
@@ -238,6 +148,9 @@ class CounterGate:
             pmu.program_counter(index, event, user=True, kernel=count_kernel)
         pmu.enable_fixed(user=True, kernel=count_kernel)
         pmu.global_disable()
+        # The sample row schema: the fixed counters plus the programmed
+        # events, in ``snapshot()`` order.
+        self.names = pmu.counter_row()[0]
         probes = kernel.kprobes
         self._handles = [
             probes.register(ProbePoint.SCHED_SWITCH_IN, self._switch_in),
@@ -290,6 +203,10 @@ class CounterGate:
     def snapshot(self) -> Dict[str, int]:
         """Current cumulative counts for the traced task set."""
         return dict(self.kernel.pmu.snapshot(self.kernel.now).by_event)
+
+    def row(self) -> List[int]:
+        """Current cumulative counts as one row in :attr:`names` order."""
+        return self.kernel.pmu.counter_row()[1]
 
     def totals(self) -> Dict[str, int]:
         """Final counts (at root exit if it exited, else live)."""

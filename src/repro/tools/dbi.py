@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.errors import ToolError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Task, TaskState
-from repro.tools.base import MonitoringTool, Sample, Session, ToolReport
+from repro.tools.base import MonitoringTool, SampleColumns, Session, ToolReport
 from repro.workloads.base import (
     Block,
     Program,
@@ -46,11 +46,17 @@ DBI_TRANSLATION_INSTRUCTIONS = 3.0e7
 
 @dataclass
 class _DbiRuntime:
-    """Shadow event counts maintained by the instrumentation itself."""
+    """Shadow event counts maintained by the instrumentation itself.
+
+    Samples and totals cover the requested events plus INST_RETIRED.
+    """
 
     events: List[str]
     counts: Dict[str, float] = field(default_factory=dict)
-    samples: List[Sample] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.samples = SampleColumns(
+            dict.fromkeys([*self.events, "INST_RETIRED"]))
 
     def record(self, contributions: Dict[str, float]) -> None:
         for name, amount in contributions.items():
@@ -88,11 +94,10 @@ class DbiInstrumentedProgram(Program):
                 def count(kernel: Kernel, task: Task,
                           contributions=contributions):
                     runtime.record(contributions)
-                    runtime.samples.append(Sample(
-                        timestamp=kernel.now,
-                        values={name: int(value)
-                                for name, value in runtime.counts.items()},
-                    ))
+                    runtime.samples.append(kernel.now, [
+                        int(runtime.counts.get(name, 0.0))
+                        for name in runtime.samples.names
+                    ])
 
                 # The translated block: guest work expanded by the
                 # instrumentation tax, then the shadow-counter update.
@@ -141,13 +146,13 @@ class DbiSession(Session):
         totals = {
             name: float(value)
             for name, value in self.runtime.counts.items()
-            if name in self.runtime.events or name == "INST_RETIRED"
+            if name in self.runtime.samples.names
         }
         return ToolReport(
             tool="dbi",
             events=list(self.runtime.events),
             period_ns=self.period_ns,
-            samples=list(self.runtime.samples),
+            samples=self.runtime.samples,
             totals=totals,
             victim_wall_ns=self.victim.wall_time_ns or 0,
             victim_pid=self.victim.pid,

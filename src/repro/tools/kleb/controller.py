@@ -31,8 +31,8 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.control import AdaptiveController, SensorReading
 from repro.errors import TransientModuleError
-from repro.kernel.ringbuffer import ColumnBatch
 from repro.obs import hooks as _obs_hooks
+from repro.samples import SampleColumns
 from repro.sim.clock import ms
 from repro.tools import costs
 from repro.tools.kleb.module import (KLebAdaptRequest, KLebModule,
@@ -63,10 +63,9 @@ def _backoff_ns(attempt: int) -> int:
 class ControllerState:
     """Shared state between the controller program and the tool session."""
 
-    # Drained ColumnBatch objects, kept whole instead of exploded into
-    # Samples; the session concatenates them into one SampleColumns at
-    # finalize.
-    sample_batches: List[ColumnBatch] = field(default_factory=list)
+    # Drained batches, kept whole; the session concatenates them into
+    # one series at finalize.
+    sample_batches: List[SampleColumns] = field(default_factory=list)
     totals: Optional[Dict[str, int]] = None
     stop_requested: bool = False
     started: bool = False

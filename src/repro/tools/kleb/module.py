@@ -447,7 +447,7 @@ class KLebModule(KernelModule):
     # Device read (controller drains samples)
     # ------------------------------------------------------------------
     def read(self, max_items: Optional[int] = None):
-        """Drain pooled samples as one :class:`ColumnBatch` (an SMP
+        """Drain pooled samples as one :class:`SampleColumns` (an SMP
         session's batch is merged across cores and carries a trailing
         ``cpu`` column)."""
         if self.buffer is None:

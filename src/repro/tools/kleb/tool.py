@@ -106,8 +106,6 @@ class KLebSession(Session):
             tool="k-leb",
             events=self.events,
             period_ns=self.period_ns,
-            # One concatenation of the drained column batches; Sample
-            # objects only ever materialize if a consumer indexes in.
             samples=SampleColumns.from_batches(self.state.sample_batches),
             totals={name: float(value) for name, value in totals.items()},
             victim_wall_ns=self.victim.wall_time_ns or 0,

@@ -26,7 +26,7 @@ from repro.tools import costs
 from repro.tools.base import (
     CounterGate,
     MonitoringTool,
-    Sample,
+    SampleColumns,
     Session,
     ToolReport,
 )
@@ -51,7 +51,7 @@ class _LimitRuntime:
 
     events: List[str]
     gate: Optional[CounterGate] = None
-    samples: List[Sample] = field(default_factory=list)
+    samples: SampleColumns = field(default_factory=SampleColumns)
     totals: Dict[str, float] = field(default_factory=dict)
     cost_factor: float = 1.0
     read_points: int = 0
@@ -110,12 +110,10 @@ class LimitInstrumentedProgram(Program):
 
         def do_rdpmc(kernel: Kernel, task: Task):
             # Pure user-space rdpmc loop — no syscall, no kernel time.
-            snapshot = runtime.require_gate().snapshot()
-            runtime.samples.append(
-                Sample(timestamp=kernel.now, values=snapshot)
-            )
+            row = runtime.require_gate().row()
+            runtime.samples.append(kernel.now, row)
             runtime.read_points += 1
-            return snapshot
+            return row
 
         def do_log(kernel: Kernel, task: Task):
             kernel.charge_kernel_time(int(
@@ -164,7 +162,7 @@ class LimitSession(Session):
             tool="limit",
             events=list(self.runtime.events),
             period_ns=self.period_ns,
-            samples=list(self.runtime.samples),
+            samples=self.runtime.samples,
             totals=dict(self.runtime.totals),
             victim_wall_ns=self.victim.wall_time_ns or 0,
             victim_pid=self.victim.pid,
@@ -207,6 +205,7 @@ class LimitTool(MonitoringTool):
         runtime = program.runtime
         runtime.gate = CounterGate(kernel, task, runtime.events,
                                    count_kernel=False, armed=False)
+        runtime.samples = SampleColumns(runtime.gate.names)
         cost_rng = kernel.rng.stream("tool-cost:limit")
         runtime.cost_factor = float(
             cost_rng.lognormal(0.0, costs.COST_SIGMA["limit"])

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Task, TaskState
-from repro.tools.base import MonitoringTool, Session, ToolReport
+from repro.tools.base import MonitoringTool, SampleColumns, Session, ToolReport
 
 
 class NullSession(Session):
@@ -21,7 +21,7 @@ class NullSession(Session):
             tool="none",
             events=self.events,
             period_ns=self.period_ns,
-            samples=[],
+            samples=SampleColumns(),
             totals={},
             victim_wall_ns=self.victim.wall_time_ns or 0,
             victim_pid=self.victim.pid,

@@ -27,7 +27,7 @@ from repro.tools import costs
 from repro.tools.base import (
     CounterGate,
     MonitoringTool,
-    Sample,
+    SampleColumns,
     Session,
     ToolReport,
 )
@@ -48,7 +48,7 @@ class _PapiRuntime:
 
     events: List[str]
     gate: Optional[CounterGate] = None
-    samples: List[Sample] = field(default_factory=list)
+    samples: SampleColumns = field(default_factory=SampleColumns)
     totals: Dict[str, float] = field(default_factory=dict)
     cost_factor: float = 1.0
     read_points: int = 0
@@ -109,12 +109,10 @@ class PapiInstrumentedProgram(Program):
                 * costs.PAPI_READ_SYSCALL_NS_PER_EVENT
                 * runtime.cost_factor
             ))
-            snapshot = runtime.require_gate().snapshot()
-            runtime.samples.append(
-                Sample(timestamp=kernel.now, values=snapshot)
-            )
+            row = runtime.require_gate().row()
+            runtime.samples.append(kernel.now, row)
             runtime.read_points += 1
-            return snapshot
+            return row
 
         def do_log(kernel: Kernel, task: Task):
             kernel.charge_kernel_time(int(
@@ -163,7 +161,7 @@ class PapiSession(Session):
             tool="papi",
             events=list(self.runtime.events),
             period_ns=self.period_ns,
-            samples=list(self.runtime.samples),
+            samples=self.runtime.samples,
             totals=dict(self.runtime.totals),
             victim_wall_ns=self.victim.wall_time_ns or 0,
             victim_pid=self.victim.pid,
@@ -201,6 +199,7 @@ class PapiTool(MonitoringTool):
         runtime = program.runtime
         runtime.gate = CounterGate(kernel, task, runtime.events,
                                    count_kernel=False, armed=False)
+        runtime.samples = SampleColumns(runtime.gate.names)
         cost_rng = kernel.rng.stream("tool-cost:papi")
         runtime.cost_factor = float(
             cost_rng.lognormal(0.0, costs.COST_SIGMA["papi"])

@@ -32,7 +32,7 @@ from repro.tools import costs
 from repro.tools.base import (
     CounterGate,
     MonitoringTool,
-    Sample,
+    SampleColumns,
     Session,
     ToolReport,
 )
@@ -49,7 +49,7 @@ def _ns_to_instructions(kernel: Kernel, duration_ns: float) -> float:
 # ---------------------------------------------------------------------------
 @dataclass
 class _PerfStatState:
-    samples: List[Sample] = field(default_factory=list)
+    samples: SampleColumns
     totals: Dict[str, float] = field(default_factory=dict)
     intervals: int = 0
     done: bool = False
@@ -107,7 +107,7 @@ class _PerfStatProgram(Program):
                     label="waitpid-sleep",
                 )
 
-        read_holder: Dict[str, Dict[str, int]] = {}
+        read_holder: Dict[str, List[int]] = {}
         while self._interval_mode:
             yield SyscallBlock(
                 "nanosleep",
@@ -128,17 +128,14 @@ class _PerfStatProgram(Program):
                     * self._cost_factor
                 ))
                 if self._multiplexer is not None:
-                    snapshot = self._multiplexer.tick()
+                    row = self._multiplexer.tick()
                 else:
-                    snapshot = self._gate.snapshot()
-                read_holder["snap"] = snapshot
-                return snapshot
+                    row = self._gate.row()
+                read_holder["row"] = row
+                return row
 
             yield SyscallBlock("read", handler=do_reads, label="interval-read")
-            snapshot = read_holder.pop("snap", {})
-            state.samples.append(
-                Sample(timestamp=kernel.now, values=dict(snapshot))
-            )
+            state.samples.append(kernel.now, read_holder.pop("row"))
             state.intervals += 1
             # Formatted interval print (stderr).
             yield RateBlock(
@@ -172,7 +169,9 @@ class _Multiplexer:
 
     Rotates one group per interval tick; reported counts are scaled by
     ``time_total / time_running`` exactly as perf does, which is where
-    the estimation error comes from.
+    the estimation error comes from.  Each tick's sample row has one
+    fixed schema, :attr:`names`: the fixed counters plus the cumulative
+    raw (unscaled) count of every requested event.
     """
 
     def __init__(self, kernel: Kernel, gate: CounterGate, victim: Task,
@@ -191,6 +190,7 @@ class _Multiplexer:
         }
         self._group_start_cpu = float(victim.cpu_time_ns)
         self._fixed_events = ("INST_RETIRED", "CORE_CYCLES", "REF_CYCLES")
+        self.names = self._fixed_events + tuple(self.raw)
         self._program_group(self.active)
 
     def _program_group(self, index: int) -> None:
@@ -208,8 +208,9 @@ class _Multiplexer:
         if was_counting:
             pmu.global_enable()
 
-    def tick(self) -> Dict[str, int]:
-        """Harvest the active group's deltas and rotate."""
+    def tick(self) -> List[int]:
+        """Harvest the active group's deltas, rotate, and return the
+        sample row in :attr:`names` order."""
         snapshot = self.kernel.pmu.snapshot(self.kernel.now).by_event
         for name in self.groups[self.active]:
             self.raw[name] += snapshot.get(name, 0)
@@ -221,11 +222,8 @@ class _Multiplexer:
             self.kernel.pmu.wrmsr(0x0C1 + slot, 0)
         self.active = (self.active + 1) % len(self.groups)
         self._program_group(self.active)
-        visible = {name: snapshot.get(name, 0)
-                   for name in self.groups[self.active - 1]}
-        for name in self._fixed_events:
-            visible[name] = snapshot.get(name, 0)
-        return visible
+        return ([snapshot.get(name, 0) for name in self._fixed_events]
+                + [int(count) for count in self.raw.values()])
 
     def finalize(self) -> Dict[str, float]:
         """Scaled estimates: ``raw × time_total / time_running``."""
@@ -267,7 +265,7 @@ class PerfStatSession(Session):
             tool="perf-stat",
             events=self.events,
             period_ns=self.period_ns,
-            samples=list(self.state.samples),
+            samples=self.state.samples,
             totals=dict(self.state.totals),
             victim_wall_ns=self.victim.wall_time_ns or 0,
             victim_pid=self.victim.pid,
@@ -299,13 +297,14 @@ class PerfStatTool(MonitoringTool):
         gate = CounterGate(kernel, task,
                            list(events)[:NUM_PROGRAMMABLE],
                            count_kernel=False)
-        state = _PerfStatState()
         cost_rng = kernel.rng.stream("tool-cost:perf-stat")
         cost_factor = float(cost_rng.lognormal(0.0,
                                                costs.COST_SIGMA["perf-stat"]))
         multiplexer = (
             _Multiplexer(kernel, gate, task, events) if multiplexed else None
         )
+        state = _PerfStatState(SampleColumns(
+            gate.names if multiplexer is None else multiplexer.names))
         controller = kernel.spawn(_PerfStatProgram(
             kernel=kernel, gate=gate, victim=task, events=events,
             period_ns=period_ns, state=state, cost_factor=cost_factor,
@@ -347,10 +346,10 @@ class PerfRecordSession(Session):
         self.cost_factor = cost_factor
         self.mode = mode
         self.event_period = event_period
-        self.samples: List[Sample] = []
         self.pmi_count = 0
         self.gate = CounterGate(kernel, victim, self.events,
                                 count_kernel=False)
+        self.samples = SampleColumns(self.gate.names)
         self.timer = HrTimer(kernel, self._sample_fire, label="perf-record")
         if mode == "event":
             # Re-program the sampled event's counter with overflow
@@ -389,10 +388,7 @@ class PerfRecordSession(Session):
         self.kernel.charge_kernel_time(int(
             costs.PERF_RECORD_SAMPLE_NS * self.cost_factor
         ))
-        snapshot = self.kernel.pmu.snapshot(self.kernel.now)
-        self.samples.append(
-            Sample(timestamp=self.kernel.now, values=dict(snapshot.by_event))
-        )
+        self.samples.append(self.kernel.now, self.gate.row())
 
     def _sample_fire(self, when: int) -> None:
         self._record_sample()
@@ -442,7 +438,7 @@ class PerfRecordSession(Session):
             tool="perf-record",
             events=self.events,
             period_ns=self.period_ns,
-            samples=list(self.samples),
+            samples=self.samples,
             totals=totals,
             victim_wall_ns=self.victim.wall_time_ns or 0,
             victim_pid=self.victim.pid,

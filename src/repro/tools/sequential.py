@@ -109,7 +109,7 @@ def merged_report(profile: SequentialProfile,
         tool=f"{profile.tool}+sequential",
         events=list(profile.events),
         period_ns=period_ns,
-        samples=list(first.samples),
+        samples=first.samples,
         totals=dict(profile.totals),
         victim_wall_ns=first.victim_wall_ns,
         victim_pid=first.victim_pid,

@@ -23,7 +23,7 @@ from repro.analysis.overhead import (
 from repro.analysis.stats import box_stats, normalize
 from repro.analysis.timeseries import EventSeries
 from repro.errors import ExperimentError
-from repro.tools.base import ToolReport
+from repro.tools.base import SampleColumns, ToolReport
 
 
 class TestClassify:
@@ -106,7 +106,7 @@ class TestBoxStats:
 
 def make_report(tool, totals):
     return ToolReport(tool=tool, events=list(totals), period_ns=0,
-                      samples=[], totals=totals, victim_wall_ns=0,
+                      samples=SampleColumns(), totals=totals, victim_wall_ns=0,
                       victim_pid=0)
 
 

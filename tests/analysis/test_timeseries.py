@@ -12,19 +12,19 @@ from repro.analysis.timeseries import (
     samples_to_series,
 )
 from repro.errors import ExperimentError
-from repro.tools.base import Sample
+from repro.tools.base import SampleColumns
 
 
 def make_samples(values, start=1000, step=100):
-    return [
-        Sample(timestamp=start + index * step, values={"LOADS": value})
-        for index, value in enumerate(values)
-    ]
+    samples = SampleColumns(["LOADS"])
+    for index, value in enumerate(values):
+        samples.append(start + index * step, [value])
+    return samples
 
 
 class TestSamplesToSeries:
     def test_empty(self):
-        series = samples_to_series([])
+        series = samples_to_series(SampleColumns())
         assert len(series) == 0
 
     def test_stacking(self):
@@ -36,14 +36,6 @@ class TestSamplesToSeries:
         series = samples_to_series(make_samples([1]))
         with pytest.raises(ExperimentError):
             series.event("STORES")
-
-    def test_missing_values_fill_zero(self):
-        samples = [
-            Sample(0, {"LOADS": 5, "STORES": 1}),
-            Sample(1, {"LOADS": 9}),
-        ]
-        series = samples_to_series(samples)
-        np.testing.assert_array_equal(series.event("STORES"), [1, 0])
 
 
 class TestDeltas:
@@ -59,7 +51,7 @@ class TestDeltas:
 
     def test_wraparound_corrected(self):
         wrap = 1 << 48
-        samples = [Sample(0, {"LOADS": wrap - 10}), Sample(1, {"LOADS": 5})]
+        samples = make_samples([wrap - 10, 5], start=0, step=1)
         diff = deltas(samples_to_series(samples))
         assert diff.event("LOADS")[0] == pytest.approx(15)
 
@@ -79,7 +71,7 @@ class TestResample:
             resample_counts(series, 0)
 
     def test_empty_series_passthrough(self):
-        series = samples_to_series([])
+        series = samples_to_series(SampleColumns())
         assert len(resample_counts(series, 100)) == 0
 
 

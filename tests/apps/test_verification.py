@@ -10,7 +10,7 @@ from repro.apps.verification import (
 from repro.errors import ExperimentError
 from repro.experiments.runner import run_monitored
 from repro.sim.clock import ms
-from repro.tools.base import ToolReport
+from repro.tools.base import SampleColumns, ToolReport
 from repro.tools.registry import create_tool
 from repro.workloads.dgemm import MklDgemm
 from repro.workloads.matmul import TripleLoopMatmul
@@ -20,7 +20,7 @@ EVENTS = ("LOADS", "STORES", "BRANCHES", "ARITH_MUL")
 
 def make_report(totals):
     return ToolReport(tool="t", events=[e for e in totals if e != "INST_RETIRED"],
-                      period_ns=0, samples=[], totals=totals,
+                      period_ns=0, samples=SampleColumns(), totals=totals,
                       victim_wall_ns=0, victim_pid=0)
 
 

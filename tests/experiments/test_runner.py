@@ -103,12 +103,12 @@ class TestWallNsGuard:
         from repro.errors import KernelError
         from repro.experiments.runner import RunResult
         from repro.kernel.process import Task
-        from repro.tools.base import ToolReport
+        from repro.tools.base import SampleColumns, ToolReport
 
         victim = Task(pid=1, name="stuck", program=UniformComputeWorkload(1e6))
         assert victim.wall_time_ns is None
         report = ToolReport(tool="none", events=[], period_ns=ms(10),
-                            samples=[], totals={}, victim_wall_ns=0,
+                            samples=SampleColumns(), totals={}, victim_wall_ns=0,
                             victim_pid=1)
         result = RunResult(report=report, victim=victim, kernel=None)
         with pytest.raises(KernelError):

@@ -1,7 +1,15 @@
 """Report serialization: JSON round-trip and CSV sample logs."""
 
-import pytest
+import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+from repro.analysis.timeseries import deltas, samples_to_series
+from repro.errors import ToolError
 from repro.experiments.runner import run_monitored
 from repro.io import (
     ReportIOError,
@@ -11,8 +19,9 @@ from repro.io import (
     save_samples_csv,
 )
 from repro.sim.clock import ms
-from repro.tools.base import Sample, ToolReport
-from repro.tools.registry import create_tool
+from repro.tools.base import SampleColumns, ToolReport
+from repro.tools.registry import available_tools, create_tool
+from repro.workloads.matmul import TripleLoopMatmul
 from repro.workloads.synthetic import UniformComputeWorkload
 
 
@@ -80,6 +89,30 @@ class TestJsonRoundTrip:
         with pytest.raises(ReportIOError):
             load_report_json(path)
 
+    def test_ragged_document_loads_squared(self, tmp_path):
+        """A v1 document whose rows carry different events (perf-stat
+        multiplexed and DBI reports wrote these before every tool fixed
+        its row schema) loads as one fixed schema: the union of the row
+        keys in first-seen order, a missing value reading 0."""
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "tool": "perf-stat", "events": ["LOADS"],
+            "period_ns": 10, "victim_wall_ns": 2, "victim_pid": 1,
+            "totals": {}, "metadata": {},
+            "samples": [
+                {"timestamp": 0, "values": {"LOADS": 5, "STORES": 1}},
+                {"timestamp": 1, "values": {"LOADS": 9}},
+                {"timestamp": 2, "values": {"BRANCHES": 4}},
+            ],
+        }))
+        samples = load_report_json(path).samples
+        assert isinstance(samples, SampleColumns)
+        assert samples.names == ("LOADS", "STORES", "BRANCHES")
+        assert list(samples.column("STORES")) == [1, 0, 0]
+        assert list(samples.column("BRANCHES")) == [0, 0, 4]
+        series = samples_to_series(samples)
+        np.testing.assert_array_equal(series.event("LOADS"), [5, 9, 0])
+
 
 class TestCsvSamples:
     def test_round_trip(self, report, tmp_path):
@@ -101,7 +134,7 @@ class TestCsvSamples:
         assert "LOADS" in header
 
     def test_empty_report_rejected(self, tmp_path):
-        empty = ToolReport(tool="none", events=[], period_ns=0, samples=[],
+        empty = ToolReport(tool="none", events=[], period_ns=0, samples=SampleColumns(),
                            totals={}, victim_wall_ns=0, victim_pid=0)
         with pytest.raises(ReportIOError):
             save_samples_csv(empty, tmp_path / "x.csv")
@@ -117,6 +150,53 @@ class TestCsvSamples:
         path.write_text("timestamp_ns,LOADS\nabc,def\n")
         with pytest.raises(ReportIOError):
             load_samples_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("timestamp_ns,LOADS,STORES\n1,2\n")
+        with pytest.raises(ReportIOError):
+            load_samples_csv(path)
+
+
+_FOUR_EVENTS = ("LOADS", "STORES", "BRANCHES", "ARITH_MUL")
+_EIGHT_EVENTS = _FOUR_EVENTS + ("BRANCH_MISSES", "LLC_REFERENCES",
+                                "LLC_MISSES", "FP_OPS")
+
+
+class TestEveryToolRoundTrips:
+    """Every tool reports one fixed-schema series that survives both
+    on-disk formats and differences without a spurious wrap."""
+
+    @given(tool=st.sampled_from(available_tools()),
+           events=st.sampled_from((_FOUR_EVENTS, _EIGHT_EVENTS)),
+           seed=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_round_trip(self, tool, events, seed):
+        try:
+            report = run_monitored(TripleLoopMatmul(320), create_tool(tool),
+                                   events=events, period_ns=ms(10),
+                                   seed=seed).report
+        except ToolError:
+            reject()  # more events than this tool can program
+        samples = report.samples
+        assert isinstance(samples, SampleColumns)
+        assert len(samples) >= (0 if tool == "none" else 2)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "report.json"
+            save_report_json(report, path)
+            assert load_report_json(path).samples == samples
+            if samples:
+                path = Path(scratch) / "samples.csv"
+                save_samples_csv(report, path)
+                loaded = load_samples_csv(path)
+                assert loaded.names == tuple(sorted(samples.names))
+                assert loaded.timestamps == samples.timestamps
+                for name in samples.names:
+                    assert loaded.column(name) == samples.column(name)
+        series = samples_to_series(samples)
+        assert sorted(series.values) == sorted(samples.names)
+        for name, values in deltas(series).values.items():
+            assert ((values >= 0) & (values < 2 ** 47)).all(), name
 
 
 class TestGzipArtifacts:

@@ -39,6 +39,16 @@ class TestCorrectness:
     def test_registered(self):
         assert isinstance(create_tool("dbi"), DbiTool)
 
+    def test_rows_hold_requested_events_plus_instructions(self):
+        """Samples carry the same events as the totals, not every event
+        the instrumentation happens to count."""
+        report = run_monitored(TripleLoopMatmul(320), DbiTool(),
+                               events=("LOADS", "STORES"),
+                               period_ns=ms(10), seed=0).report
+        assert len(report.samples) >= 2
+        for sample in report.samples:
+            assert set(sample.values) == {"LOADS", "STORES", "INST_RETIRED"}
+
 
 class TestOverhead:
     def test_overhead_is_severe(self, dbi_run):

@@ -7,7 +7,6 @@ from repro.experiments.runner import run_monitored, run_trials
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw import events as ev
 from repro.hw import schedule
-from repro.kernel.ringbuffer import ColumnBatch
 from repro.sim.clock import ms, seconds, us
 from repro.tools.base import SampleColumns
 from repro.tools.kleb import KLebTool
@@ -142,7 +141,7 @@ class TestRowFormat:
         kernel.run_until_exit(victim, deadline=seconds(1))
         assert module.stats.rotations >= 2
         batch = module.read()
-        assert isinstance(batch, ColumnBatch)
+        assert isinstance(batch, SampleColumns)
         assert batch.names == (ev.FIXED_EVENTS
                                + module.mux.plan.rotated_names)
         assert len(batch) == module.stats.samples_recorded

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.analysis.timeseries import deltas, samples_to_series
 from repro.errors import ToolError
 from repro.experiments.runner import run_monitored
 from repro.sim.clock import ms, us
 from repro.tools.perf import PerfRecordTool, PerfStatTool
+from repro.workloads.matmul import TripleLoopMatmul
 from repro.workloads.synthetic import UniformComputeWorkload
 
 EVENTS = ("LOADS", "STORES", "BRANCHES")
@@ -89,6 +91,38 @@ class TestPerfStatMultiplexing:
             return abs(report.totals["LOADS"] - true_loads) / true_loads
 
         assert error(multiplexed.report) > error(counted.report)
+
+    def test_rows_keep_one_schema(self):
+        """Every interval row holds the fixed counters plus the
+        cumulative raw count of every requested event, whichever group
+        is on the counters: no column goes missing from the series and
+        no delta reads as a 48-bit wrap."""
+        events = ("LOADS", "STORES", "BRANCHES", "BRANCH_MISSES",
+                  "LLC_REFERENCES", "LLC_MISSES", "ARITH_MUL", "FP_OPS")
+        report = run_monitored(
+            TripleLoopMatmul(512), PerfStatTool(), events=events,
+            period_ns=ms(10), seed=1,
+        ).report
+        samples = report.samples
+        assert samples.names == (
+            ("INST_RETIRED", "CORE_CYCLES", "REF_CYCLES") + events)
+        assert len(samples) >= 2
+        for name, values in deltas(samples_to_series(samples)).values.items():
+            assert ((values >= 0) & (values < 2 ** 47)).all(), name
+        # The row schema does not touch the scaled estimates.
+        assert report.totals == {
+            "INST_RETIRED": 672573544.0,
+            "CORE_CYCLES": 672573544.0,
+            "REF_CYCLES": 672573544.0,
+            "LOADS": 268435452.87397733,
+            "STORES": 134217724.52408732,
+            "BRANCHES": 134217724.52408732,
+            "BRANCH_MISSES": 402638.9530636434,
+            "LLC_REFERENCES": 1342174.1749625257,
+            "LLC_MISSES": 268430.22509355424,
+            "ARITH_MUL": 134217723.42591022,
+            "FP_OPS": 268435451.04263768,
+        }
 
 
 class TestPerfRecord:

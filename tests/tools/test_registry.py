@@ -37,7 +37,7 @@ class TestNullTool:
         result = run_monitored(UniformComputeWorkload(1e6), NullTool(),
                                seed=0)
         assert result.report.tool == "none"
-        assert result.report.samples == []
+        assert len(result.report.samples) == 0
         assert result.report.totals == {}
         assert result.wall_ns > 0
 
