@@ -287,12 +287,31 @@ def compute_smp_digests(jobs: int = 1) -> Dict[str, str]:
     }
 
 
-def compute_obs_digests() -> Dict[str, str]:
-    """Trace/metrics exports of a pinned-seed obs-enabled population.
+_OBS_FAULT_SPEC = "seed=5,ioctl=0.75,read=0.75,squeeze=0.5,starve=0.6"
+
+
+def _recorded_metrics(run) -> str:
+    """Prometheus export of ``run()`` under a fresh recorder."""
+    recorder = obs_hooks.Recorder(trace=False)
+    obs_hooks.install(recorder)
+    try:
+        run()
+    finally:
+        obs_hooks.reset()
+    return recorder.registry.to_prometheus()
+
+
+def compute_obs_digests(jobs: int = 1) -> Dict[str, str]:
+    """Trace/metrics exports of pinned-seed obs-enabled populations.
 
     The exports are a pure function of the simulated run (no wall
     clock), so their digests pin both the recorded event stream and
-    the canonical serialization across Python versions.
+    the canonical serialization across Python versions.  Beyond the
+    clean population, three metrics exports cover every K-LEB count
+    family: a starved, squeezed, retry-heavy population whose aborted
+    attempts (quarantined trials included) must still count; a
+    multiplexed adaptive population under control-site faults; and a
+    migrating 4-core SMP population.
     """
     recorder = obs_hooks.Recorder()
     obs_hooks.install(recorder)
@@ -300,13 +319,37 @@ def compute_obs_digests() -> Dict[str, str]:
         run_trials(
             TripleLoopMatmul(128), create_tool("k-leb"), runs=2,
             events=_TABLE2_EVENTS, period_ns=ms(10), base_seed=11,
-            jobs=1,
+            jobs=jobs,
         )
     finally:
         obs_hooks.reset()
+    from repro.experiments.smp import run_smp_trials
+
+    adaptive_tool = KLebTool(multiplex_period_ns=ms(2),
+                             control=ControlConfig(
+                                 overhead_budget_percent=0.5,
+                                 min_period_ns=us(100),
+                                 max_period_ns=ms(10)))
     return {
         "obs/trace": _sha256_text(recorder.tracer.to_chrome_json()),
         "obs/metrics": _sha256_text(recorder.registry.to_prometheus()),
+        "obs/metrics-faulted": _sha256_text(_recorded_metrics(
+            lambda: run_trials(
+                TripleLoopMatmul(384),
+                KLebTool(buffer_capacity=16, controller_nice=10), runs=6,
+                events=_TABLE2_EVENTS, period_ns=ms(5), jobs=jobs,
+                faults=FaultPlan.parse(_OBS_FAULT_SPEC)))),
+        "obs/metrics-adaptive": _sha256_text(_recorded_metrics(
+            lambda: run_trials(
+                PhaseShiftWorkload.alternating(
+                    [8 * phase for phase in _ADAPT_PHASES]),
+                adaptive_tool, runs=3, events=_MUX_EVENTS,
+                period_ns=us(500), base_seed=17, jobs=jobs,
+                faults=FaultPlan.parse(_ADAPT_FAULT_SPEC)))),
+        "obs/metrics-smp": _sha256_text(_recorded_metrics(
+            lambda: run_smp_trials(
+                2, jobs=jobs, base_seed=23, cores=4, migrate=True,
+                service_accesses=80_000, streamer_accesses=50_000))),
     }
 
 
@@ -495,6 +538,39 @@ def test_obs_enabled_report_digest_equals_obs_off(golden):
 
 def test_obs_digests_match_golden(golden):
     computed = compute_obs_digests()
+    assert_matches_golden(computed, golden, "obs/")
+
+
+def test_faulted_obs_export_counts_every_family():
+    """The faulted population behind ``obs/metrics-faulted`` exercises
+    every ring family, drain shrinks, all three retry ops and a
+    quarantine, so its pin covers each of those counts."""
+    from repro.obs.metrics import parse_prometheus_text
+
+    parsed = parse_prometheus_text(_recorded_metrics(
+        lambda: run_trials(
+            TripleLoopMatmul(384),
+            KLebTool(buffer_capacity=16, controller_nice=10), runs=6,
+            events=_TABLE2_EVENTS, period_ns=ms(5),
+            faults=FaultPlan.parse(_OBS_FAULT_SPEC))))
+
+    def value(name, labels=""):
+        return parsed[name]["samples"][labels]
+
+    for family in ("pushes_total", "dropped_total", "pause_episodes_total",
+                   "resume_total", "squeeze_episodes_total",
+                   "depth_high_water"):
+        assert value(f"ringbuffer_{family}") > 0, family
+    assert value("kleb_drain_shrinks_total") > 0
+    for op in ("ioctl", "read", "recovery-read"):
+        assert value("kleb_retries_total", '{op="%s"}' % op) > 0, op
+    assert value("trials_quarantined_total") >= 1
+
+
+def test_obs_digests_identical_across_worker_counts(golden):
+    """jobs=4 must hash to the jobs=1 golden values bit for bit: every
+    trial's counts travel home in its chunk and merge in trial order."""
+    computed = compute_obs_digests(jobs=4)
     assert_matches_golden(computed, golden, "obs/")
 
 
