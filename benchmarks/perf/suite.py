@@ -550,7 +550,7 @@ def bench_live_overhead(quick: bool, repeats: int = 3) -> Dict[str, float]:
 
     scenario()  # warm allocators and import-time caches off the clock
     flight = FlightRecorder()
-    recorder = obs_hooks.Recorder(trace=False, metrics=True, flight=flight)
+    recorder = obs_hooks.Recorder(trace=False, flight=flight)
     state = LiveState(base_metrics=recorder.registry.to_json(),
                       run_label="bench")
     watchdog = Watchdog(flight=flight)

@@ -551,8 +551,7 @@ def _run_observed(args: argparse.Namespace) -> None:
             flight = FlightRecorder()
         # Pure --live/--flight runs keep the tracer non-retaining: the
         # flight ring sees every event at O(ring) memory, nothing more.
-        recorder = obs_hooks.Recorder(trace=wants_artifacts, metrics=True,
-                                      flight=flight)
+        recorder = obs_hooks.Recorder(trace=wants_artifacts, flight=flight)
         if live_armed:
             bus, server = _arm_live_plane(recorder, args, flight,
                                           flight_dump_path)

@@ -11,6 +11,9 @@ effective capacity, used by fault injection to model memory pressure on
 the kernel sample pool — and keeps conservation counters
 (``total_pushed``/``total_drained``/``total_cleared``/``dropped``) so
 no sample can be lost untracked.
+These counters, the episode counts and the lifetime ``peak`` are the
+pool's only accounting: a ring registers with the active recorder, and
+metrics, report metadata and live snapshots all read them.
 
 Two storage layouts share the accounting machinery:
 
@@ -61,9 +64,15 @@ class RingBuffer(Generic[T]):
         self.total_drained = 0
         self.total_cleared = 0
         self.pause_episodes = 0
+        self.resumes = 0
+        self.squeeze_episodes = 0
         self.high_watermark = 0
-        self._obs = _obs_hooks.active()
+        # Lifetime peak occupancy: take_high_watermark never resets it.
+        self.peak = 0
         self._init_storage()
+        recorder = _obs_hooks.active()
+        if recorder is not None:
+            recorder.rings.append(self)
 
     # -- storage hooks (overridden by ColumnarRing) --------------------
     def _init_storage(self) -> None:
@@ -113,10 +122,9 @@ class RingBuffer(Generic[T]):
             raise KernelError(
                 f"squeeze capacity must be positive, got {capacity}"
             )
-        fresh = self._squeezed_capacity is None
+        if self._squeezed_capacity is None:
+            self.squeeze_episodes += 1
         self._squeezed_capacity = min(int(capacity), self.capacity)
-        if fresh and self._obs is not None:
-            self._obs.buffer_squeezed(self._squeezed_capacity)
 
     def unsqueeze(self) -> None:
         """Restore nominal capacity.  Idempotent."""
@@ -128,11 +136,7 @@ class RingBuffer(Generic[T]):
             if not self.paused:
                 self.paused = True
                 self.pause_episodes += 1
-                if self._obs is not None:
-                    self._obs.buffer_paused()
             self.dropped += 1
-            if self._obs is not None:
-                self._obs.buffer_dropped()
             return False
         return True
 
@@ -142,13 +146,11 @@ class RingBuffer(Generic[T]):
         size = self._occupancy()
         if size > self.high_watermark:
             self.high_watermark = size
-        if self._obs is not None:
-            self._obs.buffer_pushed(size)
+            if size > self.peak:  # high_watermark <= peak always
+                self.peak = size
         if self.full:
             self.paused = True
             self.pause_episodes += 1
-            if self._obs is not None:
-                self._obs.buffer_paused()
 
     def push(self, item: T) -> bool:
         """Append a sample; returns False (and pauses) when full.
@@ -181,8 +183,7 @@ class RingBuffer(Generic[T]):
         self.total_drained += count
         if self.paused and self._occupancy() <= self.resume_threshold:
             self.paused = False
-            if self._obs is not None:
-                self._obs.buffer_resumed()
+            self.resumes += 1
         return drained
 
     def take_high_watermark(self) -> int:
@@ -200,9 +201,9 @@ class RingBuffer(Generic[T]):
         """Drop everything and resume collection."""
         self.total_cleared += self._occupancy()
         self._wipe()
-        if self.paused and self._obs is not None:
-            self._obs.buffer_resumed()
-        self.paused = False
+        if self.paused:
+            self.paused = False
+            self.resumes += 1
 
 
 class ColumnarRing(RingBuffer):
@@ -307,7 +308,8 @@ class PerCpuRing:
     in the per-CPU rings, exactly as on real hardware where each CPU's
     buffer back-pressures independently; the aggregate properties below
     expose sums (and ``paused`` as *any ring paused*) so the K-LEB
-    controller's pressure signals work unchanged.
+    controller's pressure signals work unchanged.  Each per-CPU ring
+    registers with the recorder on its own.
     """
 
     def __init__(self, capacity_per_cpu: int, names: Sequence[str],
@@ -366,10 +368,6 @@ class PerCpuRing:
     @property
     def pause_episodes(self) -> int:
         return sum(ring.pause_episodes for ring in self.rings)
-
-    @property
-    def high_watermark(self) -> int:
-        return sum(ring.high_watermark for ring in self.rings)
 
     def take_high_watermark(self) -> int:
         """Sum of per-ring peaks since the last call (each ring resets

@@ -1,9 +1,9 @@
 """Profiling hook points and the recorder protocol.
 
-The instrumented hot paths (event queue, HRTimer, ring buffer, K-LEB
-controller, fault ledger, trial runner) do not know about tracers or
-registries; they talk to a **recorder** through the narrow hook-point
-methods defined on :class:`Recorder`.
+The instrumented hot paths (event queue, HRTimer, K-LEB controller,
+fault ledger, trial runner) do not know about tracers or registries;
+they talk to a **recorder** through the narrow hook-point methods
+defined on :class:`Recorder`.
 
 The contract that keeps observability honest:
 
@@ -20,6 +20,10 @@ The contract that keeps observability honest:
   values (a lateness, a batch size, a depth); it draws no randomness
   and mutates no simulation state, so *enabled* runs produce the same
   reports too.
+* **One count per fact.**  Sample rings and K-LEB controller states
+  register with the recorder (``rings``/``controllers``), and every
+  read of :attr:`Recorder.registry` projects their counts, so no hook
+  counts what they already hold.
 * **Worker merging is trial-ordered.**  :func:`trial_capture` swaps in
   a fresh child recorder for one trial; its :meth:`Recorder.chunk` is
   plain data that travels beside the trial's value, and
@@ -33,14 +37,28 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
+from repro.control.ledger import ACTIONS
 from repro.obs.metrics import (
     LATENCY_BUCKETS_NS,
     SIZE_BUCKETS,
     MetricsRegistry,
 )
 from repro.obs.trace import SpanHandle, Tracer
+
+#: The ring counter families, each with the ring attribute it reads.
+_RING_COUNTERS = (
+    ("ringbuffer_pushes_total", "total_pushed",
+     "samples pooled in the buffer"),
+    ("ringbuffer_dropped_total", "dropped",
+     "samples refused while full/paused"),
+    ("ringbuffer_pause_episodes_total", "pause_episodes",
+     "back-pressure safety stops engaged"),
+    ("ringbuffer_resume_total", "resumes", "safety stops released"),
+    ("ringbuffer_squeeze_episodes_total", "squeeze_episodes",
+     "injected capacity-squeeze episodes begun"),
+)
 
 
 class NullRecorder:
@@ -63,19 +81,11 @@ class NullRecorder:
     def timer_missed(self, label: str, when: int) -> None: pass
     def timer_overrun(self, label: str, when: int, skipped: int) -> None: pass
 
-    # -- ring buffer ----------------------------------------------------
-    def buffer_pushed(self, depth: int) -> None: pass
-    def buffer_dropped(self) -> None: pass
-    def buffer_paused(self) -> None: pass
-    def buffer_resumed(self) -> None: pass
-    def buffer_squeezed(self, capacity: int) -> None: pass
-
     # -- controller -----------------------------------------------------
     def drain_cycle(self, start_ns: int, end_ns: int, batch: int,
                     paused: bool, interval_ns: int) -> None: pass
     def drain_shrunk(self, now: int, interval_ns: int) -> None: pass
     def drain_restored(self, now: int, interval_ns: int) -> None: pass
-    def controller_retry(self, now: int, op: str) -> None: pass
 
     # -- adaptive control ----------------------------------------------
     def timer_reprogrammed(self, label: str, when: int,
@@ -114,7 +124,7 @@ class Recorder(NullRecorder):
 
     enabled = True
 
-    def __init__(self, trace: bool = True, metrics: bool = True,
+    def __init__(self, trace: bool = True,
                  wallclock: bool = False, flight=None,
                  publisher=None) -> None:
         # ``flight`` (a FlightRecorder ring) tees off the tracer's
@@ -136,10 +146,13 @@ class Recorder(NullRecorder):
         self.publisher = publisher
         if publisher is not None:
             publisher.bind(self)
-        self.registry = MetricsRegistry()
+        self._registry = MetricsRegistry()  # hooks and merged chunks
+        # Stats records the ``registry`` view projects (aborted
+        # attempts included: a trial's child recorder keeps them).
+        self.rings: List[object] = []
+        self.controllers: List[object] = []
         self.wallclock = wallclock
-        self.metrics_enabled = metrics
-        reg = self.registry
+        reg = self._registry
         # engine
         self._events_fired = reg.counter(
             "sim_events_fired_total",
@@ -169,23 +182,11 @@ class Recorder(NullRecorder):
             "hrtimer_fire_lateness_ns",
             "fire time minus ideal expiry (jitter + injected latency)",
             buckets=LATENCY_BUCKETS_NS).default
-        # ring buffer
-        self._buffer_pushes = reg.counter(
-            "ringbuffer_pushes_total", "samples pooled in the buffer").default
-        self._buffer_drops = reg.counter(
-            "ringbuffer_dropped_total",
-            "samples refused while full/paused").default
-        self._buffer_pauses = reg.counter(
-            "ringbuffer_pause_episodes_total",
-            "back-pressure safety stops engaged").default
-        self._buffer_resumes = reg.counter(
-            "ringbuffer_resume_total", "safety stops released").default
-        self._buffer_squeezes = reg.counter(
-            "ringbuffer_squeeze_episodes_total",
-            "injected capacity-squeeze episodes begun").default
-        self._buffer_high_water = reg.gauge(
-            "ringbuffer_depth_high_water",
-            "max pooled samples (high-water)").default
+        # ring buffer (projected from ``rings``)
+        for name, _, help_text in _RING_COUNTERS:
+            reg.counter(name, help_text).default
+        reg.gauge("ringbuffer_depth_high_water",
+                  "max pooled samples (high-water)").default
         # controller
         self._drain_cycles = reg.counter(
             "kleb_drain_cycles_total", "controller drain cycles").default
@@ -195,15 +196,14 @@ class Recorder(NullRecorder):
         self._drain_latency = reg.histogram(
             "kleb_drain_cycle_ns", "simulated time per drain cycle",
             buckets=LATENCY_BUCKETS_NS).default
-        self._drain_shrinks = reg.counter(
-            "kleb_drain_shrinks_total",
-            "adaptive drain-interval halvings").default
-        self._drain_restores = reg.counter(
-            "kleb_drain_restores_total",
-            "drain-interval restorations after healthy cycles").default
-        self._retries = reg.counter(
-            "kleb_retries_total", "transient syscall retries",
-            label_names=("op",))
+        # (these three are projected from ``controllers``)
+        reg.counter("kleb_drain_shrinks_total",
+                    "adaptive drain-interval halvings").default
+        reg.counter("kleb_drain_restores_total",
+                    "drain-interval restorations after healthy "
+                    "cycles").default
+        reg.counter("kleb_retries_total", "transient syscall retries",
+                    label_names=("op",))
         # faults
         self._faults_landed = reg.counter(
             "faults_landed_total", "injected faults by site",
@@ -279,27 +279,6 @@ class Recorder(NullRecorder):
                                 category="hrtimer")
 
     # ------------------------------------------------------------------
-    # ring buffer
-    # ------------------------------------------------------------------
-    def buffer_pushed(self, depth: int) -> None:
-        self._buffer_pushes.value += 1.0
-        gauge = self._buffer_high_water
-        if depth > gauge.value:
-            gauge.value = float(depth)
-
-    def buffer_dropped(self) -> None:
-        self._buffer_drops.inc()
-
-    def buffer_paused(self) -> None:
-        self._buffer_pauses.inc()
-
-    def buffer_resumed(self) -> None:
-        self._buffer_resumes.inc()
-
-    def buffer_squeezed(self, capacity: int) -> None:
-        self._buffer_squeezes.inc()
-
-    # ------------------------------------------------------------------
     # controller
     # ------------------------------------------------------------------
     def drain_cycle(self, start_ns: int, end_ns: int, batch: int,
@@ -320,21 +299,16 @@ class Recorder(NullRecorder):
             publisher.heartbeat(end_ns)
 
     def drain_shrunk(self, now: int, interval_ns: int) -> None:
-        self._drain_shrinks.inc()
         if self.tracer is not None:
             self.tracer.instant("drain-shrink", "controller", now,
                                 {"interval_ns": interval_ns},
                                 category="controller")
 
     def drain_restored(self, now: int, interval_ns: int) -> None:
-        self._drain_restores.inc()
         if self.tracer is not None:
             self.tracer.instant("drain-restore", "controller", now,
                                 {"interval_ns": interval_ns},
                                 category="controller")
-
-    def controller_retry(self, now: int, op: str) -> None:
-        self._retries.labels(op).inc()
 
     # ------------------------------------------------------------------
     # adaptive control
@@ -350,15 +324,13 @@ class Recorder(NullRecorder):
         """
         control = self._control
         if control is None:
-            reg = self.registry
+            reg = self._registry
+            reg.counter("control_observations_total",
+                        "closed-loop sensor observations folded in").default
+            reg.counter("control_steps_total",
+                        "closed-loop transitions by action",
+                        label_names=("action",))
             control = {
-                "observations": reg.counter(
-                    "control_observations_total",
-                    "closed-loop sensor observations folded in").default,
-                "steps": reg.counter(
-                    "control_steps_total",
-                    "closed-loop transitions by action",
-                    label_names=("action",)),
                 "level": reg.gauge(
                     "control_ladder_level_high_water",
                     "deepest degradation-ladder level reached").default,
@@ -370,10 +342,10 @@ class Recorder(NullRecorder):
                 "reprograms": reg.counter(
                     "hrtimer_reprogram_total",
                     "in-place HRTimer period changes").default,
-                "frozen": reg.counter(
-                    "control_frozen_observations_total",
-                    "drain cycles lost to injected decision freezes").default,
             }
+            reg.counter("control_frozen_observations_total",
+                        "drain cycles lost to injected decision "
+                        "freezes").default
             self._control = control
         return control
 
@@ -391,7 +363,6 @@ class Recorder(NullRecorder):
                             budget_percent: Optional[float] = None
                             ) -> None:
         control = self._control_metrics()
-        control["observations"].inc()
         control["level"].set_max(level)
         if overhead_percent is not None:
             control["overhead"].observe(overhead_percent)
@@ -407,14 +378,13 @@ class Recorder(NullRecorder):
 
     def control_step(self, now: int, action: str, level: int,
                      period_ns: int) -> None:
-        self._control_metrics()["steps"].labels(action).inc()
         if self.tracer is not None:
             self.tracer.instant(f"control:{action}", "controller", now,
                                 {"level": level, "period_ns": period_ns},
                                 category="controller")
 
     def control_frozen(self, now: int) -> None:
-        self._control_metrics()["frozen"].inc()
+        self._control_metrics()  # a freeze may precede any observation
         if self.tracer is not None:
             self.tracer.instant("control-frozen", "controller", now,
                                 category="controller")
@@ -491,21 +461,60 @@ class Recorder(NullRecorder):
             self.tracer.end(handle, end_ns)
 
     # ------------------------------------------------------------------
+    # the export view
+    # ------------------------------------------------------------------
+    @property
+    def registry(self) -> MetricsRegistry:
+        """A fresh registry: the hook-maintained families plus a pure
+        read of every ring and controller record.  Counts add, a
+        labelled series appears only once non-zero, and the ring
+        high-water is the max of the rings' lifetime peaks."""
+        view = MetricsRegistry()
+        view.merge(self._registry)
+        counts = [(name, (), sum(getattr(ring, attr) for ring in self.rings))
+                  for name, attr, _ in _RING_COUNTERS]
+        for state in self.controllers:
+            counts += [
+                ("kleb_retries_total", ("ioctl",), state.ioctl_retries),
+                ("kleb_retries_total", ("read",), state.read_retries),
+                ("kleb_retries_total", ("recovery-read",),
+                 state.recovery_reads),
+                ("kleb_drain_shrinks_total", (), state.drain_shrinks),
+                ("kleb_drain_restores_total", (), state.drain_restores),
+            ]
+            control = state.control
+            if control is not None:
+                # Non-zero, these imply the control hooks registered
+                # the (lazy) families on this recorder.
+                counts += [("control_observations_total", (),
+                            control.observations),
+                           ("control_frozen_observations_total", (),
+                            state.frozen_observations)]
+                counts += [("control_steps_total", (action,),
+                            control.ledger.count(action))
+                           for action in ACTIONS]
+        for name, labels, count in counts:
+            if count:
+                view.get(name).labels(*labels).value += count
+        view.get("ringbuffer_depth_high_water").default.set_max(
+            max((ring.peak for ring in self.rings), default=0))
+        return view
+
+    # ------------------------------------------------------------------
     # live telemetry
     # ------------------------------------------------------------------
-    def live_sample(self) -> Dict[str, int]:
-        """The scalar progress fields a live snapshot carries.
-
-        Reads the already-maintained metric objects — a handful of
-        float loads, no aggregation pass — so publication stays cheap
-        enough for a heartbeat cadence.
-        """
+    def live_sample(self) -> Dict[str, object]:
+        """The progress fields a live snapshot carries: the scalar
+        counts and the full metrics document, read from one view."""
+        view = self.registry
+        faults = view.get("faults_landed_total").series.values()
         return {
-            "samples": int(self._buffer_pushes.value),
-            "drops": int(self._buffer_drops.value),
-            "timer_fires": int(self._timer_fires.value),
-            "faults": int(sum(series.value for series
-                              in self._faults_landed.series.values())),
+            "samples": int(
+                view.get("ringbuffer_pushes_total").default.value),
+            "drops": int(view.get("ringbuffer_dropped_total").default.value),
+            "timer_fires": int(view.get("hrtimer_fires_total").default.value),
+            "faults": int(sum(series.value for series in faults)),
+            "metrics": view.to_json(),
         }
 
     # ------------------------------------------------------------------
@@ -530,7 +539,6 @@ class Recorder(NullRecorder):
             flight = FlightRecorder(flight.capacity)
         child = Recorder(trace=(self.tracer is not None
                                 and self.tracer.retain),
-                         metrics=self.metrics_enabled,
                          wallclock=self.wallclock,
                          flight=flight,
                          publisher=(self.publisher.for_trial(trial)
@@ -560,7 +568,7 @@ class Recorder(NullRecorder):
             self.flight.absorb(tail)
         if self.tracer is not None:
             self.tracer.absorb_events(chunk.get("events", []))
-        self.registry.merge(MetricsRegistry.from_json(chunk["metrics"]))
+        self._registry.merge(MetricsRegistry.from_json(chunk["metrics"]))
 
     # ------------------------------------------------------------------
     # output

@@ -341,6 +341,5 @@ class LivePublisher:
             level=self.level,
             overhead_percent=self.overhead_percent,
             budget_percent=self.budget_percent,
-            metrics=recorder.registry.to_json(),
             **sample,
         ))

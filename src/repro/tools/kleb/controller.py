@@ -61,7 +61,8 @@ def _backoff_ns(attempt: int) -> int:
 
 @dataclass
 class ControllerState:
-    """Shared state between the controller program and the tool session."""
+    """Shared state between the controller program and the tool session
+    (report metadata and the ``kleb_*`` metrics read its counts)."""
 
     # Drained batches, kept whole; the session concatenates them into
     # one series at finalize.
@@ -120,6 +121,8 @@ class KLebControllerProgram(Program):
         self._signal_event = (module_config.resolved_events()[0]
                               if adaptive is not None else None)
         self._obs = _obs_hooks.active()
+        if self._obs is not None:
+            self._obs.controllers.append(state)
 
     # ------------------------------------------------------------------
     # Retryable syscall helpers
@@ -151,8 +154,6 @@ class KLebControllerProgram(Program):
                     obs.fault_recovered(self.module.kernel.now, "ioctl")
                 return
             state.ioctl_retries += 1
-            if obs is not None:
-                obs.controller_retry(self.module.kernel.now, "ioctl")
             if attempt == _IOCTL_MAX_ATTEMPTS - 1:
                 raise outcome["error"]  # type: ignore[misc]
             delay = _backoff_ns(attempt)
@@ -203,8 +204,6 @@ class KLebControllerProgram(Program):
                     obs.fault_recovered(module.kernel.now, "read")
                 break
             state.read_retries += 1
-            if obs is not None:
-                obs.controller_retry(module.kernel.now, "read")
             if attempt == _READ_MAX_ATTEMPTS - 1:
                 raise outcome["error"]  # type: ignore[misc]
             delay = _backoff_ns(attempt)
@@ -399,9 +398,6 @@ class KLebControllerProgram(Program):
                 while recovery < _RECOVERY_READS_MAX:
                     recovery += 1
                     state.recovery_reads += 1
-                    if obs is not None:
-                        obs.controller_retry(module.kernel.now,
-                                             "recovery-read")
                     nap_ns = floor_ns // 2
                     yield SyscallBlock(
                         "nanosleep",

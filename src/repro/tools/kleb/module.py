@@ -107,14 +107,11 @@ class KLebModuleConfig:
 
 @dataclass
 class KLebStats:
-    """Collection statistics exposed by the module."""
+    """Collection statistics exposed by the module (sample-pool counts
+    live in its ``buffer``, rotations in its ``mux``)."""
 
     timer_fires: int = 0
-    samples_recorded: int = 0
-    samples_dropped: int = 0
-    pause_episodes: int = 0
     handler_time_ns: int = 0
-    rotations: int = 0
     # SMP accounting: CPU migrations of traced tasks observed via the
     # sched:migrate kprobe (the re-arm on the destination core rides
     # the ordinary switch-in probe).
@@ -629,7 +626,6 @@ class KLebModule(KernelModule):
         mux.active = (mux.active + 1) % len(mux.plan.groups)
         mux.fires_in_window = 0
         mux.rotations += 1
-        self.stats.rotations = mux.rotations
         # Reprogramming four event-select registers from interrupt
         # context is the real cost of multiplexing at HRTimer rates.
         self.kernel.charge_kernel_time(costs.KLEB_ROTATE_NS)
@@ -713,16 +709,11 @@ class KLebModule(KernelModule):
             # One typed row straight into the ring's preallocated
             # columns — no snapshot dict, no Sample object.
             _, row = kernel.pmu.counter_row()
+        # Safety mechanism: a full buffer (controller starved) refuses
+        # the row, counts the drop and pauses collection until a drain.
         if self.smp is None:
-            pushed = buffer.push_row(kernel.now, row)
+            buffer.push_row(kernel.now, row)
         else:
-            pushed = buffer.push_row(cpu, kernel.now, row)
-        if pushed:
-            stats.samples_recorded += 1
-        else:
-            # Safety mechanism: buffer full, controller starved —
-            # sample dropped, collection paused until a drain.
-            stats.samples_dropped += 1
-        stats.pause_episodes = buffer.pause_episodes
+            buffer.push_row(cpu, kernel.now, row)
         if mux is not None and self._mux_window_done():
             self._mux_rotate()

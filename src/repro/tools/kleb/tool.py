@@ -112,8 +112,8 @@ class KLebSession(Session):
             victim_pid=self.victim.pid,
             metadata={
                 "timer_fires": float(stats.timer_fires),
-                "samples_dropped": float(stats.samples_dropped),
-                "pause_episodes": float(stats.pause_episodes),
+                "samples_dropped": float(self.module.buffer.dropped),
+                "pause_episodes": float(self.module.buffer.pause_episodes),
                 "log_bytes": float(self.state.log_bytes),
                 # Degradation/recovery accounting — all zero on a
                 # healthy run, populated under fault injection.
@@ -143,13 +143,11 @@ class KLebTool(MonitoringTool):
 
     def __init__(self, buffer_capacity: int = 4096,
                  count_kernel: bool = False,
-                 drop_module_after: bool = False,
                  controller_nice: int = 0,
                  multiplex_period_ns: Optional[int] = None,
                  control: Optional[ControlConfig] = None) -> None:
         self.buffer_capacity = buffer_capacity
         self.count_kernel = count_kernel
-        self.drop_module_after = drop_module_after
         # De-prioritizing the controller demonstrates the paper's §III
         # starvation scenario: the module's back-pressure stop engages.
         self.controller_nice = controller_nice

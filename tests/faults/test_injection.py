@@ -55,8 +55,8 @@ class TestTimerFaults:
             == module.timer_misses_total
         assert result.report.metadata["timer_misses"] == module.timer_misses_total
         # Misses lose samples but never corrupt the ones recorded.
-        assert module.stats.timer_fires == module.stats.samples_recorded \
-            + module.stats.samples_dropped
+        assert module.stats.timer_fires == module.buffer.total_pushed \
+            + module.buffer.dropped
 
     def test_extra_jitter_recorded(self):
         result, injector = run_kleb(
@@ -87,7 +87,7 @@ class TestDeviceFaults:
         assert metadata["read_retries"] >= injector.ledger.count("read")
         # Every recorded sample was still delivered to user space.
         module = result.kernel.get_module("k_leb")
-        assert result.report.sample_count == module.stats.samples_recorded
+        assert result.report.sample_count == module.buffer.total_pushed
 
 
 class TestPmuWrap:
@@ -130,10 +130,9 @@ class TestSqueeze:
         assert injector.ledger.count("ringbuffer", "squeeze") > 0
         module = result.kernel.get_module("k_leb")
         buffer = module.buffer
-        stats = module.stats
-        assert stats.pause_episodes >= 1
-        assert stats.timer_fires == stats.samples_recorded \
-            + stats.samples_dropped
+        assert buffer.pause_episodes >= 1
+        assert module.stats.timer_fires == buffer.total_pushed \
+            + buffer.dropped
         assert buffer.total_pushed == buffer.total_drained \
             + buffer.total_cleared + len(buffer)
         # Collection resumed: the drain loop emptied the buffer.

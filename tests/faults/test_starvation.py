@@ -27,14 +27,13 @@ class TestStarvationSafetyStop:
     def test_pause_engages_and_accounting_balances(self):
         result, injector = run_starved()
         module = result.kernel.get_module("k_leb")
-        stats = module.stats
         buffer = module.buffer
         assert injector.ledger.count("controller", "starved-cycle") > 0
-        assert stats.pause_episodes >= 1
-        assert stats.samples_dropped > 0
+        assert buffer.pause_episodes >= 1
+        assert buffer.dropped > 0
         # Every timer fire is accounted for: recorded or dropped.
-        assert stats.timer_fires == stats.samples_recorded \
-            + stats.samples_dropped
+        assert module.stats.timer_fires == buffer.total_pushed \
+            + buffer.dropped
         # Buffer conservation: nothing lost untracked.
         assert buffer.total_pushed == buffer.total_drained \
             + buffer.total_cleared + len(buffer)
@@ -42,7 +41,7 @@ class TestStarvationSafetyStop:
     def test_every_recorded_sample_is_delivered(self):
         result, _ = run_starved()
         module = result.kernel.get_module("k_leb")
-        assert result.report.sample_count == module.stats.samples_recorded
+        assert result.report.sample_count == module.buffer.total_pushed
 
     def test_collection_resumes_after_drain(self):
         result, _ = run_starved()
@@ -65,10 +64,10 @@ class TestStarvationSafetyStop:
         records fewer drops than fires-minus-capacity would suggest if
         the controller slept through every starved window."""
         result, _ = run_starved()
-        stats = result.kernel.get_module("k_leb").stats
-        assert stats.samples_recorded > 0
+        buffer = result.kernel.get_module("k_leb").buffer
+        assert buffer.total_pushed > 0
         # Some samples recorded even though every cycle was starved.
-        assert stats.samples_recorded > 16  # more than one buffer-full
+        assert buffer.total_pushed > 16  # more than one buffer-full
 
     def test_starved_run_is_deterministic(self):
         first, inj1 = run_starved()

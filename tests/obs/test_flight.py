@@ -74,7 +74,7 @@ class TestTracingOffCapture:
         """With full tracing off the tracer retains nothing, but every
         event still reaches the flight ring."""
         flight = FlightRecorder()
-        recorder = hooks.Recorder(trace=False, metrics=True, flight=flight)
+        recorder = hooks.Recorder(trace=False, flight=flight)
         hooks.install(recorder)
         try:
             obs = hooks.active()

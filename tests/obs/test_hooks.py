@@ -8,12 +8,17 @@ with hook calls interleaved and compares full internal state against a
 queue that never saw a hook.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.control.ledger import ControlLedger
+from repro.kernel.ringbuffer import ColumnarRing
 from repro.obs import hooks
 from repro.obs.hooks import NullRecorder, Recorder
 from repro.sim.engine import EventQueue
+from repro.tools.kleb.controller import ControllerState
 
 
 @pytest.fixture(autouse=True)
@@ -36,15 +41,9 @@ class TestNullRecorder:
         null.timer_fired("t", 100, 5)
         null.timer_missed("t", 100)
         null.timer_overrun("t", 100, 2)
-        null.buffer_pushed(1)
-        null.buffer_dropped()
-        null.buffer_paused()
-        null.buffer_resumed()
-        null.buffer_squeezed(8)
         null.drain_cycle(0, 10, 3, False, 100)
         null.drain_shrunk(0, 50)
         null.drain_restored(0, 100)
-        null.controller_retry(0, "read")
         null.fault_landed(0, "hrtimer", "jitter")
         null.fault_recovered(0, "read")
         null.trial_span(0, 1, "p", "t", 10, 2)
@@ -80,7 +79,7 @@ _HOOK_CALLS = (
     lambda r: r.queue_event_cancelled(),
     lambda r: r.queue_compacted(64, 1),
     lambda r: r.timer_fired("t", 10, 1),
-    lambda r: r.buffer_pushed(4),
+    lambda r: r.drain_shrunk(0, 5),
     lambda r: r.drain_cycle(0, 5, 1, False, 10),
 )
 
@@ -233,3 +232,93 @@ class TestTrialCapture:
         hooks.install(parent)
         with hooks.trial_capture(0) as child:
             assert child.tracer is None
+
+
+class TestStatsProjection:
+    """Ring and controller counts are held once, by the records, and
+    every read of ``Recorder.registry`` projects them."""
+
+    @staticmethod
+    def _tracked_rings(recorder, count):
+        hooks.install(recorder)
+        try:
+            return [ColumnarRing(4, ("A",)) for _ in range(count)]
+        finally:
+            hooks.reset()
+
+    def test_ring_counts_sum_and_high_water_takes_the_max_peak(self):
+        recorder = Recorder()
+        small, big = self._tracked_rings(recorder, 2)
+        small.push_row(0, (1,))
+        for when in range(3):
+            big.push_row(when, (when,))
+        big.take_high_watermark()
+        big.drain()
+        registry = recorder.registry
+        assert registry.get("ringbuffer_pushes_total").default.value == 4
+        assert registry.get(
+            "ringbuffer_depth_high_water").default.value == 3
+
+    def test_ring_built_while_disabled_is_not_tracked(self):
+        ring = ColumnarRing(4, ("A",))
+        recorder = Recorder()
+        hooks.install(recorder)
+        ring.push_row(0, (1,))
+        assert recorder.registry.get(
+            "ringbuffer_pushes_total").default.value == 0
+
+    def test_view_is_a_fresh_read(self):
+        recorder = Recorder()
+        (ring,) = self._tracked_rings(recorder, 1)
+        ring.push_row(0, (1,))
+        view = recorder.registry
+        view.get("ringbuffer_pushes_total").default.value = 99
+        ring.push_row(1, (2,))
+        assert recorder.registry.get(
+            "ringbuffer_pushes_total").default.value == 2
+
+    def test_retry_series_appear_only_when_non_zero(self):
+        recorder = Recorder()
+        recorder.controllers.append(ControllerState(
+            ioctl_retries=2, recovery_reads=1, drain_shrinks=1))
+        recorder.controllers.append(ControllerState(ioctl_retries=1,
+                                                    drain_restores=3))
+        registry = recorder.registry
+        retries = registry.get("kleb_retries_total").series
+        assert {labels: series.value
+                for labels, series in retries.items()} == {
+            ("ioctl",): 3.0, ("recovery-read",): 1.0}
+        assert registry.get("kleb_drain_shrinks_total").default.value == 1
+        assert registry.get("kleb_drain_restores_total").default.value == 3
+
+    def test_control_families_stay_lazy_until_the_first_observation(
+            self):
+        control = SimpleNamespace(observations=0, ledger=ControlLedger())
+        state = ControllerState(control=control)
+        recorder = Recorder()
+        recorder.controllers.append(state)
+        assert "control_observations_total" not in recorder.registry
+        recorder.control_observation(10, 1.5, 2)
+        control.observations = 4
+        control.ledger.record(5, "degrade", 0, 1, 200)
+        control.ledger.record(9, "degrade", 1, 2, 400)
+        state.frozen_observations = 2
+        registry = recorder.registry
+        assert registry.get(
+            "control_observations_total").default.value == 4
+        steps = registry.get("control_steps_total").series
+        assert {labels: series.value
+                for labels, series in steps.items()} == {("degrade",): 2.0}
+        assert registry.get(
+            "control_frozen_observations_total").default.value == 2
+
+    def test_chunk_carries_the_projection_once(self):
+        parent = Recorder()
+        hooks.install(parent)
+        with hooks.trial_capture(0) as child:
+            ring = ColumnarRing(4, ("A",))
+            ring.push_row(0, (1,))
+            chunk = child.chunk()
+        hooks.merge_chunk(chunk)
+        assert parent.registry.get(
+            "ringbuffer_pushes_total").default.value == 1

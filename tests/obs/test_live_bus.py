@@ -19,8 +19,11 @@ from repro.obs.live import (
     LiveState,
     Snapshot,
     SnapshotBus,
+    Watchdog,
+    WatchdogConfig,
 )
 from repro.sim.clock import ms
+from repro.tools.kleb.tool import KLebTool
 from repro.tools.registry import create_tool
 from repro.workloads.matmul import TripleLoopMatmul
 
@@ -37,7 +40,7 @@ def _armed_run(jobs, runs=3, faults=None, gate=None, interval_s=0.0):
     """One trial population with the live plane armed; returns
     ``(summaries, recorder, state, bus)`` after a full bus drain."""
     flight = FlightRecorder()
-    recorder = hooks.Recorder(trace=False, metrics=True, flight=flight)
+    recorder = hooks.Recorder(trace=False, flight=flight)
     state = LiveState(base_metrics=recorder.registry.to_json())
     bus = SnapshotBus(state)
     publisher = LivePublisher(bus, interval_s=interval_s, gate=gate)
@@ -58,7 +61,7 @@ def _armed_run(jobs, runs=3, faults=None, gate=None, interval_s=0.0):
 
 
 def _plain_run(jobs, runs=3, faults=None):
-    recorder = hooks.Recorder(trace=False, metrics=True)
+    recorder = hooks.Recorder(trace=False)
     hooks.install(recorder)
     try:
         summaries = run_trials(
@@ -211,7 +214,7 @@ class TestControlFieldsPropagate:
         """The controller's observation hook keeps the publisher's
         level/overhead/budget fields fresh; the next snapshot carries
         them (the watchdog's budget-breach check feeds on these)."""
-        recorder = hooks.Recorder(trace=False, metrics=True)
+        recorder = hooks.Recorder(trace=False)
         state = LiveState()
         bus = SnapshotBus(state)
         publisher = LivePublisher(bus, gate=lambda: False)
@@ -226,3 +229,47 @@ class TestControlFieldsPropagate:
         assert row["level"] == 2
         assert row["overhead_percent"] == 3.5
         assert row["budget_percent"] == 2.0
+
+
+class TestMidTrialSnapshots:
+    def test_drops_stream_mid_trial_and_trip_the_storm_watchdog(self):
+        """Every heartbeat published on a starved run: a trial's live
+        drop count reads the ring as it fills, so it rises before the
+        trial is done, never falls, ends at the ring's count, and the
+        drop-storm watchdog trips while the trial is still running."""
+        state = LiveState()
+        seen = []
+        state.add_listener(seen.append)
+        trips = []
+        # Listeners run in order, so seen[-1] is the snapshot that
+        # tripped the check.
+        watchdog = Watchdog(
+            WatchdogConfig(storm_drops=1, storm_intervals=2),
+            on_trip=lambda check, detail: trips.append(
+                (check, seen[-1].status)))
+        state.add_listener(watchdog.observe)
+        bus = SnapshotBus(state)
+        recorder = hooks.Recorder(
+            trace=False, publisher=LivePublisher(bus, gate=lambda: True))
+        bus.start()
+        hooks.install(recorder)
+        try:
+            summaries = run_trials(
+                TripleLoopMatmul(256),
+                KLebTool(buffer_capacity=16, controller_nice=10), runs=2,
+                events=_EVENTS, period_ns=ms(1), jobs=1,
+            )
+        finally:
+            hooks.reset()
+            bus.stop()
+        assert len(summaries) == 2
+        for summary in summaries:
+            snapshots = [snap for snap in seen
+                         if snap.trial == summary.trial]
+            drops = [snap.drops for snap in snapshots]
+            assert drops == sorted(drops)
+            assert snapshots[-1].status == "done"
+            assert any(snap.drops for snap in snapshots[:-1])
+            # The report's drop count is the ring's own count.
+            assert drops[-1] == summary.report.metadata["samples_dropped"]
+        assert ("drop-storm", "running") in trips

@@ -27,7 +27,7 @@ def snap(trial=0, seq=1, status="running", metrics=None):
 
 @pytest.fixture
 def plane():
-    recorder = hooks.Recorder(trace=False, metrics=True)
+    recorder = hooks.Recorder(trace=False)
     state = LiveState(base_metrics=recorder.registry.to_json(),
                       run_label="test-run")
     watchdog = Watchdog(WatchdogConfig(quarantine_spike=1))
@@ -114,7 +114,7 @@ class TestEndpoints:
 
 class TestRenderMetrics:
     def test_merged_families_precede_live_families(self):
-        recorder = hooks.Recorder(trace=False, metrics=True)
+        recorder = hooks.Recorder(trace=False)
         state = LiveState(base_metrics=recorder.registry.to_json())
         text = render_metrics(state, Watchdog())
         assert text.index("hrtimer_fires_total") \
@@ -124,7 +124,7 @@ class TestRenderMetrics:
     def test_parses_as_prometheus(self):
         from repro.obs.metrics import parse_prometheus_text
 
-        recorder = hooks.Recorder(trace=False, metrics=True)
+        recorder = hooks.Recorder(trace=False)
         state = LiveState(base_metrics=recorder.registry.to_json())
         state.apply(snap(metrics=recorder.registry.to_json()))
         families = parse_prometheus_text(render_metrics(state, Watchdog()))

@@ -1,15 +1,16 @@
 """Tests for the terminal report tool and the rarely-fired hooks.
 
 The integration suite exercises the common path (trials, drains); this
-file pins the long tail: overruns, pauses, squeezes, adaptive-drain
-shrink/restore, retries, quarantines, ad-hoc spans, and every branch
-of ``python -m repro.obs.report``.
+file pins the long tail: overruns, adaptive-drain shrink/restore,
+quarantines, ad-hoc spans, and every branch of
+``python -m repro.obs.report``.
 """
 
 import json
 
 import pytest
 
+from repro.kernel.ringbuffer import ColumnarRing
 from repro.obs import hooks, report
 
 
@@ -20,7 +21,8 @@ def recorder():
 
 # ----------------------------------------------------------------------
 # Rare hook surface: every hook mutates its metric (and trace, where
-# one is emitted) exactly as advertised.
+# one is emitted) exactly as advertised.  Ring and controller counts
+# are projections of their records (see tests/obs/test_hooks.py).
 # ----------------------------------------------------------------------
 class TestRareHooks:
     def test_queue_compacted(self, recorder):
@@ -39,27 +41,40 @@ class TestRareHooks:
         assert recorder._timer_skipped.value == 2.0
 
     def test_buffer_episode_counters(self, recorder):
-        recorder.buffer_dropped()
-        recorder.buffer_paused()
-        recorder.buffer_resumed()
-        recorder.buffer_squeezed(capacity=8)
-        assert recorder._buffer_drops.value == 1.0
-        assert recorder._buffer_pauses.value == 1.0
-        assert recorder._buffer_resumes.value == 1.0
-        assert recorder._buffer_squeezes.value == 1.0
+        """Ring episodes reach the metrics through the ring's own
+        counts: the ring registers with the installed recorder."""
+        hooks.install(recorder)
+        try:
+            ring = ColumnarRing(2, ("A",), resume_threshold=0)
+        finally:
+            hooks.reset()
+        ring.squeeze(1)
+        ring.push_row(1, (1,))     # fills the squeezed ring: pause
+        ring.push_row(2, (2,))     # refused: drop
+        ring.unsqueeze()
+        ring.drain()               # resume
+        registry = recorder.registry
+        for name in ("ringbuffer_pushes_total", "ringbuffer_dropped_total",
+                     "ringbuffer_pause_episodes_total",
+                     "ringbuffer_resume_total",
+                     "ringbuffer_squeeze_episodes_total",
+                     "ringbuffer_depth_high_water"):
+            assert registry.get(name).default.value == 1.0, name
 
     def test_drain_shrink_restore(self, recorder):
         recorder.drain_shrunk(now=1_000, interval_ns=50_000)
         recorder.drain_restored(now=2_000, interval_ns=100_000)
-        assert recorder._drain_shrinks.value == 1.0
-        assert recorder._drain_restores.value == 1.0
-        assert len(recorder.tracer) == 2
+        names = [event[1] for event in recorder.tracer.dump_events()]
+        assert names == ["drain-shrink", "drain-restore"]
+        # The counts live in the controller state, not in the hooks.
+        assert recorder.registry.get(
+            "kleb_drain_shrinks_total").default.value == 0
 
     def test_drain_shrink_restore_without_tracer(self):
         recorder = hooks.Recorder(trace=False)
         recorder.drain_shrunk(now=1_000, interval_ns=50_000)
         recorder.drain_restored(now=2_000, interval_ns=100_000)
-        assert recorder._drain_restores.value == 1.0
+        assert recorder.tracer is None
 
     def test_trial_retry_and_quarantine(self, recorder):
         recorder.trial_retry(trial=3, attempt=1, kind="crash")

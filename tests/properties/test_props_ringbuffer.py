@@ -127,12 +127,14 @@ class RingBufferMachine(RuleBasedStateMachine):
         super().__init__()
         self.buffer = RingBuffer(8, resume_threshold=4)
         self.model = []
+        self.max_occupancy = 0
 
     @rule(value=st.integers())
     def push(self, value):
         accepted = self.buffer.push(value)
         if accepted:
             self.model.append(value)
+            self.max_occupancy = max(self.max_occupancy, len(self.model))
 
     @rule(count=st.integers(min_value=1, max_value=10))
     def drain(self, count):
@@ -146,9 +148,24 @@ class RingBufferMachine(RuleBasedStateMachine):
         self.buffer.clear()
         self.model = []
 
+    @rule()
+    def take_high_watermark(self):
+        self.buffer.take_high_watermark()
+
     @invariant()
     def occupancy_matches_model(self):
         assert len(self.buffer) == len(self.model)
+
+    @invariant()
+    def peak_is_the_lifetime_max_occupancy(self):
+        # take_high_watermark resets the between-reads mark, never this.
+        assert self.buffer.peak == self.max_occupancy
+
+    @invariant()
+    def each_pause_episode_resumes_at_most_once(self):
+        buffer = self.buffer
+        assert buffer.resumes <= buffer.pause_episodes
+        assert buffer.pause_episodes - buffer.resumes == int(buffer.paused)
 
     @invariant()
     def conservation_holds(self):
@@ -187,6 +204,8 @@ class ColumnarLockstepMachine(RuleBasedStateMachine):
         self.reference = RingBuffer(8, resume_threshold=4)
         self.columnar = ColumnarRing(8, self.NAMES, resume_threshold=4)
         self.offered = 0
+        self.squeezed = False
+        self.squeeze_episodes = 0
 
     @rule(values=st.tuples(*[st.integers(-2**62, 2**62)] * 3))
     def push(self, values):
@@ -209,11 +228,17 @@ class ColumnarLockstepMachine(RuleBasedStateMachine):
 
     @rule(capacity=st.integers(min_value=1, max_value=8))
     def squeeze(self, capacity):
+        # Only a fresh squeeze opens an episode; re-squeezing while
+        # squeezed just moves the cap.
+        if not self.squeezed:
+            self.squeeze_episodes += 1
+        self.squeezed = True
         self.reference.squeeze(capacity)
         self.columnar.squeeze(capacity)
 
     @rule()
     def unsqueeze(self):
+        self.squeezed = False
         self.reference.unsqueeze()
         self.columnar.unsqueeze()
 
@@ -221,6 +246,11 @@ class ColumnarLockstepMachine(RuleBasedStateMachine):
     def clear(self):
         self.reference.clear()
         self.columnar.clear()
+
+    @rule()
+    def take_high_watermark(self):
+        assert (self.columnar.take_high_watermark()
+                == self.reference.take_high_watermark())
 
     @invariant()
     def accounting_in_lockstep(self):
@@ -232,8 +262,18 @@ class ColumnarLockstepMachine(RuleBasedStateMachine):
         assert col.total_drained == ref.total_drained
         assert col.total_cleared == ref.total_cleared
         assert col.pause_episodes == ref.pause_episodes
+        assert col.resumes == ref.resumes
+        assert col.squeeze_episodes == ref.squeeze_episodes
         assert col.high_watermark == ref.high_watermark
+        assert col.peak == ref.peak
         assert col.effective_capacity == ref.effective_capacity
+
+    @invariant()
+    def episode_counts_match_the_model(self):
+        col = self.columnar
+        assert col.squeeze_episodes == self.squeeze_episodes
+        assert col.resumes <= col.pause_episodes
+        assert col.pause_episodes - col.resumes == int(col.paused)
 
     @invariant()
     def conservation_holds(self):
@@ -365,6 +405,14 @@ class PerCpuLockstepMachine(RuleBasedStateMachine):
             percpu.total_drained + percpu.total_cleared + len(percpu)
         )
         assert percpu.total_pushed + percpu.dropped == self.offered
+
+    @invariant()
+    def per_cpu_episode_counts_in_lockstep(self):
+        # The metrics sum these per ring and take the max of the peaks.
+        for ring, reference in zip(self.percpu.rings, self.reference):
+            for counter in ("resumes", "squeeze_episodes", "peak"):
+                assert getattr(ring, counter) == getattr(
+                    reference, counter), counter
 
     @invariant()
     def per_cpu_fifo_preserved(self):

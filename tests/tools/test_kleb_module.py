@@ -95,7 +95,7 @@ class TestSampling:
         kernel.run_until_exit(victim, deadline=seconds(1))
         assert module.stats.timer_fires >= 30
         samples = module.read()
-        assert len(samples) == module.stats.samples_recorded
+        assert len(samples) == module.buffer.total_pushed
         # Timestamps strictly increase.
         times = [sample.timestamp for sample in samples]
         assert times == sorted(times)
@@ -186,14 +186,14 @@ class TestSafetyMechanism:
         module.ioctl("start", victim.pid)
         # Run half the program with nobody draining: buffer fills.
         kernel.run(deadline=ms(6))
-        assert module.stats.samples_dropped > 0
-        assert module.stats.pause_episodes >= 1
+        assert module.buffer.dropped > 0
+        assert module.buffer.pause_episodes >= 1
         assert len(module.buffer) == 16
         drained = module.read()
         assert len(drained) == 16
-        fires_before = module.stats.samples_recorded
+        fires_before = module.buffer.total_pushed
         kernel.run(deadline=seconds(1))
-        assert module.stats.samples_recorded > fires_before
+        assert module.buffer.total_pushed > fires_before
 
     def test_read_before_config_rejected(self, kernel):
         module = loaded_module(kernel)

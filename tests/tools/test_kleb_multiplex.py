@@ -139,12 +139,12 @@ class TestRowFormat:
             multiplex_period_ns=us(500)))
         module.ioctl("start", victim.pid)
         kernel.run_until_exit(victim, deadline=seconds(1))
-        assert module.stats.rotations >= 2
+        assert module.mux.rotations >= 2
         batch = module.read()
         assert isinstance(batch, SampleColumns)
         assert batch.names == (ev.FIXED_EVENTS
                                + module.mux.plan.rotated_names)
-        assert len(batch) == module.stats.samples_recorded
+        assert len(batch) == module.buffer.total_pushed
         # Cumulative raw counts: every rotated column is non-decreasing.
         for name in module.mux.plan.rotated_names:
             column = list(batch.column(name))
