@@ -32,6 +32,9 @@ DEFAULT_OUTPUT = Path(__file__).parent.parent.parent / "BENCH_hotpath.json"
 # Benchmarks whose calibrated ratio the regression gate inspects.
 # Calibration itself is the yardstick and end-to-end is covered by the
 # committed speedup numbers; the micros are the sensitive detectors.
+# ``trace_replay_fresh`` is allocation-bound: its calibrated ratio
+# spreads about +-25 % between runs on a shared host, as wide as the
+# tolerance, so CI checks its ``retained_plans`` instead.
 CHECKED = ("pmu_accumulate", "pmu_epoch_accumulate", "event_queue",
            "hrtimer_rearm", "trace_replay", "trace_replay_batch",
            "ringbuffer_drain_columnar", "ringbuffer_merge_drain",
@@ -161,6 +164,8 @@ def main(argv=None) -> int:
     print(f"  adaptive-armed on/off overhead ratio: {adaptive:.3f}")
     live = results["live_overhead"]["overhead_ratio"]
     print(f"  live-plane-armed on/off overhead ratio: {live:.3f}")
+    retained = results["trace_replay_fresh"]["retained_plans"]
+    print(f"  fresh-trace plans retained after replay: {retained:.0f}")
 
     baseline = _load_baseline(args.quick)
     document = {

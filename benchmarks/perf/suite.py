@@ -300,6 +300,42 @@ def bench_trace_replay_batch(rounds: int) -> Dict[str, float]:
     return result
 
 
+def bench_trace_replay_fresh(lists: int,
+                             accesses: int = 20_000) -> Dict[str, float]:
+    """Core.execute over fresh strided-load lists, each replayed once.
+
+    The smp_migrate streamer shape: every list is built, planned,
+    replayed and dropped, so this is the regime where plan compilation
+    is paid per replay.  ``retained_plans`` counts the plans still
+    cached afterwards that this benchmark compiled — a plan lives only
+    as long as its op list, so at most the last list's remains.
+    """
+    from repro.hw import core as core_module
+    from repro.workloads.base import BlockCursor
+    from repro.workloads.synthetic import StridedMemoryWorkload
+
+    machine = Machine(i7_920())
+    before = list(core_module._TRACE_PLANS.values())
+
+    def loop() -> int:
+        for index in range(lists):
+            streamer = StridedMemoryWorkload(
+                64 << 20, accesses, name=f"streamer{index}",
+                address_base=(index % 3 + 1) << 30)
+            cursor = BlockCursor(streamer)
+            budget = us(100)
+            while not cursor.finished:
+                machine.core.execute(cursor, budget)
+        return lists * accesses
+
+    result = _timed(loop)
+    result["checksum"] = float(machine.cache.stats.accesses)
+    result["retained_plans"] = float(sum(
+        1 for plan in core_module._TRACE_PLANS.values()
+        if not any(plan is old for old in before)))
+    return result
+
+
 def bench_ringbuffer_drain_columnar(rows: int) -> Dict[str, float]:
     """ColumnarRing push_row/drain round-trips (the sample hot path).
 
@@ -597,6 +633,7 @@ _QUICK_SCALE = {
     "hrtimer_rearm": 4_000,
     "trace_replay": 60,
     "trace_replay_batch": 60,
+    "trace_replay_fresh": 6,
     "ringbuffer_drain_columnar": 100_000,
     "ringbuffer_merge_drain": 60_000,
 }
@@ -607,6 +644,7 @@ _FULL_SCALE = {
     "hrtimer_rearm": 20_000,
     "trace_replay": 300,
     "trace_replay_batch": 300,
+    "trace_replay_fresh": 30,
     "ringbuffer_drain_columnar": 500_000,
     "ringbuffer_merge_drain": 300_000,
 }
@@ -650,6 +688,9 @@ def run_suite(quick: bool = False,
         lambda: bench_trace_replay(scale["trace_replay"]), repeats)
     results["trace_replay_batch"] = _best_of(
         lambda: bench_trace_replay_batch(scale["trace_replay_batch"]),
+        repeats)
+    results["trace_replay_fresh"] = _best_of(
+        lambda: bench_trace_replay_fresh(scale["trace_replay_fresh"]),
         repeats)
     results["ringbuffer_drain_columnar"] = _best_of(
         lambda: bench_ringbuffer_drain_columnar(

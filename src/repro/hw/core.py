@@ -21,6 +21,8 @@ resumes mid-block after preemption.
 from __future__ import annotations
 
 import enum
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -54,19 +56,21 @@ _EPOCH_EVENTS = (
 # Traces shorter than this replay faster through the scalar loop than
 # through a plan lookup; the batch planner only kicks in above it.
 _BATCH_MIN_OPS = 64
-_BATCH_PLAN_LIMIT = 64
 
 _KIND_LOAD, _KIND_STORE, _KIND_FLUSH = 0, 1, 2
 
 
 class _TracePlan:
-    """Precompiled replay plan for one (ops tuple, cache geometry) pair.
+    """Precompiled replay plan for one (ops, cache geometry) pair.
 
-    Holds only integers derived from op addresses and the level
-    shift/mask geometry — never references into a live hierarchy — so
-    one plan serves every cache instance with the same geometry (each
-    trial builds a fresh hierarchy).  ``ops`` is retained so the
-    ``id(ops)`` cache key cannot be recycled while the plan lives.
+    Per-op Python lists (segment ends, per-level set indices and tags,
+    prefix store/flush counts) plus the collapsed flush-run wipes, all
+    integers derived from op addresses and the level shift/mask
+    geometry — never references into a live hierarchy — so one plan
+    serves every cache instance with the same geometry (each trial
+    builds a fresh hierarchy).  ``ops`` is retained so the ``id(ops)``
+    cache key cannot be recycled while the plan lives, and so the cache
+    can tell when nothing else holds the op list any more.
     """
 
     __slots__ = (
@@ -76,10 +80,42 @@ class _TracePlan:
     )
 
 
-# (id(ops), geometry) -> _TracePlan, bounded FIFO.  Keyed on object
-# identity: workload generators memoize their op tuples, so the common
-# case is a handful of long-lived tuples replayed across every trial.
+# (id(ops), geometry) -> _TracePlan.  Keyed on object identity:
+# workload generators memoize their op tuples, so the common case is a
+# handful of long-lived tuples replayed across every trial.  A plan
+# lives exactly as long as its op list: every compile first drops the
+# plans whose ``ops`` no one but plan slots still references (see
+# :func:`_drop_dead_plans`), so plan memory tracks live trace memory.
 _TRACE_PLANS: Dict[tuple, _TracePlan] = {}
+
+
+def _sole_holder_refcount() -> int:
+    """``sys.getrefcount(plan.ops)`` for ops held by one plan slot only.
+
+    Measured rather than assumed: the count a call adds for its own
+    argument differs across interpreter versions.
+    """
+    probe = _TracePlan()
+    probe.ops = []
+    return sys.getrefcount(probe.ops)
+
+
+_SOLE_HOLDER_REFS = _sole_holder_refcount()
+
+
+def _drop_dead_plans() -> None:
+    """Drop every plan whose op list only plan slots still reference.
+
+    An op list planned under k geometries is held by k plan slots; it
+    is dead once its refcount exceeds the sole-holder count by no more
+    than the k - 1 other slots.
+    """
+    slots = Counter(key[0] for key in _TRACE_PLANS)
+    dead = [key for key, plan in _TRACE_PLANS.items()
+            if sys.getrefcount(plan.ops) - slots[key[0]]
+            < _SOLE_HOLDER_REFS]
+    for key in dead:
+        del _TRACE_PLANS[key]
 
 
 def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
@@ -92,6 +128,7 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     plan = _TRACE_PLANS.get(key)
     if plan is not None:
         return plan
+    _drop_dead_plans()
     n = len(ops)
     try:
         addresses = _np.fromiter((op[0] for op in ops),
@@ -208,8 +245,6 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
         collapsed[run] = levels
     plan.flush_collapsed = collapsed
 
-    if len(_TRACE_PLANS) >= _BATCH_PLAN_LIMIT:
-        _TRACE_PLANS.pop(next(iter(_TRACE_PLANS)))
     _TRACE_PLANS[key] = plan
     return plan
 
