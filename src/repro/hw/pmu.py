@@ -55,8 +55,6 @@ _EVTSEL_MSRS = (
 )
 _FIXED_MSRS = (MSR.IA32_FIXED_CTR0, MSR.IA32_FIXED_CTR1, MSR.IA32_FIXED_CTR2)
 
-_PLAN_CACHE_LIMIT = 128
-
 # (plan_user, plan_kernel, counter_names, pmi_counters, counting,
 #  epoch_user, epoch_kernel).  The epoch tables memoize, per event-name
 # tuple, the flat apply list ``accumulate_epoch`` derives from the
@@ -113,7 +111,8 @@ class Pmu:
         # version bump with an already-seen register signature (global
         # enable/disable toggles per context switch, multiplex rotation
         # through a small set of groups) reinstalls the compiled plan
-        # instead of re-deriving it.  Bounded FIFO.
+        # instead of re-deriving it.  A PMU lives for one trial and
+        # sees a handful of signatures, so the cache is unbounded.
         self._plan_cache: Dict[Tuple[int, ...], _CompiledPlan] = {}
         # Row-read plans for ``counter_row``, keyed on the programmable
         # counter-name layout: (ordered unique names, per-name counter
@@ -332,8 +331,6 @@ class Pmu:
         self._epoch_user = {}
         self._epoch_kernel = {}
         self._plan_version = version
-        if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-            self._plan_cache.pop(next(iter(self._plan_cache)))
         self._plan_cache[signature] = (plan_user, plan_kernel,
                                        self._counter_names,
                                        self._pmi_counters, self._counting,

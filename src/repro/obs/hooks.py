@@ -23,7 +23,8 @@ The contract that keeps observability honest:
 * **One count per fact.**  Sample rings and K-LEB controller states
   register with the recorder (``rings``/``controllers``), and every
   read of :attr:`Recorder.registry` projects their counts, so no hook
-  counts what they already hold.
+  counts what they already hold; timer fires and drain cycles are
+  read off the histograms their hooks feed.
 * **Worker merging is trial-ordered.**  :func:`trial_capture` swaps in
   a fresh child recorder for one trial; its :meth:`Recorder.chunk` is
   plain data that travels beside the trial's value, and
@@ -58,6 +59,12 @@ _RING_COUNTERS = (
     ("ringbuffer_resume_total", "resumes", "safety stops released"),
     ("ringbuffer_squeeze_episodes_total", "squeeze_episodes",
      "injected capacity-squeeze episodes begun"),
+)
+
+#: Counter families that count the samples of a histogram family.
+_HISTOGRAM_COUNTS = (
+    ("hrtimer_fires_total", "hrtimer_fire_lateness_ns"),
+    ("kleb_drain_cycles_total", "kleb_drain_batch_size"),
 )
 
 
@@ -166,9 +173,9 @@ class Recorder(NullRecorder):
         self._queue_high_water = reg.gauge(
             "sim_queue_depth_high_water",
             "max live events in the queue (high-water)").default
-        # hrtimer
-        self._timer_fires = reg.counter(
-            "hrtimer_fires_total", "HRTimer handler invocations").default
+        # hrtimer (fires are projected from the lateness histogram)
+        reg.counter("hrtimer_fires_total",
+                    "HRTimer handler invocations").default
         self._timer_missed = reg.counter(
             "hrtimer_missed_total",
             "expiries swallowed by masked-IRQ windows").default
@@ -187,9 +194,9 @@ class Recorder(NullRecorder):
             reg.counter(name, help_text).default
         reg.gauge("ringbuffer_depth_high_water",
                   "max pooled samples (high-water)").default
-        # controller
-        self._drain_cycles = reg.counter(
-            "kleb_drain_cycles_total", "controller drain cycles").default
+        # controller (cycles are projected from the batch histogram)
+        reg.counter("kleb_drain_cycles_total",
+                    "controller drain cycles").default
         self._drain_batch = reg.histogram(
             "kleb_drain_batch_size", "samples drained per cycle",
             buckets=SIZE_BUCKETS).default
@@ -255,7 +262,6 @@ class Recorder(NullRecorder):
     # hrtimer
     # ------------------------------------------------------------------
     def timer_fired(self, label: str, when: int, lateness_ns: int) -> None:
-        self._timer_fires.value += 1.0
         hist = self._timer_lateness
         hist.counts[bisect_left(hist.bounds, lateness_ns)] += 1
         hist.sum += lateness_ns
@@ -283,7 +289,6 @@ class Recorder(NullRecorder):
     # ------------------------------------------------------------------
     def drain_cycle(self, start_ns: int, end_ns: int, batch: int,
                     paused: bool, interval_ns: int) -> None:
-        self._drain_cycles.inc()
         self._drain_batch.observe(batch)
         self._drain_latency.observe(end_ns - start_ns)
         if self.tracer is not None:
@@ -467,10 +472,16 @@ class Recorder(NullRecorder):
     def registry(self) -> MetricsRegistry:
         """A fresh registry: the hook-maintained families plus a pure
         read of every ring and controller record.  Counts add, a
-        labelled series appears only once non-zero, and the ring
-        high-water is the max of the rings' lifetime peaks."""
+        labelled series appears only once non-zero, the ring high-water
+        is the max of the rings' lifetime peaks, and timer fires and
+        drain cycles are their histograms' sample counts."""
         view = MetricsRegistry()
         view.merge(self._registry)
+        # A fire or drain cycle is one histogram sample; merged chunks
+        # carry both families, so the counter is set, never added to.
+        for counter, histogram in _HISTOGRAM_COUNTS:
+            view.get(counter).default.value = float(
+                view.get(histogram).default.count)
         counts = [(name, (), sum(getattr(ring, attr) for ring in self.rings))
                   for name, attr, _ in _RING_COUNTERS]
         for state in self.controllers:

@@ -264,19 +264,6 @@ class TestPlanCache:
         assert (pmu.rdpmc(0), pmu.rdpmc(1)) == (5, 6)
         assert len(pmu._plan_cache) == 2
 
-    def test_cache_is_bounded(self, pmu):
-        from repro.hw.pmu import _PLAN_CACHE_LIMIT
-
-        pmu.enable_fixed()
-        pmu.global_enable()
-        names = list(__import__("repro.hw.events",
-                                fromlist=["EVENT_CATALOGUE"])
-                     .EVENT_CATALOGUE)
-        for i in range(_PLAN_CACHE_LIMIT + 20):
-            pmu.program_counter(0, names[i % len(names)])
-            pmu.accumulate({}, "user")
-        assert len(pmu._plan_cache) <= _PLAN_CACHE_LIMIT
-
 
 class TestRdpmc:
     def test_rdpmc_reads_programmable(self, pmu):

@@ -4,9 +4,12 @@ import pytest
 
 from repro.errors import ToolError, ToolUnsupportedError
 from repro.experiments.runner import run_monitored
+from repro.kernel.kernel import Kernel
 from repro.sim.clock import ms
-from repro.tools.limit import LimitTool
+from repro.sim.rng import RngStreams
+from repro.tools.limit import LIMIT_PATCH, LimitTool
 from repro.tools.papi import PapiTool, instrumentation_interval
+from repro.workloads.base import RateBlock
 from repro.workloads.dgemm import MklDgemm
 from repro.workloads.matmul import TripleLoopMatmul
 from repro.workloads.synthetic import UniformComputeWorkload
@@ -14,20 +17,32 @@ from repro.workloads.synthetic import UniformComputeWorkload
 EVENTS = ("LOADS", "STORES", "BRANCHES")
 
 
-@pytest.fixture(scope="module")
-def papi_run():
+def _run(tool):
     return run_monitored(
-        TripleLoopMatmul(300), PapiTool(), events=EVENTS,
+        TripleLoopMatmul(300), tool, events=EVENTS,
         period_ns=ms(10), seed=7,
     )
+
+
+@pytest.fixture(scope="module")
+def papi_run():
+    return _run(PapiTool())
 
 
 @pytest.fixture(scope="module")
 def limit_run():
-    return run_monitored(
-        TripleLoopMatmul(300), LimitTool(), events=EVENTS,
-        period_ns=ms(10), seed=7,
-    )
+    return _run(LimitTool())
+
+
+@pytest.fixture(scope="module", params=["papi", "limit"])
+def tool_run(request):
+    return request.getfixturevalue(f"{request.param}_run")
+
+
+READ_POINT_TOOLS = pytest.mark.parametrize(
+    "tool, label", [(PapiTool, "PAPI"), (LimitTool, "LiMiT")],
+    ids=["papi", "limit"],
+)
 
 
 class TestInstrumentationInterval:
@@ -40,7 +55,7 @@ class TestInstrumentationInterval:
         )
 
     def test_program_without_metadata_rejected(self):
-        from repro.workloads.base import ListProgram, RateBlock
+        from repro.workloads.base import ListProgram
 
         bare = ListProgram("no-metadata", [RateBlock(instructions=1e6)])
         with pytest.raises(ToolError):
@@ -55,14 +70,48 @@ class TestInstrumentationInterval:
             slow / slow_program.instructions
 
 
+class TestReadPoints:
+    """What PAPI and LiMiT share: the read-point path."""
+
+    @READ_POINT_TOOLS
+    def test_attach_requires_prepared_program(self, kernel, tool, label):
+        task = kernel.spawn(TripleLoopMatmul(64), start=False)
+        with pytest.raises(ToolError, match=f"{label} requires the source"):
+            tool().attach(kernel, task, EVENTS, ms(10))
+
+    @READ_POINT_TOOLS
+    def test_program_prepared_by_the_other_tool_rejected(
+            self, machine, quiet_config, tool, label):
+        """Each tool attaches only to its own read points, even on a
+        kernel both could run on."""
+        other = LimitTool if tool is PapiTool else PapiTool
+        kernel = Kernel(machine, config=quiet_config, rng=RngStreams(0),
+                        patches=[LIMIT_PATCH])
+        program = other().prepare_program(TripleLoopMatmul(64),
+                                          EVENTS, ms(10))
+        task = kernel.spawn(program, start=False)
+        with pytest.raises(ToolError, match=f"{label} requires the source"):
+            tool().attach(kernel, task, EVENTS, ms(10))
+
+    def test_samples_recorded_at_points(self, tool_run):
+        assert tool_run.report.sample_count == \
+            tool_run.report.metadata["read_points"]
+
+    def test_setup_not_counted(self, tool_run):
+        """Counting starts after the prologue's setup work (PAPI's
+        library init, LiMiT's setup), so none of it is in the totals."""
+        runtime = tool_run.victim.program.runtime
+        setup = sum(block.instructions
+                    for block in runtime.tool.prologue(runtime)
+                    if isinstance(block, RateBlock))
+        measured = tool_run.report.totals["INST_RETIRED"]
+        assert setup > 1e6
+        assert measured < TripleLoopMatmul(300).instructions + setup * 0.1
+
+
 class TestPapi:
     def test_requires_source_flag(self):
         assert PapiTool().requires_source
-
-    def test_attach_requires_prepared_program(self, kernel):
-        task = kernel.spawn(TripleLoopMatmul(64), start=False)
-        with pytest.raises(ToolError):
-            PapiTool().attach(kernel, task, EVENTS, ms(10))
 
     def test_read_points_approximate_timer_samples(self, papi_run):
         # ~50 ms program at 10 ms -> ~5 points ("approximately the
@@ -78,17 +127,13 @@ class TestPapi:
         assert measured >= truth
         assert measured < truth * 1.01
 
-    def test_library_init_not_counted(self, papi_run):
-        """PAPI_start comes after PAPI_library_init, so the init work
-        (millions of instructions) must not appear in the totals."""
-        program = TripleLoopMatmul(300)
-        init_instructions = 15.8e-3 * 2.67e9
-        measured = papi_run.report.totals["INST_RETIRED"]
-        assert measured < program.instructions + init_instructions * 0.1
-
-    def test_samples_recorded_at_points(self, papi_run):
-        assert papi_run.report.sample_count == \
-            papi_run.report.metadata["read_points"]
+    def test_one_read_syscall_per_point(self, papi_run):
+        """PAPI's defining cost: every read point enters the kernel
+        once to read the counters and once to log the sample."""
+        kernel = papi_run.kernel
+        points = papi_run.report.metadata["read_points"]
+        assert kernel.syscall_counts["read"] == points
+        assert kernel.syscall_counts["write"] == points
 
 
 class TestLimit:
