@@ -25,6 +25,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 TimerCallback = Callable[[int], None]
 
 
+class TimerCounts:
+    """An HRTimer's lifetime counts, held apart from the timer so a
+    recorder can keep them without keeping its kernel alive."""
+
+    __slots__ = ("missed", "overruns", "skipped_slots", "reprograms")
+
+    def __init__(self) -> None:
+        self.missed = 0         # expiries swallowed by masked IRQs
+        self.overruns = 0       # re-arms that skipped grid slots
+        self.skipped_slots = 0  # the slots those re-arms skipped
+        self.reprograms = 0     # in-place period changes
+
+
 class HrTimer:
     """Periodic kernel timer firing in interrupt context."""
 
@@ -38,8 +51,10 @@ class HrTimer:
         self._pending: Optional[ScheduledEvent] = None
         self._rng: np.random.Generator = kernel.rng.stream(f"hrtimer:{label}")
         self.fires = 0
-        self.missed = 0
+        self.counts = TimerCounts()
         self._obs = _obs_hooks.active()
+        if self._obs is not None:
+            self._obs.timers.append(self.counts)
 
     @property
     def active(self) -> bool:
@@ -89,6 +104,7 @@ class HrTimer:
         if was_active:
             self._next_ideal = self._kernel.now + self._period_ns
             self._schedule()
+        self.counts.reprograms += 1
         obs = self._obs
         if obs is not None:
             obs.timer_reprogrammed(self._label, self._kernel.now,
@@ -117,7 +133,7 @@ class HrTimer:
             # Injected missed deadline: the expiry came and went inside
             # a masked-interrupt window — the handler never runs and
             # this sample window is simply lost (a gap, not a burst).
-            self.missed += 1
+            self.counts.missed += 1
             if obs is not None:
                 obs.timer_missed(self._label, when)
         else:
@@ -137,6 +153,8 @@ class HrTimer:
             # rather than firing a burst (hrtimer forward semantics).
             missed = (self._kernel.now - self._next_ideal) // self._period_ns + 1
             self._next_ideal += missed * self._period_ns
+            self.counts.overruns += 1
+            self.counts.skipped_slots += missed
             if obs is not None:
                 obs.timer_overrun(self._label, self._kernel.now, missed)
         self._schedule()

@@ -1,9 +1,9 @@
 """Profiling hook points and the recorder protocol.
 
-The instrumented hot paths (event queue, HRTimer, K-LEB controller,
-fault ledger, trial runner) do not know about tracers or registries;
-they talk to a **recorder** through the narrow hook-point methods
-defined on :class:`Recorder`.
+The instrumented hot paths (HRTimer, K-LEB controller, fault ledger,
+trial runner) do not know about tracers or registries; they talk to a
+**recorder** through the narrow hook-point methods defined on
+:class:`Recorder`.
 
 The contract that keeps observability honest:
 
@@ -17,14 +17,18 @@ The contract that keeps observability honest:
   arbitrary hook-call interleavings against the null recorder cannot
   perturb engine state.
 * **Hooks observe, never steer.**  A hook receives already-computed
-  values (a lateness, a batch size, a depth); it draws no randomness
+  values (a lateness, a batch size, a level); it draws no randomness
   and mutates no simulation state, so *enabled* runs produce the same
   reports too.
-* **One count per fact.**  Sample rings and K-LEB controller states
-  register with the recorder (``rings``/``controllers``), and every
-  read of :attr:`Recorder.registry` projects their counts, so no hook
-  counts what they already hold; timer fires and drain cycles are
-  read off the histograms their hooks feed.
+* **Sources count, hooks trace.**  Event queues, HRTimers, sample
+  rings and K-LEB controller states count their own facts and register
+  those counts with the recorder at construction (``queues``/
+  ``timers``/``rings``/``controllers``); every read of :attr:`Recorder.registry` projects
+  those counts, and timer fires, drain cycles and trials are read off
+  the histograms their hooks feed.  A hook traces, feeds a histogram
+  or gauge, or publishes live.  It counts only what no object owns
+  yet: ``faults_landed_total``, ``trials_retried_total`` and
+  ``trials_quarantined_total``.
 * **Worker merging is trial-ordered.**  :func:`trial_capture` swaps in
   a fresh child recorder for one trial; its :meth:`Recorder.chunk` is
   plain data that travels beside the trial's value, and
@@ -48,7 +52,23 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import SpanHandle, Tracer
 
-#: The ring counter families, each with the ring attribute it reads.
+#: The counter families projected from each kind of registered counts:
+#: family name, the attribute it sums, help text.
+_QUEUE_COUNTERS = (
+    ("sim_events_fired_total", "fired", "event-queue callbacks dispatched"),
+    ("sim_events_cancelled_total", "cancelled",
+     "scheduled events cancelled before firing"),
+    ("sim_queue_compactions_total", "compactions",
+     "tombstone-compaction heap rebuilds"),
+)
+_TIMER_COUNTERS = (
+    ("hrtimer_missed_total", "missed",
+     "expiries swallowed by masked-IRQ windows"),
+    ("hrtimer_overruns_total", "overruns",
+     "re-arms that skipped slots (handler outran period)"),
+    ("hrtimer_skipped_slots_total", "skipped_slots",
+     "expiry slots skipped by overrun forwarding"),
+)
 _RING_COUNTERS = (
     ("ringbuffer_pushes_total", "total_pushed",
      "samples pooled in the buffer"),
@@ -65,6 +85,7 @@ _RING_COUNTERS = (
 _HISTOGRAM_COUNTS = (
     ("hrtimer_fires_total", "hrtimer_fire_lateness_ns"),
     ("kleb_drain_cycles_total", "kleb_drain_batch_size"),
+    ("trials_total", "trial_sim_wall_ns"),
 )
 
 
@@ -76,12 +97,6 @@ class NullRecorder:
     """
 
     enabled = False
-
-    # -- engine ---------------------------------------------------------
-    def queue_scheduled(self, depth: int) -> None: pass
-    def queue_events_fired(self, count: int) -> None: pass
-    def queue_event_cancelled(self) -> None: pass
-    def queue_compacted(self, dead: int, remaining: int) -> None: pass
 
     # -- hrtimer --------------------------------------------------------
     def timer_fired(self, label: str, when: int, lateness_ns: int) -> None: pass
@@ -108,7 +123,6 @@ class NullRecorder:
 
     # -- faults ---------------------------------------------------------
     def fault_landed(self, time_ns: int, site: str, kind: str) -> None: pass
-    def fault_recovered(self, time_ns: int, site: str) -> None: pass
 
     # -- runner ---------------------------------------------------------
     def trial_started(self, trial: int) -> None: pass
@@ -154,37 +168,26 @@ class Recorder(NullRecorder):
         if publisher is not None:
             publisher.bind(self)
         self._registry = MetricsRegistry()  # hooks and merged chunks
-        # Stats records the ``registry`` view projects (aborted
-        # attempts included: a trial's child recorder keeps them).
+        # The counts the ``registry`` view projects (aborted attempts
+        # included: a trial's child recorder keeps them).  Queues and
+        # timers register their counts objects, not themselves.
+        self.queues: List[object] = []
+        self.timers: List[object] = []
         self.rings: List[object] = []
         self.controllers: List[object] = []
         self.wallclock = wallclock
         reg = self._registry
-        # engine
-        self._events_fired = reg.counter(
-            "sim_events_fired_total",
-            "event-queue callbacks dispatched").default
-        self._events_cancelled = reg.counter(
-            "sim_events_cancelled_total",
-            "scheduled events cancelled before firing").default
-        self._compactions = reg.counter(
-            "sim_queue_compactions_total",
-            "tombstone-compaction heap rebuilds").default
-        self._queue_high_water = reg.gauge(
-            "sim_queue_depth_high_water",
-            "max live events in the queue (high-water)").default
-        # hrtimer (fires are projected from the lateness histogram)
+        # engine (projected from ``queues``)
+        for name, _, help_text in _QUEUE_COUNTERS:
+            reg.counter(name, help_text).default
+        reg.gauge("sim_queue_depth_high_water",
+                  "max live events in the queue (high-water)").default
+        # hrtimer (fires are projected from the lateness histogram,
+        # the rest from ``timers``)
         reg.counter("hrtimer_fires_total",
                     "HRTimer handler invocations").default
-        self._timer_missed = reg.counter(
-            "hrtimer_missed_total",
-            "expiries swallowed by masked-IRQ windows").default
-        self._timer_overruns = reg.counter(
-            "hrtimer_overruns_total",
-            "re-arms that skipped slots (handler outran period)").default
-        self._timer_skipped = reg.counter(
-            "hrtimer_skipped_slots_total",
-            "expiry slots skipped by overrun forwarding").default
+        for name, _, help_text in _TIMER_COUNTERS:
+            reg.counter(name, help_text).default
         self._timer_lateness = reg.histogram(
             "hrtimer_fire_lateness_ns",
             "fire time minus ideal expiry (jitter + injected latency)",
@@ -211,16 +214,14 @@ class Recorder(NullRecorder):
                     "cycles").default
         reg.counter("kleb_retries_total", "transient syscall retries",
                     label_names=("op",))
-        # faults
+        # faults (recoveries are projected from ``controllers``)
         self._faults_landed = reg.counter(
             "faults_landed_total", "injected faults by site",
             label_names=("site",))
-        self._faults_recovered = reg.counter(
-            "faults_recovered_total", "recoveries observed by site",
-            label_names=("site",))
-        # runner
-        self._trials = reg.counter(
-            "trials_total", "trials completed (any outcome)").default
+        reg.counter("faults_recovered_total", "recoveries observed by site",
+                    label_names=("site",))
+        # runner (trials are projected from the wall-time histogram)
+        reg.counter("trials_total", "trials completed (any outcome)").default
         self._trial_retries = reg.counter(
             "trials_retried_total", "trial attempts retried").default
         self._trials_quarantined = reg.counter(
@@ -236,31 +237,12 @@ class Recorder(NullRecorder):
         self._control: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
-    # engine
-    # ------------------------------------------------------------------
-    # The per-event hooks (scheduled / fired / pushed / timer-fired)
-    # run thousands of times per simulated second, so they mutate the
-    # pre-registered metric objects directly instead of going through
-    # ``inc``/``observe``/``set_max`` — one Python call per hook site,
-    # not three.  The values they receive are trusted (non-negative by
-    # construction), which is what ``Counter.inc`` would be checking.
-    def queue_scheduled(self, depth: int) -> None:
-        gauge = self._queue_high_water
-        if depth > gauge.value:
-            gauge.value = float(depth)
-
-    def queue_events_fired(self, count: int) -> None:
-        self._events_fired.value += count
-
-    def queue_event_cancelled(self) -> None:
-        self._events_cancelled.value += 1.0
-
-    def queue_compacted(self, dead: int, remaining: int) -> None:
-        self._compactions.inc()
-
-    # ------------------------------------------------------------------
     # hrtimer
     # ------------------------------------------------------------------
+    # Timer fires run thousands of times per simulated second, so the
+    # hook mutates the pre-registered histogram directly instead of
+    # going through ``observe`` — the lateness it receives is trusted
+    # (non-negative by construction).
     def timer_fired(self, label: str, when: int, lateness_ns: int) -> None:
         hist = self._timer_lateness
         hist.counts[bisect_left(hist.bounds, lateness_ns)] += 1
@@ -271,14 +253,11 @@ class Recorder(NullRecorder):
             publisher.heartbeat(when)
 
     def timer_missed(self, label: str, when: int) -> None:
-        self._timer_missed.inc()
         if self.tracer is not None:
             self.tracer.instant("timer-missed", "hrtimer", when,
                                 {"timer": label}, category="hrtimer")
 
     def timer_overrun(self, label: str, when: int, skipped: int) -> None:
-        self._timer_overruns.inc()
-        self._timer_skipped.inc(skipped)
         if self.tracer is not None:
             self.tracer.instant("timer-overrun", "hrtimer", when,
                                 {"timer": label, "skipped": skipped},
@@ -344,10 +323,9 @@ class Recorder(NullRecorder):
                     "smoothed monitoring overhead (percent of victim "
                     "cycles) per observation",
                     buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 100.0)).default,
-                "reprograms": reg.counter(
-                    "hrtimer_reprogram_total",
-                    "in-place HRTimer period changes").default,
             }
+            reg.counter("hrtimer_reprogram_total",
+                        "in-place HRTimer period changes").default
             reg.counter("control_frozen_observations_total",
                         "drain cycles lost to injected decision "
                         "freezes").default
@@ -356,7 +334,7 @@ class Recorder(NullRecorder):
 
     def timer_reprogrammed(self, label: str, when: int,
                            period_ns: int) -> None:
-        self._control_metrics()["reprograms"].inc()
+        self._control_metrics()  # the reprogram family is lazy too
         if self.tracer is not None:
             self.tracer.instant("timer-reprogram", "hrtimer", when,
                                 {"timer": label, "period_ns": period_ns},
@@ -403,9 +381,6 @@ class Recorder(NullRecorder):
             self.tracer.instant(f"fault:{kind}", "faults", time_ns,
                                 {"site": site}, category="fault")
 
-    def fault_recovered(self, time_ns: int, site: str) -> None:
-        self._faults_recovered.labels(site).inc()
-
     # ------------------------------------------------------------------
     # runner
     # ------------------------------------------------------------------
@@ -418,7 +393,6 @@ class Recorder(NullRecorder):
 
     def trial_span(self, trial: int, seed: int, program: str, tool: str,
                    wall_ns: int, samples: int) -> None:
-        self._trials.inc()
         self._trial_wall.observe(wall_ns)
         if self.tracer is not None:
             self.tracer.complete(
@@ -471,19 +445,28 @@ class Recorder(NullRecorder):
     @property
     def registry(self) -> MetricsRegistry:
         """A fresh registry: the hook-maintained families plus a pure
-        read of every ring and controller record.  Counts add, a
-        labelled series appears only once non-zero, the ring high-water
-        is the max of the rings' lifetime peaks, and timer fires and
-        drain cycles are their histograms' sample counts."""
+        read of every queue, timer, ring and controller.  Counts add, a
+        family or labelled series is touched only once non-zero, the
+        high-water gauges are the max of the lifetime peaks, and timer
+        fires, drain cycles and trials are their histograms' sample
+        counts."""
         view = MetricsRegistry()
         view.merge(self._registry)
-        # A fire or drain cycle is one histogram sample; merged chunks
-        # carry both families, so the counter is set, never added to.
+        # A fire, drain cycle or trial is one histogram sample; merged
+        # chunks carry both families, so the counter is set, never
+        # added to.
         for counter, histogram in _HISTOGRAM_COUNTS:
             view.get(counter).default.value = float(
                 view.get(histogram).default.count)
-        counts = [(name, (), sum(getattr(ring, attr) for ring in self.rings))
-                  for name, attr, _ in _RING_COUNTERS]
+        counts = [(name, (), sum(getattr(source, attr) for source in sources))
+                  for sources, table in ((self.queues, _QUEUE_COUNTERS),
+                                         (self.timers, _TIMER_COUNTERS),
+                                         (self.rings, _RING_COUNTERS))
+                  for name, attr, _ in table]
+        # A non-zero reprogram count implies the (lazy) family exists:
+        # every reprogram also fires ``timer_reprogrammed``.
+        counts.append(("hrtimer_reprogram_total", (),
+                       sum(timer.reprograms for timer in self.timers)))
         for state in self.controllers:
             counts += [
                 ("kleb_retries_total", ("ioctl",), state.ioctl_retries),
@@ -492,6 +475,10 @@ class Recorder(NullRecorder):
                  state.recovery_reads),
                 ("kleb_drain_shrinks_total", (), state.drain_shrinks),
                 ("kleb_drain_restores_total", (), state.drain_restores),
+                ("faults_recovered_total", ("ioctl",),
+                 state.ioctl_recoveries),
+                ("faults_recovered_total", ("read",),
+                 state.read_recoveries),
             ]
             control = state.control
             if control is not None:
@@ -507,6 +494,8 @@ class Recorder(NullRecorder):
         for name, labels, count in counts:
             if count:
                 view.get(name).labels(*labels).value += count
+        view.get("sim_queue_depth_high_water").default.set_max(
+            max((queue.peak for queue in self.queues), default=0))
         view.get("ringbuffer_depth_high_water").default.set_max(
             max((ring.peak for ring in self.rings), default=0))
         return view

@@ -11,6 +11,11 @@ in C and never looks at the event, and the monotonically increasing
 ``seq`` preserves FIFO dispatch order for events scheduled at the same
 time.  Cancelled tombstones are compacted away adaptively once they
 outnumber the live entries (see :meth:`EventQueue._maybe_compact`).
+
+The queue counts its own dispatches, cancels, compactions and peak
+depth in a :class:`QueueCounts`; a queue built while an obs recorder
+is installed registers those counts, and the recorder's metrics view
+projects them.
 """
 
 from __future__ import annotations
@@ -29,6 +34,19 @@ EventCallback = Callable[[int], None]
 # the majority of entries.  Below the floor the walk-and-skip cost of
 # lazy cancellation is negligible.
 _COMPACT_MIN_DEAD = 64
+
+
+class QueueCounts:
+    """An event queue's lifetime counts, held apart from the queue so a
+    recorder can keep them without keeping pending callbacks alive."""
+
+    __slots__ = ("fired", "cancelled", "compactions", "peak")
+
+    def __init__(self) -> None:
+        self.fired = 0        # callbacks dispatched
+        self.cancelled = 0    # pending events cancelled
+        self.compactions = 0  # tombstone-compaction heap rebuilds
+        self.peak = 0         # most live events at once
 
 
 class ScheduledEvent:
@@ -78,12 +96,10 @@ class EventQueue:
         self._live = 0
         # Cancelled entries still sitting in the heap (tombstones).
         self._dead = 0
-        # Observability hook, captured once: None while disabled, so
-        # every hot-path hook site costs a single identity comparison.
-        self._obs = _obs_hooks.active()
-        # Depth already reported to the recorder; schedule() only hooks
-        # on a new high-water mark, not on every insert.
-        self._obs_peak = 0
+        self.counts = QueueCounts()
+        recorder = _obs_hooks.active()
+        if recorder is not None:
+            recorder.queues.append(self.counts)
 
     def __len__(self) -> int:
         return self._live
@@ -91,8 +107,7 @@ class EventQueue:
     def _note_cancelled(self) -> None:
         self._live -= 1
         self._dead += 1
-        if self._obs is not None:
-            self._obs.queue_event_cancelled()
+        self.counts.cancelled += 1
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
@@ -107,12 +122,10 @@ class EventQueue:
         if (self._dead < _COMPACT_MIN_DEAD or self._dispatching
                 or self._dead * 2 <= len(heap)):
             return
-        dead = self._dead
         self._heap = [entry for entry in heap if not entry[2]._cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
-        if self._obs is not None:
-            self._obs.queue_compacted(dead, len(self._heap))
+        self.counts.compactions += 1
 
     def schedule(self, when: int, callback: EventCallback,
                  label: str = "event") -> ScheduledEvent:
@@ -127,9 +140,9 @@ class EventQueue:
         event = ScheduledEvent(when, callback, label, queue=self)
         heapq.heappush(self._heap, (when, next(self._seq), event))
         self._live += 1
-        if self._obs is not None and self._live > self._obs_peak:
-            self._obs_peak = self._live
-            self._obs.queue_scheduled(self._live)
+        counts = self.counts
+        if self._live > counts.peak:
+            counts.peak = self._live
         return event
 
     def peek_time(self) -> Optional[int]:
@@ -172,9 +185,8 @@ class EventQueue:
                 fired += 1
         finally:
             self._dispatching = False
-        if fired and self._obs is not None:
-            # Batched: one hook call per dispatch, not per event.
-            self._obs.queue_events_fired(fired)
+        # Not in ``finally``: a dispatch that raised is not counted.
+        self.counts.fired += fired
         return fired
 
     def clear(self) -> None:
@@ -189,9 +201,3 @@ class EventQueue:
             entry[2].cancel()
         self._heap.clear()
         self._dead = 0
-
-    def _drop_cancelled(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1

@@ -42,8 +42,7 @@ from repro.workloads.base import Block, Program, RateBlock, SyscallBlock
 _LOG_RATES = {"LOADS": 0.38, "STORES": 0.27, "BRANCHES": 0.12}
 
 # Retry/backoff tunables for transient device failures.
-_IOCTL_MAX_ATTEMPTS = 8
-_READ_MAX_ATTEMPTS = 8
+_MAX_ATTEMPTS = 8
 _BACKOFF_BASE_NS = ms(1)
 _BACKOFF_CAP_NS = ms(64)
 
@@ -77,8 +76,11 @@ class ControllerState:
     # the scaled totals.
     mux_accounting: Optional[Dict[str, object]] = None
     # Degradation/recovery accounting (all zero on a healthy run).
+    # A retry is a failed attempt; a recovery is a success after one.
     ioctl_retries: int = 0
     read_retries: int = 0
+    ioctl_recoveries: int = 0
+    read_recoveries: int = 0
     recovery_reads: int = 0
     drain_shrinks: int = 0
     drain_restores: int = 0
@@ -127,34 +129,40 @@ class KLebControllerProgram(Program):
     # ------------------------------------------------------------------
     # Retryable syscall helpers
     # ------------------------------------------------------------------
-    def _retrying_ioctl(self, call, label: str) -> Iterator[Block]:
-        """Yield ``ioctl`` blocks for ``call`` until it sticks.
+    def _retrying(self, site: str, call, label: str,
+                  backoff_label: str) -> Iterator[Block]:
+        """Yield ``site`` syscall blocks running ``call`` until it sticks.
 
+        ``site`` (``"ioctl"`` or ``"read"``) names both the syscall and
+        the state counts it charges: ``<site>_retries`` per failed
+        attempt, ``<site>_recoveries`` per success after a failure.
         Transient (injected) failures back off exponentially, capped;
-        after ``_IOCTL_MAX_ATTEMPTS`` the last error propagates — at
-        that point the device is persistently broken and the trial
-        fails upward to the runner's quarantine logic.
+        after ``_MAX_ATTEMPTS`` the last error propagates — at that
+        point the device is persistently broken and the trial fails
+        upward to the runner's quarantine logic.
         """
         state = self.state
-        obs = self._obs
         outcome: Dict[str, object] = {}
-        for attempt in range(_IOCTL_MAX_ATTEMPTS):
-            def handler(kernel, task):
-                try:
-                    outcome["value"] = call(kernel, task)
-                    outcome["ok"] = True
-                except TransientModuleError as error:
-                    outcome["ok"] = False
-                    outcome["error"] = error
-                return outcome["ok"]
 
-            yield SyscallBlock("ioctl", handler=handler, label=label)
+        def handler(kernel, task):
+            try:
+                result = call(kernel, task)
+            except TransientModuleError as error:
+                outcome["error"] = error
+                return -1
+            outcome["ok"] = True
+            return result
+
+        for attempt in range(_MAX_ATTEMPTS):
+            yield SyscallBlock(site, handler=handler, label=label)
             if outcome.pop("ok", False):
-                if attempt and obs is not None:
-                    obs.fault_recovered(self.module.kernel.now, "ioctl")
+                if attempt:
+                    name = f"{site}_recoveries"
+                    setattr(state, name, getattr(state, name) + 1)
                 return
-            state.ioctl_retries += 1
-            if attempt == _IOCTL_MAX_ATTEMPTS - 1:
+            name = f"{site}_retries"
+            setattr(state, name, getattr(state, name) + 1)
+            if attempt == _MAX_ATTEMPTS - 1:
                 raise outcome["error"]  # type: ignore[misc]
             delay = _backoff_ns(attempt)
             yield SyscallBlock(
@@ -162,7 +170,7 @@ class KLebControllerProgram(Program):
                 handler=lambda kernel, task, d=delay: kernel.sleep_current(
                     d, high_resolution=True
                 ),
-                label=f"{label}-backoff",
+                label=backoff_label,
             )
 
     def _read_and_log(self, holder: Dict[str, object]) -> Iterator[Block]:
@@ -174,55 +182,25 @@ class KLebControllerProgram(Program):
         """
         module = self.module
         state = self.state
-        obs = self._obs
-        outcome: Dict[str, object] = {}
-        for attempt in range(_READ_MAX_ATTEMPTS):
-            def do_read(kernel, task):
-                try:
-                    buffer = module.buffer
-                    # Observed *before* the drain: a full drain always
-                    # lifts the safety stop, so the post-drain flag
-                    # would hide every pause episode from user space.
-                    paused = buffer.paused if buffer is not None else False
-                    batch = module.read(self._drain_max_items)
-                    outcome["batch"] = batch
-                    outcome["paused"] = paused
-                    outcome["dropped"] = (buffer.dropped
-                                          if buffer is not None else 0)
-                    if self._adaptive is not None:
-                        self._capture_sensor(kernel, buffer, batch, outcome)
-                    outcome["ok"] = True
-                    return len(batch)
-                except TransientModuleError as error:
-                    outcome["ok"] = False
-                    outcome["error"] = error
-                    return -1
+        batch = ()
 
-            yield SyscallBlock("read", handler=do_read, label="read-samples")
-            if outcome.pop("ok", False):
-                if attempt and obs is not None:
-                    obs.fault_recovered(module.kernel.now, "read")
-                break
-            state.read_retries += 1
-            if attempt == _READ_MAX_ATTEMPTS - 1:
-                raise outcome["error"]  # type: ignore[misc]
-            delay = _backoff_ns(attempt)
-            yield SyscallBlock(
-                "nanosleep",
-                handler=lambda kernel, task, d=delay: kernel.sleep_current(
-                    d, high_resolution=True
-                ),
-                label="read-backoff",
-            )
-        batch = outcome.pop("batch", ())
-        holder["batch_len"] = len(batch)
-        holder["paused"] = outcome.pop("paused", False)
-        holder["dropped"] = outcome.pop("dropped", 0)
-        if self._adaptive is not None:
-            holder["now"] = outcome.pop("now", module.kernel.now)
-            holder["monitor_ns"] = outcome.pop("monitor_ns", 0)
-            holder["pressure"] = outcome.pop("pressure", 0.0)
-            holder["signal"] = outcome.pop("signal", None)
+        def do_read(kernel, task):
+            nonlocal batch
+            buffer = module.buffer
+            # Observed *before* the drain: a full drain always lifts
+            # the safety stop, so the post-drain flag would hide every
+            # pause episode from user space.
+            paused = buffer.paused if buffer is not None else False
+            batch = module.read(self._drain_max_items)
+            holder["batch_len"] = len(batch)
+            holder["paused"] = paused
+            holder["dropped"] = buffer.dropped if buffer is not None else 0
+            if self._adaptive is not None:
+                self._capture_sensor(kernel, buffer, batch, holder)
+            return len(batch)
+
+        yield from self._retrying("read", do_read, "read-samples",
+                                  "read-backoff")
         if batch:
             # Zero-copy hand-off: the drained columns are kept whole;
             # no per-sample dicts are ever built on this path.
@@ -242,20 +220,20 @@ class KLebControllerProgram(Program):
     # ------------------------------------------------------------------
     # Adaptive control (closed loop over the drain cycle)
     # ------------------------------------------------------------------
-    def _capture_sensor(self, kernel, buffer, batch, outcome) -> None:
+    def _capture_sensor(self, kernel, buffer, batch, holder) -> None:
         """Everything the closed loop observes, captured inside the
         read syscall so the observation is one consistent snapshot."""
         stats = self.module.stats
-        outcome["now"] = kernel.now
+        holder["now"] = kernel.now
         # The Table II/III monitoring-cost decomposition: handler time
         # plus drain copy_to_user plus multiplex rotation, cumulative.
-        outcome["monitor_ns"] = (stats.handler_time_ns
+        holder["monitor_ns"] = (stats.handler_time_ns
                                  + stats.drain_copy_ns + stats.rotate_ns)
         if buffer is not None and buffer.capacity > 0:
-            outcome["pressure"] = (buffer.take_high_watermark()
+            holder["pressure"] = (buffer.take_high_watermark()
                                    / buffer.capacity)
         else:
-            outcome["pressure"] = 0.0
+            holder["pressure"] = 0.0
         signal = None
         if len(batch) >= 2:
             timestamps = batch.timestamps
@@ -269,7 +247,7 @@ class KLebControllerProgram(Program):
                 # Per-microsecond rate: spacing-independent, so the
                 # tracker survives its own period changes.
                 signal = (last - first) / span * 1000.0
-        outcome["signal"] = signal
+        holder["signal"] = signal
 
     def _adaptive_step(self, holder: Dict[str, object],
                        interval_ns: int) -> Iterator[Block]:
@@ -321,10 +299,9 @@ class KLebControllerProgram(Program):
                 skip_factor=decision.skip_factor,
                 rotate_slowdown=decision.rotate_slowdown,
             )
-            yield from self._retrying_ioctl(
-                lambda kernel, task: module.ioctl("adapt", request),
-                label="ioctl-adapt",
-            )
+            yield from self._retrying(
+                "ioctl", lambda kernel, task: module.ioctl("adapt", request),
+                "ioctl-adapt", "ioctl-adapt-backoff")
             state.adapt_ioctls += 1
         # Retarget the nominal drain interval to track the active
         # period (same drain-every-N-periods policy as construction).
@@ -345,10 +322,10 @@ class KLebControllerProgram(Program):
         state = self.state
         obs = self._obs
 
-        yield from self._retrying_ioctl(
+        yield from self._retrying(
+            "ioctl",
             lambda kernel, task: module.ioctl("config", self.module_config),
-            label="ioctl-config",
-        )
+            "ioctl-config", "ioctl-config-backoff")
 
         def do_start(kernel, task):
             module.ioctl("start", self.target_pid)
@@ -357,7 +334,8 @@ class KLebControllerProgram(Program):
             state.started = True
             return True
 
-        yield from self._retrying_ioctl(do_start, label="ioctl-start")
+        yield from self._retrying("ioctl", do_start, "ioctl-start",
+                                  "ioctl-start-backoff")
 
         interval_ns = self.drain_interval_ns
         floor_ns = max(ms(10), 2 * self.module_config.period_ns)
@@ -452,4 +430,5 @@ class KLebControllerProgram(Program):
                 }
             return state.totals
 
-        yield from self._retrying_ioctl(do_stop, label="ioctl-stop")
+        yield from self._retrying("ioctl", do_stop, "ioctl-stop",
+                                  "ioctl-stop-backoff")

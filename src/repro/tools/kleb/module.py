@@ -259,7 +259,7 @@ class KLebModule(KernelModule):
     @property
     def timer_misses_total(self) -> int:
         """Missed-deadline count across every armed timer (all cpus)."""
-        return sum(timer.missed for timer in self.timers or ())
+        return sum(timer.counts.missed for timer in self.timers or ())
 
     # ------------------------------------------------------------------
     # ioctl interface (what the controller calls)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel.config import KernelConfig
 from repro.kernel.smp import SmpCluster, corun_parallel
 from repro.errors import ExperimentError
 from repro.sim.clock import ms, seconds, us
@@ -195,3 +196,50 @@ class TestTopologyAndUncore:
         pids = [cluster.spawn(cpu, compute()).pid for cpu in range(3)]
         assert len(set(pids)) == 3
         assert pids[0] == 1000  # core 0 keeps the classic pid base
+
+
+class TestMigratingLockstep:
+    """The smp_migrate configuration: matmul n=512 under one K-LEB on 4
+    migrating cores beside 3 pinned streamers, 100 us period.
+
+    Known bug, pinned here and not yet fixed: once the victim migrates,
+    the cluster's cores drift hundreds of milliseconds apart (190-286 ms
+    at victim exit across these seeds), and on seed 6 the victim's wall
+    time (16.7 ms) disagrees with the 286.9 ms its samples span.  The
+    fix changes the ``smp_migrate`` outcome digests, so it must
+    re-record ``benchmarks/e2e/expected_seed0.json`` and drop the mark.
+    """
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="lockstep clock drifts once the victim "
+                              "migrates")
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clocks_and_wall_time_agree_at_victim_exit(self, seed):
+        from repro.experiments.smp import SMP_QUANTUM_NS
+        from repro.tools.kleb import KLebTool
+        from repro.workloads.matmul import TripleLoopMatmul
+
+        # Built as run_monitored_smp builds it, to reach the cluster.
+        cluster = SmpCluster(cores=4, seed=seed, migrate=True,
+                             kernel_config=KernelConfig(
+                                 noise_enabled=False,
+                                 quantum_ns=SMP_QUANTUM_NS))
+        victim = cluster.spawn(0, TripleLoopMatmul(512), start=False)
+        for index in range(3):
+            task = cluster.spawn(1 + index, StridedMemoryWorkload(
+                64 * 1024 * 1024, 20_000, name=f"streamer{index}",
+                address_base=(index + 1) << 30))
+            task.pinned = True
+        period_ns = us(100)
+        session = KLebTool().attach_cluster(
+            cluster, victim, ["LOADS", "STORES", "LLC_MISSES",
+                              "BRANCH_MISSES"], period_ns)
+        cluster.run_until_tasks_exit([victim], deadline_ns=seconds(30))
+        skew_ns = cluster.max_skew_ns()
+        timestamps = session.finalize().samples.timestamps
+        span_ns = timestamps[-1] - timestamps[0]
+        assert skew_ns <= cluster.window_ns + SMP_QUANTUM_NS
+        # The first sample lands a few periods after the victim starts
+        # (0.5 ms on a clean single-core run), so the span may trail the
+        # wall time by up to a quantum.
+        assert abs(victim.wall_time_ns - span_ns) <= SMP_QUANTUM_NS

@@ -8,6 +8,7 @@ from repro.hw.presets import i7_920
 from repro.kernel.config import KernelConfig
 from repro.kernel.hrtimer import HrTimer
 from repro.kernel.kernel import Kernel
+from repro.obs import hooks
 from repro.sim.clock import us
 from repro.sim.rng import RngStreams
 
@@ -85,3 +86,29 @@ class TestOverrun:
         tail = fires[4:]
         intervals = [b - a for a, b in zip(tail, tail[1:])]
         assert all(interval == us(100) for interval in intervals)
+
+    def test_overrun_counts_project_into_metrics(self):
+        """The timer counts its overruns and skipped slots; a recorder
+        installed at construction projects exactly those counts."""
+        recorder = hooks.Recorder(trace=False)
+        hooks.install(recorder)
+        try:
+            kernel = quiet_kernel()
+
+            def slow_handler(when):
+                kernel.charge_kernel_time(us(250))
+
+            timer = HrTimer(kernel, slow_handler, label="slow")
+        finally:
+            hooks.reset()
+        timer.start(us(100))
+        kernel.run(deadline=us(2000))
+        counts = timer.counts
+        assert counts.overruns > 0
+        assert counts.skipped_slots >= 2 * counts.overruns
+        registry = recorder.registry
+        assert registry.get(
+            "hrtimer_overruns_total").default.value == counts.overruns
+        assert registry.get(
+            "hrtimer_skipped_slots_total").default.value == \
+            counts.skipped_slots

@@ -3,22 +3,40 @@
 The load-bearing property: with the (default) null recorder installed,
 the instrumented hot paths are bit-identical to uninstrumented code —
 any interleaving of hook calls changes nothing.  The Hypothesis test
-drives the instrumented ``EventQueue`` through arbitrary op sequences
-with hook calls interleaved and compares full internal state against a
-queue that never saw a hook.
+drives ``EventQueue`` through arbitrary op sequences with hook calls
+interleaved and compares full internal state, its own counts included,
+against a queue that never saw a hook.
 """
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.control.ledger import ControlLedger
+from repro.faults import FaultPlan
+from repro.faults.inject import FaultInjector
+from repro.hw.machine import Machine
+from repro.hw.presets import i7_920
+from repro.kernel.config import KernelConfig
+from repro.kernel.hrtimer import HrTimer
+from repro.kernel.kernel import Kernel
 from repro.kernel.ringbuffer import ColumnarRing
 from repro.obs import hooks
 from repro.obs.hooks import NullRecorder, Recorder
+from repro.sim.clock import us
 from repro.sim.engine import EventQueue
+from repro.sim.rng import RngStreams
 from repro.tools.kleb.controller import ControllerState
+
+
+def _kernel(faults=None):
+    config = KernelConfig(noise_enabled=False, hrtimer_jitter_mean_ns=0,
+                          hrtimer_jitter_sd_ns=0)
+    return Kernel(Machine(i7_920()), config=config, rng=RngStreams(0),
+                  faults=faults)
 
 
 @pytest.fixture(autouse=True)
@@ -34,22 +52,30 @@ class TestNullRecorder:
 
     def test_every_hook_is_a_noop(self):
         null = hooks.recorder()
-        null.queue_scheduled(5)
-        null.queue_events_fired(3)
-        null.queue_event_cancelled()
-        null.queue_compacted(10, 2)
         null.timer_fired("t", 100, 5)
         null.timer_missed("t", 100)
         null.timer_overrun("t", 100, 2)
+        null.timer_reprogrammed("t", 100, 200)
         null.drain_cycle(0, 10, 3, False, 100)
         null.drain_shrunk(0, 50)
         null.drain_restored(0, 100)
+        null.control_observation(0, 1.0, 1)
+        null.control_step(0, "degrade", 1, 200)
+        null.control_frozen(0)
         null.fault_landed(0, "hrtimer", "jitter")
-        null.fault_recovered(0, "read")
+        null.trial_started(0)
         null.trial_span(0, 1, "p", "t", 10, 2)
         null.trial_retry(0, 1, "crash")
         null.trial_quarantined(0, 3)
         assert not null.__dict__  # still stateless
+
+    def test_sources_built_while_disabled_register_nowhere(self):
+        """Queues and timers count for themselves either way; with the
+        null recorder installed they hold no recorder at all."""
+        kernel = _kernel()
+        timer = HrTimer(kernel, lambda when: None)
+        assert timer._obs is None
+        assert not hasattr(kernel.events, "_obs")
 
     def test_install_and_reset(self):
         recorder = Recorder()
@@ -62,7 +88,7 @@ class TestNullRecorder:
 # Op stream for the interleaving property: queue operations mixed with
 # direct hook calls against whatever recorder is installed (the null
 # one).  Mirrors the reference-model suite in
-# tests/properties/test_props_engine.py.
+# tests/properties/test_props_engine.py, which checks the counts.
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 50)),
@@ -74,11 +100,11 @@ _OPS = st.lists(
 )
 
 _HOOK_CALLS = (
-    lambda r: r.queue_scheduled(3),
-    lambda r: r.queue_events_fired(2),
-    lambda r: r.queue_event_cancelled(),
-    lambda r: r.queue_compacted(64, 1),
     lambda r: r.timer_fired("t", 10, 1),
+    lambda r: r.timer_missed("t", 10),
+    lambda r: r.timer_overrun("t", 10, 2),
+    lambda r: r.fault_landed(0, "hrtimer", "jitter"),
+    lambda r: r.trial_span(0, 1, "p", "t", 10, 2),
     lambda r: r.drain_shrunk(0, 5),
     lambda r: r.drain_cycle(0, 5, 1, False, 10),
 )
@@ -90,6 +116,8 @@ def _queue_state(queue: EventQueue):
                for when, seq, event in queue._heap),
         queue._live,
         queue._dead,
+        tuple(getattr(queue.counts, name) for name in
+              ("fired", "cancelled", "compactions", "peak")),
     )
 
 
@@ -130,8 +158,8 @@ class TestNullRecorderTransparency:
         assert _queue_state(hooked) == _queue_state(plain)
 
     def test_queue_built_while_disabled_never_calls_recorder(self):
-        """The hook reference is captured at construction: a queue built
-        under the null recorder stays silent even if a live recorder is
+        """Registration happens at construction: a queue built under
+        the null recorder is not projected even if a live recorder is
         installed afterwards."""
         queue = EventQueue()
         recorder = Recorder()
@@ -154,6 +182,8 @@ class TestRecorderHooks:
         handles = [queue.schedule(t, lambda when: None) for t in range(5)]
         handles[0].cancel()
         queue.dispatch_due(10)
+        counts = queue.counts
+        assert (counts.fired, counts.cancelled, counts.peak) == (4, 1, 5)
         registry = recorder.registry
         assert registry.get("sim_events_fired_total").default.value == 4
         assert registry.get(
@@ -161,15 +191,71 @@ class TestRecorderHooks:
         assert registry.get(
             "sim_queue_depth_high_water").default.value == 5
 
+    def test_queue_counts_sum_and_high_water_takes_the_max_peak(
+            self, recorder):
+        small, big = EventQueue(), EventQueue()
+        small.schedule(1, lambda when: None)
+        for when in range(3):
+            big.schedule(when, lambda when: None)
+        small.dispatch_due(10)
+        big.dispatch_due(10)
+        registry = recorder.registry
+        assert registry.get("sim_events_fired_total").default.value == 4
+        assert registry.get(
+            "sim_queue_depth_high_water").default.value == 3
+
     def test_timer_and_fault_hooks_emit_trace_events(self, recorder):
         recorder.timer_missed("kleb", 1_000)
         recorder.fault_landed(2_000, "ringbuffer", "squeeze")
         names = [event[1] for event in recorder.tracer.dump_events()]
         assert names == ["timer-missed", "fault:squeeze"]
         registry = recorder.registry
-        assert registry.get("hrtimer_missed_total").default.value == 1
+        # The miss is the timer's to count: the hook only traces.
+        assert registry.get("hrtimer_missed_total").default.value == 0
         assert registry.get(
             "faults_landed_total").labels("ringbuffer").value == 1
+
+    def test_timer_counts_project_into_metrics(self, recorder):
+        kernel = _kernel(FaultInjector(FaultPlan.parse(
+            "seed=1,timer_miss=0.5")))
+        timer = HrTimer(kernel, lambda when: None, label="t")
+        timer.start(us(100))
+        kernel.run(deadline=us(2_050))
+        timer.reprogram(us(200))
+        missed = timer.counts.missed
+        assert timer.fires + missed == 20 and missed > 0
+        registry = recorder.registry
+        assert registry.get(
+            "hrtimer_fires_total").default.value == timer.fires
+        assert registry.get(
+            "hrtimer_missed_total").default.value == missed
+        assert registry.get(
+            "hrtimer_reprogram_total").default.value == 1
+        # Both the timer's re-arm and the kernel's events were counted
+        # by the queue that dispatched them.
+        assert registry.get(
+            "sim_events_fired_total").default.value == \
+            kernel.events.counts.fired
+
+    def test_recorder_keeps_the_counts_not_the_simulation(self, recorder):
+        kernel = _kernel()
+        timer = HrTimer(kernel, lambda when: None, label="t")
+        timer.start(us(100))
+        kernel.run(deadline=us(450))  # the next fire stays pending
+        fired = kernel.events.counts.fired
+        alive = weakref.ref(kernel)
+        del kernel, timer
+        gc.collect()
+        assert alive() is None
+        assert recorder.registry.get(
+            "sim_events_fired_total").default.value == fired > 0
+
+    def test_trials_are_the_wall_histogram_count(self, recorder):
+        recorder.trial_span(0, 1, "p", "t", 10, 2)
+        recorder.trial_span(1, 2, "p", "t", 20, 2)
+        registry = recorder.registry
+        assert registry.get("trials_total").default.value == 2
+        assert registry.get("trial_sim_wall_ns").default.count == 2
 
     def test_lateness_histogram_observes_fires(self, recorder):
         recorder.timer_fired("kleb", 10_000, 1_500)
@@ -210,12 +296,17 @@ class TestTrialCapture:
         parent = Recorder()
         hooks.install(parent)
         with hooks.trial_capture(2) as child:
-            child.queue_events_fired(9)
+            queue = EventQueue()  # registers with the child
+            for when in range(9):
+                queue.schedule(when, lambda when: None)
+            queue.dispatch_due(10)
             child.trial_span(2, 7, "matmul", "k-leb", 1_000, 3)
             chunk = child.chunk()
         hooks.merge_chunk(chunk)
+        assert parent.queues == []
         assert parent.registry.get(
             "sim_events_fired_total").default.value == 9
+        assert parent.registry.get("trials_total").default.value == 1
         spans = [event for event in parent.tracer.to_dicts()
                  if event["name"] == "trial"]
         assert spans[0]["pid"] == 2
@@ -280,14 +371,20 @@ class TestStatsProjection:
     def test_retry_series_appear_only_when_non_zero(self):
         recorder = Recorder()
         recorder.controllers.append(ControllerState(
-            ioctl_retries=2, recovery_reads=1, drain_shrinks=1))
+            ioctl_retries=2, recovery_reads=1, drain_shrinks=1,
+            ioctl_recoveries=1))
         recorder.controllers.append(ControllerState(ioctl_retries=1,
-                                                    drain_restores=3))
+                                                    drain_restores=3,
+                                                    ioctl_recoveries=1))
         registry = recorder.registry
         retries = registry.get("kleb_retries_total").series
         assert {labels: series.value
                 for labels, series in retries.items()} == {
             ("ioctl",): 3.0, ("recovery-read",): 1.0}
+        recovered = registry.get("faults_recovered_total").series
+        assert {labels: series.value
+                for labels, series in recovered.items()} == {
+            ("ioctl",): 2.0}
         assert registry.get("kleb_drain_shrinks_total").default.value == 1
         assert registry.get("kleb_drain_restores_total").default.value == 3
 

@@ -10,8 +10,16 @@ import json
 
 import pytest
 
+from repro.hw.machine import Machine
+from repro.hw.presets import i7_920
+from repro.kernel.config import KernelConfig
+from repro.kernel.hrtimer import HrTimer
+from repro.kernel.kernel import Kernel
 from repro.kernel.ringbuffer import ColumnarRing
 from repro.obs import hooks, report
+from repro.sim.clock import us
+from repro.sim.engine import EventQueue
+from repro.sim.rng import RngStreams
 
 
 @pytest.fixture
@@ -20,25 +28,72 @@ def recorder():
 
 
 # ----------------------------------------------------------------------
-# Rare hook surface: every hook mutates its metric (and trace, where
-# one is emitted) exactly as advertised.  Ring and controller counts
-# are projections of their records (see tests/obs/test_hooks.py).
+# Rare hook surface: every hook traces (and feeds its metric, where it
+# still keeps one) exactly as advertised.  Queue, timer, ring and
+# controller counts are projections of those objects' own counts (see
+# tests/obs/test_hooks.py).
 # ----------------------------------------------------------------------
 class TestRareHooks:
     def test_queue_compacted(self, recorder):
-        recorder.queue_compacted(dead=64, remaining=10)
-        assert recorder._compactions.value == 1.0
+        """A compaction reaches the metrics through the queue's own
+        count: the queue registers with the installed recorder."""
+        hooks.install(recorder)
+        try:
+            queue = EventQueue()
+        finally:
+            hooks.reset()
+        handles = [queue.schedule(when, lambda when: None)
+                   for when in range(100)]
+        for handle in handles[:64]:
+            handle.cancel()
+        assert queue.counts.compactions == 1
+        assert recorder.registry.get(
+            "sim_queue_compactions_total").default.value == 1.0
 
     def test_timer_overrun_counts_and_traces(self, recorder):
+        """A real overrunning timer counts its overruns and skipped
+        slots; the hook traces one instant per overrun."""
+        hooks.install(recorder)
+        try:
+            kernel = Kernel(Machine(i7_920()), config=KernelConfig(
+                noise_enabled=False, hrtimer_jitter_mean_ns=0,
+                hrtimer_jitter_sd_ns=0, irq_entry_ns=0, irq_exit_ns=0),
+                rng=RngStreams(0))
+
+            def slow_handler(when):
+                kernel.charge_kernel_time(us(250))
+
+            timer = HrTimer(kernel, slow_handler, label="kleb")
+            timer.start(us(100))
+            kernel.run(deadline=us(2000))
+        finally:
+            hooks.reset()
+        counts = timer.counts
+        assert counts.overruns > 0
+        registry = recorder.registry
+        assert registry.get(
+            "hrtimer_overruns_total").default.value == counts.overruns
+        assert registry.get(
+            "hrtimer_skipped_slots_total").default.value == \
+            counts.skipped_slots
+        overruns = [event for event in recorder.tracer.to_dicts()
+                    if event["name"] == "timer-overrun"]
+        assert len(overruns) == counts.overruns
+        assert sum(event["args"]["skipped"] for event in overruns) == \
+            counts.skipped_slots
+
+    def test_timer_overrun_hook_only_traces(self, recorder):
         recorder.timer_overrun("kleb", when=5_000, skipped=3)
-        assert recorder._timer_overruns.value == 1.0
-        assert recorder._timer_skipped.value == 3.0
         assert len(recorder.tracer) == 1
+        registry = recorder.registry
+        assert registry.get("hrtimer_overruns_total").default.value == 0
+        assert registry.get(
+            "hrtimer_skipped_slots_total").default.value == 0
 
     def test_timer_overrun_without_tracer(self):
         recorder = hooks.Recorder(trace=False)
         recorder.timer_overrun("kleb", when=5_000, skipped=2)
-        assert recorder._timer_skipped.value == 2.0
+        assert recorder.tracer is None
 
     def test_buffer_episode_counters(self, recorder):
         """Ring episodes reach the metrics through the ring's own

@@ -5,11 +5,13 @@ adaptive compaction, tombstone-popping peeks) must dispatch in exactly
 the same order as the obvious model: scan pending entries, fire the
 ``(when, seq)`` minimum, repeat.  FIFO tie-break for same-time events
 included — that ordering is what keeps the whole simulation
-deterministic.
+deterministic.  The queue's own counts (fired, cancelled, peak depth)
+must match the model's too, as read through a recorder's projection.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import hooks
 from repro.sim.engine import EventQueue
 
 
@@ -19,16 +21,21 @@ class ReferenceQueue:
     def __init__(self):
         self._entries = []
         self._seq = 0
+        self.fired = 0
+        self.cancelled = 0  # cancels that hit a still-pending entry
+        self.peak = 0
 
     def schedule(self, when, label):
         entry = {"when": when, "seq": self._seq, "label": label,
                  "live": True}
         self._seq += 1
         self._entries.append(entry)
+        self.peak = max(self.peak, self.live_count())
         return entry
 
-    @staticmethod
-    def cancel(entry):
+    def cancel(self, entry):
+        if entry["live"]:
+            self.cancelled += 1
         entry["live"] = False
 
     def live_count(self):
@@ -46,6 +53,7 @@ class ReferenceQueue:
                 return
             entry = min(due, key=lambda e: (e["when"], e["seq"]))
             entry["live"] = False
+            self.fired += 1
             fired.append((entry["label"], entry["when"]))
 
 
@@ -62,11 +70,23 @@ _OPS = st.lists(
 )
 
 
+def _projected_counts(recorder):
+    registry = recorder.registry
+    return tuple(int(registry.get(name).default.value) for name in (
+        "sim_events_fired_total", "sim_events_cancelled_total",
+        "sim_queue_depth_high_water"))
+
+
 class TestMatchesReferenceModel:
     @given(_OPS)
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_op_sequences(self, ops):
-        queue = EventQueue()
+        recorder = hooks.Recorder(trace=False)
+        hooks.install(recorder)
+        try:
+            queue = EventQueue()
+        finally:
+            hooks.reset()
         model = ReferenceQueue()
         real_fired = []
         model_fired = []
@@ -97,6 +117,8 @@ class TestMatchesReferenceModel:
         model.dispatch_due(10**9, model_fired)
         assert real_fired == model_fired
         assert len(queue) == model.live_count() == 0
+        assert _projected_counts(recorder) == (
+            model.fired, model.cancelled, model.peak)
 
     def test_compaction_preserves_dispatch_order(self):
         """Enough tombstones to trigger heap rebuilds mid-sequence."""
