@@ -205,19 +205,12 @@ def run_monitored(program: Program, tool: MonitoringTool,
 
 @dataclass
 class TrialOutcome:
-    """Plain-data result of one trial: its summary plus retry accounting.
+    """Plain-data result of one trial: its summary (``None`` when
+    quarantined) and its :class:`TrialLedger`.  Picklable, so a pool
+    worker returns it unchanged."""
 
-    ``summary`` is ``None`` when the trial was quarantined.  Picklable,
-    so a pool worker returns it unchanged.
-    """
-
-    trial: int
-    seed: int
     summary: Optional[TrialSummary]
-    attempts: int = 1
-    quarantined: bool = False
-    error: str = ""
-    records: List[FaultRecord] = field(default_factory=list)
+    ledger: TrialLedger
 
 
 def _trial_backoff_s(attempt: int) -> float:
@@ -254,9 +247,10 @@ def run_trial(program: Program, tool: MonitoringTool, trial: int, *,
     fate = plan.trial_fate(trial) if plan is not None else BENIGN_FATE
     recorder = obs_hooks.recorder()
     recorder.trial_started(trial)
-    records: List[FaultRecord] = []
+    ledger = TrialLedger(trial=trial, seed=seed)
     last_error = ""
     for attempt in range(1, MAX_TRIAL_ATTEMPTS + 1):
+        ledger.attempts = attempt
         injector = (FaultInjector(plan, trial=trial) if plan is not None
                     else None)
         failing = attempt <= fate.failing_attempts
@@ -294,7 +288,7 @@ def run_trial(program: Program, tool: MonitoringTool, trial: int, *,
             last_error = str(error)
         else:
             if injector is not None:
-                records.extend(injector.ledger.records)
+                ledger.records.extend(injector.ledger.records)
             summary = summarize_trial(
                 result, trial=trial, seed=seed,
                 host_seconds=time.perf_counter() - started,
@@ -302,24 +296,23 @@ def run_trial(program: Program, tool: MonitoringTool, trial: int, *,
             recorder.trial_span(trial, seed, summary.program_name,
                                 summary.report.tool, summary.wall_ns,
                                 summary.sample_count)
-            return TrialOutcome(trial=trial, seed=seed, summary=summary,
-                                attempts=attempt, records=records)
-        records.append(FaultRecord(time_ns=0, site="runner", kind=kind,
-                                   detail=last_error))
+            return TrialOutcome(summary=summary, ledger=ledger)
+        ledger.records.append(FaultRecord(time_ns=0, site="runner",
+                                          kind=kind, detail=last_error))
         recorder.fault_landed(0, "runner", kind)
         if attempt < MAX_TRIAL_ATTEMPTS:
             backoff_s = _trial_backoff_s(attempt)
-            records.append(FaultRecord(
+            ledger.records.append(FaultRecord(
                 time_ns=0, site="runner", kind="retry-backoff",
                 detail=f"attempt {attempt} failed; "
                        f"backing off {backoff_s:.2f}s",
             ))
             recorder.trial_retry(trial, attempt, kind)
             time.sleep(min(backoff_s, TRIAL_BACKOFF_REAL_CAP_S))
+    ledger.quarantined = True
+    ledger.error = last_error
     recorder.trial_quarantined(trial, MAX_TRIAL_ATTEMPTS)
-    return TrialOutcome(trial=trial, seed=seed, summary=None,
-                        attempts=MAX_TRIAL_ATTEMPTS, quarantined=True,
-                        error=last_error, records=records)
+    return TrialOutcome(summary=None, ledger=ledger)
 
 
 def collect_outcomes(outcomes: Sequence[TrialOutcome],
@@ -334,24 +327,18 @@ def collect_outcomes(outcomes: Sequence[TrialOutcome],
     """
     summaries: List[TrialSummary] = []
     for outcome in outcomes:
+        summary, ledger = outcome.summary, outcome.ledger
         if fault_ledger is not None:
-            fault_ledger.add(TrialLedger(
-                trial=outcome.trial, seed=outcome.seed,
-                attempts=outcome.attempts,
-                quarantined=outcome.quarantined,
-                error=outcome.error,
-                records=list(outcome.records),
-            ))
-        summary = outcome.summary
+            fault_ledger.add(ledger)
         if summary is None:
             logger.warning("trial %d quarantined after %d attempts: %s",
-                           outcome.trial, outcome.attempts, outcome.error)
+                           ledger.trial, ledger.attempts, ledger.error)
             continue
         logger.info(
             "trial %d/%d (%s under %s) done in %.2fs after %d attempt(s): "
-            "sim wall %.4fs, %d samples", outcome.trial + 1, len(outcomes),
+            "sim wall %.4fs, %d samples", ledger.trial + 1, len(outcomes),
             summary.program_name, summary.report.tool,
-            summary.host_seconds, outcome.attempts, summary.wall_ns / 1e9,
+            summary.host_seconds, ledger.attempts, summary.wall_ns / 1e9,
             summary.sample_count,
         )
         summaries.append(summary)

@@ -32,11 +32,15 @@ class FaultRecord:
 
 
 class FaultLedger:
-    """Append-only record stream for one kernel/injector instance."""
+    """Append-only record stream for one kernel/injector instance: the
+    one store of its faults, registered (without its injector) with
+    the active recorder."""
 
     def __init__(self) -> None:
         self.records: List[FaultRecord] = []
         self._obs = _obs_hooks.active()
+        if self._obs is not None:
+            self._obs.fault_ledgers.append(self)
 
     def record(self, time_ns: int, site: str, kind: str,
                detail: str = "") -> None:
@@ -59,7 +63,9 @@ class FaultLedger:
 
 @dataclass
 class TrialLedger:
-    """Per-trial roll-up: attempts, outcome, and every fault record."""
+    """Per-trial roll-up: attempts, outcome, the runner's records and
+    the surviving attempt's injector records; registers like
+    :class:`FaultLedger`."""
 
     trial: int
     seed: int
@@ -68,9 +74,10 @@ class TrialLedger:
     error: str = ""
     records: List[FaultRecord] = field(default_factory=list)
 
-    @property
-    def injected(self) -> int:
-        return len(self.records)
+    def __post_init__(self) -> None:
+        recorder = _obs_hooks.active()
+        if recorder is not None:
+            recorder.trial_ledgers.append(self)
 
 
 class RunLedger:
@@ -95,15 +102,10 @@ class RunLedger:
         return [entry for entry in self.trials
                 if entry.attempts > 1 and not entry.quarantined]
 
-    def total(self, site: Optional[str] = None,
-              kind: Optional[str] = None) -> int:
-        return sum(
-            1 for entry in self.trials for record in entry.records
-            if (site is None or record.site == site)
-            and (kind is None or record.kind == kind)
-        )
-
     def site_counts(self) -> Dict[str, int]:
+        """The survivor view: last attempts' records plus every
+        ``runner`` record, ``retry-backoff`` included (unlike
+        ``faults_landed_total``, which counts every attempt)."""
         counts: Dict[str, int] = {}
         for entry in self.trials:
             for record in entry.records:

@@ -21,14 +21,13 @@ The contract that keeps observability honest:
   and mutates no simulation state, so *enabled* runs produce the same
   reports too.
 * **Sources count, hooks trace.**  Event queues, HRTimers, sample
-  rings and K-LEB controller states count their own facts and register
-  those counts with the recorder at construction (``queues``/
-  ``timers``/``rings``/``controllers``); every read of :attr:`Recorder.registry` projects
+  rings, K-LEB controller states and fault ledgers count their own
+  facts and register those counts with the recorder at construction
+  (``queues``/``timers``/``rings``/``controllers``/``fault_ledgers``/
+  ``trial_ledgers``); every read of :attr:`Recorder.registry` projects
   those counts, and timer fires, drain cycles and trials are read off
   the histograms their hooks feed.  A hook traces, feeds a histogram
-  or gauge, or publishes live.  It counts only what no object owns
-  yet: ``faults_landed_total``, ``trials_retried_total`` and
-  ``trials_quarantined_total``.
+  or gauge, or publishes live; it counts nothing.
 * **Worker merging is trial-ordered.**  :func:`trial_capture` swaps in
   a fresh child recorder for one trial; its :meth:`Recorder.chunk` is
   plain data that travels beside the trial's value, and
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
@@ -170,11 +170,14 @@ class Recorder(NullRecorder):
         self._registry = MetricsRegistry()  # hooks and merged chunks
         # The counts the ``registry`` view projects (aborted attempts
         # included: a trial's child recorder keeps them).  Queues and
-        # timers register their counts objects, not themselves.
+        # timers register their counts objects, ledgers themselves:
+        # never a kernel or an injector.
         self.queues: List[object] = []
         self.timers: List[object] = []
         self.rings: List[object] = []
         self.controllers: List[object] = []
+        self.fault_ledgers: List[object] = []
+        self.trial_ledgers: List[object] = []
         self.wallclock = wallclock
         reg = self._registry
         # engine (projected from ``queues``)
@@ -214,19 +217,16 @@ class Recorder(NullRecorder):
                     "cycles").default
         reg.counter("kleb_retries_total", "transient syscall retries",
                     label_names=("op",))
-        # faults (recoveries are projected from ``controllers``)
-        self._faults_landed = reg.counter(
-            "faults_landed_total", "injected faults by site",
-            label_names=("site",))
+        # faults and runner (projected from the ledgers, recoveries
+        # from ``controllers``, trials from the wall-time histogram)
+        reg.counter("faults_landed_total", "injected faults by site",
+                    label_names=("site",))
         reg.counter("faults_recovered_total", "recoveries observed by site",
                     label_names=("site",))
-        # runner (trials are projected from the wall-time histogram)
         reg.counter("trials_total", "trials completed (any outcome)").default
-        self._trial_retries = reg.counter(
-            "trials_retried_total", "trial attempts retried").default
-        self._trials_quarantined = reg.counter(
-            "trials_quarantined_total",
-            "trials quarantined after the retry budget").default
+        reg.counter("trials_retried_total", "trial attempts retried").default
+        reg.counter("trials_quarantined_total",
+                    "trials quarantined after the retry budget").default
         self._trial_wall = reg.histogram(
             "trial_sim_wall_ns", "victim wall time per trial",
             buckets=tuple(b * 1000 for b in LATENCY_BUCKETS_NS)).default
@@ -376,7 +376,6 @@ class Recorder(NullRecorder):
     # faults
     # ------------------------------------------------------------------
     def fault_landed(self, time_ns: int, site: str, kind: str) -> None:
-        self._faults_landed.labels(site).inc()
         if self.tracer is not None:
             self.tracer.instant(f"fault:{kind}", "faults", time_ns,
                                 {"site": site}, category="fault")
@@ -409,14 +408,12 @@ class Recorder(NullRecorder):
             publisher.publish(wall_ns, "done")
 
     def trial_retry(self, trial: int, attempt: int, kind: str) -> None:
-        self._trial_retries.inc()
         if self.tracer is not None:
             self.tracer.instant("trial-retry", "runner", 0,
                                 {"trial": trial, "attempt": attempt,
                                  "kind": kind}, category="runner")
 
     def trial_quarantined(self, trial: int, attempts: int) -> None:
-        self._trials_quarantined.inc()
         if self.tracer is not None:
             self.tracer.instant("trial-quarantined", "runner", 0,
                                 {"trial": trial, "attempts": attempts},
@@ -444,8 +441,8 @@ class Recorder(NullRecorder):
     # ------------------------------------------------------------------
     @property
     def registry(self) -> MetricsRegistry:
-        """A fresh registry: the hook-maintained families plus a pure
-        read of every queue, timer, ring and controller.  Counts add, a
+        """A fresh registry: the hook-fed families plus a pure read of
+        every queue, timer, ring, controller and ledger.  Counts add, a
         family or labelled series is touched only once non-zero, the
         high-water gauges are the max of the lifetime peaks, and timer
         fires, drain cycles and trials are their histograms' sample
@@ -491,6 +488,19 @@ class Recorder(NullRecorder):
                 counts += [("control_steps_total", (action,),
                             control.ledger.count(action))
                            for action in ACTIONS]
+        # A fault counts once: a trial ledger adds only the runner's
+        # own faults (not its backoffs), since its survivor's injector
+        # records are counted through their fault ledger.
+        landed = Counter(record.site for ledger in self.fault_ledgers
+                         for record in ledger.records)
+        for ledger in self.trial_ledgers:
+            landed["runner"] += sum(
+                record.site == "runner" and record.kind != "retry-backoff"
+                for record in ledger.records)
+            counts += [("trials_retried_total", (), ledger.attempts - 1),
+                       ("trials_quarantined_total", (), ledger.quarantined)]
+        counts += [("faults_landed_total", (site,), count)
+                   for site, count in landed.items()]
         for name, labels, count in counts:
             if count:
                 view.get(name).labels(*labels).value += count

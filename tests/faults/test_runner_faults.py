@@ -132,8 +132,9 @@ class TestSingleTrial:
     def test_no_plan_is_one_clean_attempt(self):
         outcome = run_trial(TripleLoopMatmul(64), create_tool("k-leb"), 3,
                             period_ns=PERIOD_NS, base_seed=2)
-        assert outcome.attempts == 1 and not outcome.quarantined
-        assert outcome.records == []
+        ledger = outcome.ledger
+        assert ledger.attempts == 1 and not ledger.quarantined
+        assert ledger.records == []
         [expected] = run_trials(TripleLoopMatmul(64), create_tool("k-leb"),
                                 runs=1, period_ns=PERIOD_NS, base_seed=5)
         assert outcome.summary.seed == 5
@@ -145,7 +146,8 @@ class TestSingleTrial:
             plan=FaultPlan(seed=1, ioctl_failure_prob=0.0),
             period_ns=PERIOD_NS,
         )
-        assert outcome.attempts == 1 and not outcome.quarantined
+        assert outcome.ledger.attempts == 1
+        assert not outcome.ledger.quarantined
         assert outcome.summary is not None
 
     def test_real_errors_still_propagate(self):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.control.ledger import ControlLedger
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, TrialLedger
 from repro.faults.inject import FaultInjector
 from repro.hw.machine import Machine
 from repro.hw.presets import i7_920
@@ -70,12 +70,18 @@ class TestNullRecorder:
         assert not null.__dict__  # still stateless
 
     def test_sources_built_while_disabled_register_nowhere(self):
-        """Queues and timers count for themselves either way; with the
-        null recorder installed they hold no recorder at all."""
+        """Queues, timers and ledgers count for themselves either way;
+        with the null recorder installed they hold no recorder at all."""
         kernel = _kernel()
         timer = HrTimer(kernel, lambda when: None)
         assert timer._obs is None
         assert not hasattr(kernel.events, "_obs")
+        assert kernel.faults.ledger._obs is None
+        TrialLedger(trial=0, seed=0)
+        # A recorder installed afterwards has tracked neither ledger.
+        recorder = Recorder()
+        hooks.install(recorder)
+        assert recorder.fault_ledgers == recorder.trial_ledgers == []
 
     def test_install_and_reset(self):
         recorder = Recorder()
@@ -210,10 +216,11 @@ class TestRecorderHooks:
         names = [event[1] for event in recorder.tracer.dump_events()]
         assert names == ["timer-missed", "fault:squeeze"]
         registry = recorder.registry
-        # The miss is the timer's to count: the hook only traces.
+        # The miss is the timer's to count and the fault its ledger's:
+        # the hooks only trace.
         assert registry.get("hrtimer_missed_total").default.value == 0
         assert registry.get(
-            "faults_landed_total").labels("ringbuffer").value == 1
+            "faults_landed_total").labels("ringbuffer").value == 0
 
     def test_timer_counts_project_into_metrics(self, recorder):
         kernel = _kernel(FaultInjector(FaultPlan.parse(
@@ -238,17 +245,25 @@ class TestRecorderHooks:
             kernel.events.counts.fired
 
     def test_recorder_keeps_the_counts_not_the_simulation(self, recorder):
-        kernel = _kernel()
+        kernel = _kernel(FaultInjector(FaultPlan.parse(
+            "seed=1,timer_miss=0.5")))
         timer = HrTimer(kernel, lambda when: None, label="t")
         timer.start(us(100))
         kernel.run(deadline=us(450))  # the next fire stays pending
         fired = kernel.events.counts.fired
+        missed = timer.counts.missed
+        assert recorder.fault_ledgers == [kernel.faults.ledger]
         alive = weakref.ref(kernel)
+        injector = weakref.ref(kernel.faults)
         del kernel, timer
         gc.collect()
-        assert alive() is None
-        assert recorder.registry.get(
+        assert alive() is None and injector() is None
+        registry = recorder.registry
+        assert registry.get(
             "sim_events_fired_total").default.value == fired > 0
+        # The registered ledger outlives its injector and still counts.
+        assert registry.get(
+            "faults_landed_total").labels("hrtimer").value == missed > 0
 
     def test_trials_are_the_wall_histogram_count(self, recorder):
         recorder.trial_span(0, 1, "p", "t", 10, 2)

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.faults import TrialLedger
 from repro.hw.machine import Machine
 from repro.hw.presets import i7_920
 from repro.kernel.config import KernelConfig
@@ -132,17 +133,27 @@ class TestRareHooks:
         assert recorder.tracer is None
 
     def test_trial_retry_and_quarantine(self, recorder):
+        """The hooks only trace; the counts are the trial ledger's."""
         recorder.trial_retry(trial=3, attempt=1, kind="crash")
         recorder.trial_quarantined(trial=3, attempts=3)
-        assert recorder._trial_retries.value == 1.0
-        assert recorder._trials_quarantined.value == 1.0
         assert len(recorder.tracer) == 2
+        registry = recorder.registry
+        assert registry.get("trials_retried_total").default.value == 0
+        assert registry.get("trials_quarantined_total").default.value == 0
+        hooks.install(recorder)
+        try:
+            TrialLedger(trial=3, seed=3, attempts=3, quarantined=True)
+        finally:
+            hooks.reset()
+        registry = recorder.registry
+        assert registry.get("trials_retried_total").default.value == 2
+        assert registry.get("trials_quarantined_total").default.value == 1
 
     def test_trial_retry_without_tracer(self):
         recorder = hooks.Recorder(trace=False)
         recorder.trial_retry(trial=0, attempt=1, kind="timeout")
         recorder.trial_quarantined(trial=0, attempts=3)
-        assert recorder._trial_retries.value == 1.0
+        assert recorder.tracer is None
 
     def test_ad_hoc_span_roundtrip(self, recorder):
         handle = recorder.begin_span("phase", "engine", 1_000,
