@@ -200,6 +200,9 @@ def run_monitored(program: Program, tool: MonitoringTool,
     session = tool.attach(kernel, victim, events, period_ns)
     kernel.run_until_exit(victim, deadline=seconds(deadline_s))
     report = session.finalize()
+    # Modules, timers and pending events point back at the kernel, so
+    # only the cyclic collector frees a trial; return its cache sets now.
+    machine.cache.release()
     return RunResult(report=report, victim=victim, kernel=kernel)
 
 

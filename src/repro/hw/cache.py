@@ -66,14 +66,23 @@ class CacheLevel:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        # One LRU-ordered tag dict per set, allocated on first touch
+        # (:meth:`allocate`): most trials never replay a trace, and an
+        # i7-920 hierarchy is 8.8k sets.  The list object itself never
+        # changes, so hierarchies may hold it in their hot-path
+        # descriptors; a cold level is an empty list.
+        self._sets: List["OrderedDict[int, bool]"] = []
         self._set_mask = config.num_sets - 1
         self._line_shift = config.line_bytes.bit_length() - 1
         self._tag_shift = self._set_mask.bit_length()
         self.hits = 0
         self.misses = 0
+
+    def allocate(self) -> None:
+        """Fill the set storage in place, if this level is still cold."""
+        if not self._sets:
+            self._sets.extend(OrderedDict()
+                              for _ in range(self.config.num_sets))
 
     def _locate(self, address: int) -> Tuple[int, int]:
         line = address >> self._line_shift
@@ -81,6 +90,7 @@ class CacheLevel:
 
     def lookup(self, address: int) -> bool:
         """Probe for ``address``; on hit, refresh LRU position."""
+        self.allocate()
         set_index, tag = self._locate(address)
         entries = self._sets[set_index]
         if tag in entries:
@@ -92,6 +102,7 @@ class CacheLevel:
 
     def fill(self, address: int) -> Optional[int]:
         """Install the line for ``address``; return the evicted tag, if any."""
+        self.allocate()
         set_index, tag = self._locate(address)
         entries = self._sets[set_index]
         evicted = None
@@ -103,11 +114,15 @@ class CacheLevel:
 
     def invalidate(self, address: int) -> bool:
         """Drop the line holding ``address``; True if it was present."""
+        if not self._sets:
+            return False
         set_index, tag = self._locate(address)
         return self._sets[set_index].pop(tag, None) is not None
 
     def contains(self, address: int) -> bool:
         """Non-perturbing presence check (does not update LRU or stats)."""
+        if not self._sets:
+            return False
         set_index, tag = self._locate(address)
         return tag in self._sets[set_index]
 
@@ -118,7 +133,7 @@ class CacheLevel:
 
     @property
     def occupancy(self) -> int:
-        """Number of valid lines currently cached."""
+        """Number of valid lines currently cached (0 while cold)."""
         return sum(len(entries) for entries in self._sets)
 
 
@@ -171,14 +186,35 @@ class CacheHierarchy:
         self._line_bytes = self.levels[0].config.line_bytes
         # Flattened per-level geometry for the hot path: probing through
         # these tuples avoids the chain of attribute loads per access.
-        # Levels are fixed after construction (flush_all clears the set
-        # dicts in place), so this never goes stale.
+        # Levels are fixed after construction, and allocation, flush_all
+        # and release all change the set lists in place, so this never
+        # goes stale.
         self._descriptors = tuple(
             (level, level._line_shift, level._set_mask, level._tag_shift,
              level._sets, level.config.ways, level.config.name)
             for level in self.levels
         )
         self._num_levels = len(self.levels)
+        # True until the first access, clflush or trace replay allocates
+        # every level's sets (see :meth:`warm`).
+        self.cold = True
+
+    def warm(self) -> None:
+        """Allocate every level's set storage (a shared LLC once)."""
+        for level in self.levels:
+            level.allocate()
+        self.cold = False
+
+    def release(self) -> None:
+        """Free every level's set storage; stats and geometry stay.
+
+        For the end of a run: the next touch starts from an empty
+        cache.  A shared LLC is released for every hierarchy holding
+        it, so release it only once they are all done.
+        """
+        for level in self.levels:
+            level._sets.clear()
+        self.cold = True
 
     def _prefetch(self, address: int) -> None:
         """Fill ``address``'s line into every level (no latency charged
@@ -204,6 +240,8 @@ class CacheHierarchy:
         every earlier level); ``LLC_MISSES`` counts those that also miss
         the LLC.  ``L1D_MISSES``/``L2_MISSES`` count per-level misses.
         """
+        if self.cold:
+            self.warm()
         self.stats.accesses += 1
         events: Dict[str, float] = {
             "LOADS" if not is_write else "STORES": 1.0,
@@ -246,6 +284,8 @@ class CacheHierarchy:
         accumulate event counts themselves.  Used by the core's trace
         executor where per-access object construction dominates.
         """
+        if self.cold:
+            self.warm()
         stats = self.stats
         stats.accesses += 1
         descriptors = self._descriptors
@@ -286,6 +326,8 @@ class CacheHierarchy:
 
     def clflush(self, address: int) -> None:
         """Flush one line from every level (the Flush+Reload primitive)."""
+        if self.cold:
+            self.warm()
         self.stats.flushes += 1
         for _level, line_shift, set_mask, tag_shift, sets, _ways, _name in \
                 self._descriptors:

@@ -42,11 +42,8 @@ from repro.workloads.base import (
 _FLUSH_LATENCY_CYCLES = 40
 _EPSILON_NS = 1e-6
 
-# Epoch-accumulation column order.  Matches the insertion order of the
-# per-slice events dict the scalar replay path builds, so the PMU
-# applies contributions in the same sequence either way (each counter
-# counts exactly one event, so the order is load-bearing only for
-# keeping the two paths obviously symmetric).
+# Epoch-accumulation columns of both trace replay paths.  An event a
+# slice did not produce carries a zero, which the PMU skips.
 _EPOCH_EVENTS = (
     "INST_RETIRED", "CORE_CYCLES", "REF_CYCLES",
     "LOADS", "STORES", "CACHE_FLUSHES",
@@ -334,19 +331,17 @@ class Core:
             cursor.consume_instructions(block.instructions)
             return 0.0, 0.0
         cycles = take * block.cpi
-        events: Dict[str, float] = {
-            name: rate * take for name, rate in block.rates.items()
-        }
-        events["INST_RETIRED"] = take
-        events["CORE_CYCLES"] = cycles
-        events["REF_CYCLES"] = cycles * self.tsc_ratio
-        self.pmu.accumulate(events, block.privilege)
+        values = [rate * take for rate in block.rates.values()]
+        values += (take, cycles, cycles * self.tsc_ratio)
+        self.pmu.accumulate_epoch(block.event_names, values, block.privilege)
         cursor.consume_instructions(take)
         return self.cycles_to_ns(cycles), take
 
     def _run_trace(self, cursor: BlockCursor, block: TraceBlock,
                    budget_ns: float) -> tuple:
         cache = self.cache
+        if cache.cold:
+            cache.warm()
         if (cache._num_levels == 3 and not cache.prefetch_next_line
                 and len(block.ops) >= _BATCH_MIN_OPS):
             # The batch path accumulates cycles/instructions in Python
@@ -684,25 +679,11 @@ class Core:
                 instructions += op_instructions
             ops_done += 1
         if ops_done:
-            events: Dict[str, float] = {
-                "INST_RETIRED": instructions,
-                "CORE_CYCLES": cycles,
-                "REF_CYCLES": cycles * self.tsc_ratio,
-            }
-            if loads:
-                events["LOADS"] = loads
-            if stores:
-                events["STORES"] = stores
-            if flushes:
-                events["CACHE_FLUSHES"] = flushes
-            if l1_misses:
-                events["L1D_MISSES"] = l1_misses
-            if l2_misses:
-                events["L2_MISSES"] = l2_misses
-            if llc_refs:
-                events["LLC_REFERENCES"] = llc_refs
-            if llc_misses:
-                events["LLC_MISSES"] = llc_misses
-            self.pmu.accumulate(events, block.privilege)
+            self.pmu.accumulate_epoch(
+                _EPOCH_EVENTS,
+                (instructions, cycles, cycles * self.tsc_ratio,
+                 loads, stores, flushes,
+                 l1_misses, l2_misses, llc_refs, llc_misses),
+                block.privilege)
             cursor.consume_ops(ops_done)
         return self.cycles_to_ns(cycles), instructions

@@ -11,8 +11,9 @@ Tools program the PMU through :meth:`Pmu.wrmsr` / :meth:`Pmu.rdmsr`
 exactly as a driver would; :meth:`Pmu.rdpmc` models the unprivileged
 fast-read instruction LiMiT uses from user space.
 
-Counts are delivered by the simulated core via :meth:`accumulate_epoch`
-(or its dict entry point :meth:`accumulate`).
+Counts are delivered by the simulated core and kernel via
+:meth:`accumulate_epoch`; :meth:`accumulate` is its dict-shaped
+convenience for tests and micro-benchmarks.
 Internally counters keep fractional accumulators (rate-based workload
 blocks may contribute fractional events for a partial slice); reads
 expose the floored integer value, as hardware would.
@@ -267,7 +268,7 @@ class Pmu:
     def _compile_plan(self) -> None:
         """Decode the control registers into per-privilege lookup plans.
 
-        ``accumulate`` runs once per execution slice — hundreds of
+        ``accumulate_epoch`` runs once per execution slice — hundreds of
         thousands of times per experiment — while the registers change
         only when a tool reprograms the PMU.  The plan maps event name
         directly to the counters that count it in each ring, so the hot
@@ -345,9 +346,11 @@ class Pmu:
                 executed in; counters whose privilege mask excludes the
                 ring ignore the contribution.
 
-        The dict entry point into :meth:`accumulate_epoch`: the key
-        tuple is the epoch's name tuple, so each distinct dict shape
-        compiles its apply list once per control-register signature.
+        The dict entry point into :meth:`accumulate_epoch`, for tests
+        and micro-benchmarks; the simulator charges epochs directly.
+        The key tuple is the epoch's name tuple, so each distinct dict
+        shape compiles its apply list once per control-register
+        signature.
         """
         self.accumulate_epoch(tuple(counts), tuple(counts.values()),
                               privilege)

@@ -144,8 +144,7 @@ class HrTimer:
                 obs.timer_fired(self._label, when, when - self._next_ideal)
             # Interrupt context: the kernel charges IRQ entry/exit
             # around the handler, counted at kernel privilege.
-            self._kernel.run_interrupt(lambda: self._callback(when),
-                                       label=self._label)
+            self._kernel.run_interrupt(self._callback, when)
         # Re-arm on the ideal grid so jitter does not accumulate.
         self._next_ideal += self._period_ns
         if self._next_ideal <= self._kernel.now:

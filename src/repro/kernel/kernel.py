@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import KernelError, ModuleError, ProcessError, SyscallError
 from repro.faults.inject import FaultInjector
@@ -26,7 +26,12 @@ from repro.kernel.scheduler import Scheduler
 from repro.sim.clock import Clock
 from repro.sim.engine import EventQueue
 from repro.sim.rng import RngStreams
-from repro.workloads.base import Program, SyscallBlock, USER_PROBE
+from repro.workloads.base import (
+    IMPLICIT_EVENTS,
+    Program,
+    SyscallBlock,
+    USER_PROBE,
+)
 
 
 class Kernel:
@@ -54,8 +59,14 @@ class Kernel:
         # stock kernel has none — that is K-LEB's deployment advantage).
         self.patches = set(patches or [])
         self.syscall_counts: Counter = Counter()
-        # Memoized duration -> event-count dicts for charge_kernel_time.
-        self._charge_cache: Dict[int, Dict[str, float]] = {}
+        # charge_kernel_time's epoch columns, and its memoized
+        # duration -> column values.
+        rates = self.config.kernel_work_rates
+        if any(name in rates for name in IMPLICIT_EVENTS):
+            raise KernelError(
+                "instruction/cycle events are implicit in kernel_work_rates")
+        self._charge_names = tuple(rates) + IMPLICIT_EVENTS
+        self._charge_cache: Dict[int, Tuple[float, ...]] = {}
         self._next_pid = 1000
         self._wake_rng = self.rng.stream("wakeup-latency")
         self._noise_rng = self.rng.stream("os-noise")
@@ -159,35 +170,32 @@ class Kernel:
         (immutable) kernel config and core timing, and the durations
         are a handful of fixed costs (IRQ entry/exit, context switch,
         syscall entry) charged hundreds of thousands of times per run —
-        so the computed dicts are memoized per duration.  The cache is
+        so the epoch values are memoized per duration.  The cache is
         bounded: randomized durations (OS noise bursts) stop being
         cached past the cap rather than growing without limit.
         """
         if duration_ns <= 0:
             return
         cache = self._charge_cache
-        events = cache.get(duration_ns)
-        if events is None:
+        values = cache.get(duration_ns)
+        if values is None:
             core = self.machine.core
             cycles = core.ns_to_cycles(duration_ns)
             instructions = cycles / self.config.kernel_work_cpi
-            events = {
-                name: rate * instructions
-                for name, rate in self.config.kernel_work_rates.items()
-            }
-            events["INST_RETIRED"] = instructions
-            events["CORE_CYCLES"] = cycles
-            events["REF_CYCLES"] = cycles * core.tsc_ratio
+            values = tuple(
+                rate * instructions
+                for rate in self.config.kernel_work_rates.values()
+            ) + (instructions, cycles, cycles * core.tsc_ratio)
             if len(cache) < 1024:
-                cache[duration_ns] = events
-        self.pmu.accumulate(events, "kernel")
+                cache[duration_ns] = values
+        self.pmu.accumulate_epoch(self._charge_names, values, "kernel")
         self.clock.advance(duration_ns)
 
-    def run_interrupt(self, handler: Callable[[], None],
-                      label: str = "irq") -> None:
-        """Run ``handler`` in interrupt context, charging entry/exit."""
+    def run_interrupt(self, handler: Callable[..., None], *args) -> None:
+        """Run ``handler(*args)`` in interrupt context, charging
+        entry/exit."""
         self.charge_kernel_time(self.config.irq_entry_ns)
-        handler()
+        handler(*args)
         self.charge_kernel_time(self.config.irq_exit_ns)
 
     def _charge_context_switch(self) -> None:
@@ -263,8 +271,7 @@ class Kernel:
             int(self._noise_rng.normal(self.config.noise_cost_mean_ns,
                                        self.config.noise_cost_sd_ns)),
         )
-        self.run_interrupt(lambda: self.charge_kernel_time(cost),
-                           label="os-noise")
+        self.run_interrupt(self.charge_kernel_time, cost)
         self._schedule_noise()
 
     # ------------------------------------------------------------------

@@ -49,6 +49,11 @@ class MemOp(NamedTuple):
     kind: OpKind = OpKind.LOAD
 
 
+# Events every rate-charged slice produces from its instruction count
+# and cycles, appended after a block's rates in the epoch it charges.
+IMPLICIT_EVENTS = ("INST_RETIRED", "CORE_CYCLES", "REF_CYCLES")
+
+
 @dataclass
 class RateBlock:
     """``instructions`` instructions with fixed event rates.
@@ -62,6 +67,9 @@ class RateBlock:
         cpi: cycles per instruction for this block.
         privilege: ``"user"`` or ``"kernel"`` — ring the block runs in.
         label: phase name, surfaced in time-series analysis.
+        event_names: the PMU epoch columns a slice of this block
+            charges, ``rates`` keys then :data:`IMPLICIT_EVENTS`;
+            derived, not a field (``replace`` recomputes it).
     """
 
     instructions: float
@@ -78,8 +86,9 @@ class RateBlock:
         for name, rate in self.rates.items():
             if rate < 0:
                 raise WorkloadError(f"negative rate for event {name!r}")
-        if "INST_RETIRED" in self.rates or "CORE_CYCLES" in self.rates:
+        if any(name in self.rates for name in IMPLICIT_EVENTS):
             raise WorkloadError("instruction/cycle events are implicit in RateBlock")
+        self.event_names = tuple(self.rates) + IMPLICIT_EVENTS
 
 
 @dataclass

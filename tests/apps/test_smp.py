@@ -43,6 +43,22 @@ class TestClusterBasics:
                   for kernel in cluster.kernels}
         assert len(l1_ids) == 2
 
+    def test_shared_llc_touched_by_one_core_is_seen_by_another(self):
+        """Set storage is allocated on first touch; a core whose own
+        hierarchy is still cold sees the lines another core brought
+        into their shared LLC."""
+        cluster = SmpCluster(cores=2)
+        cache0 = cluster.kernel(0).machine.cache
+        cache1 = cluster.kernel(1).machine.cache
+        address = 0x1000_0000
+        cache0.access(address)
+        assert cache1.cold
+        assert cache1.contains(address) == "LLC"
+        assert cache1.levels[0]._sets == []
+        assert cache1.access(address).hit_level == "LLC"
+        assert not cache1.cold
+        assert cache1.contains(address) == "L1D"
+
     def test_unknown_core_rejected(self):
         cluster = SmpCluster(cores=2)
         with pytest.raises(ExperimentError):

@@ -213,3 +213,71 @@ class TestStandardHierarchy:
         hierarchy.access(0)
         hierarchy.flush_all()
         assert hierarchy.contains(0) is None
+
+
+def allocated(hierarchy):
+    """Set count each level holds (0 while the level is cold)."""
+    return [len(level._sets) for level in hierarchy.levels]
+
+
+class TestFirstTouch:
+    """Set storage is allocated when a hierarchy is first touched."""
+
+    def test_fresh_hierarchy_holds_no_sets(self):
+        hierarchy = standard_hierarchy()
+        assert hierarchy.cold
+        assert allocated(hierarchy) == [0, 0, 0]
+
+    @pytest.mark.parametrize("touch", [
+        lambda cache: cache.access(0x40),
+        lambda cache: cache.access(0x40, is_write=True),
+        lambda cache: cache.access_fast(0x40),
+        lambda cache: cache.clflush(0x40),
+    ], ids=["access", "store", "access_fast", "clflush"])
+    def test_touch_allocates_every_level(self, touch):
+        hierarchy = standard_hierarchy()
+        touch(hierarchy)
+        assert not hierarchy.cold
+        assert allocated(hierarchy) == [
+            level.config.num_sets for level in hierarchy.levels]
+
+    def test_level_lookup_and_fill_allocate_that_level(self):
+        for touch in (lambda level: level.lookup(0x40),
+                      lambda level: level.fill(0x40)):
+            level = CacheLevel(CacheConfig("L", 8 * LINE, ways=2))
+            touch(level)
+            assert len(level._sets) == 4
+
+    def test_cold_level_answers_empty_without_allocating(self):
+        level = CacheLevel(CacheConfig("L", 8 * LINE, ways=2))
+        assert not level.contains(0x40)
+        assert not level.invalidate(0x40)
+        assert level.occupancy == 0
+        level.flush_all()
+        assert level._sets == []
+
+    def test_cold_hierarchy_answers_empty_without_allocating(self):
+        hierarchy = standard_hierarchy()
+        assert hierarchy.contains(0x40) is None
+        hierarchy.flush_all()
+        assert hierarchy.cold
+        assert allocated(hierarchy) == [0, 0, 0]
+
+    def test_release_keeps_stats_and_frees_sets(self):
+        hierarchy = tiny_hierarchy()
+        for address in (0, LINE, 0, 8 * LINE):
+            hierarchy.access(address)
+        hierarchy.clflush(LINE)
+        stats = (hierarchy.stats.accesses, dict(hierarchy.stats.hits),
+                 dict(hierarchy.stats.misses), hierarchy.stats.flushes)
+        counts = [(level.hits, level.misses) for level in hierarchy.levels]
+        hierarchy.release()
+        assert hierarchy.cold
+        assert allocated(hierarchy) == [0, 0]
+        assert (hierarchy.stats.accesses, hierarchy.stats.hits,
+                hierarchy.stats.misses, hierarchy.stats.flushes) == stats
+        assert [(level.hits, level.misses)
+                for level in hierarchy.levels] == counts
+        # A later touch starts again from an empty cache.
+        assert hierarchy.access(0).hit_level is None
+        assert allocated(hierarchy) == [2, 4]

@@ -1,9 +1,16 @@
 """Machine presets and Machine assembly."""
 
+import gc
+
 import pytest
 
+from repro.experiments.runner import run_monitored
 from repro.hw.machine import Machine
 from repro.hw.presets import PRESETS, build, i7_920, xeon_8259cl
+from repro.tools.registry import create_tool
+from repro.workloads.base import (BlockCursor, ListProgram, MemOp, RateBlock,
+                                  TraceBlock)
+from repro.workloads.meltdown import SecretPrinter
 
 
 class TestPresets:
@@ -51,3 +58,46 @@ class TestMachine:
         machine = Machine(xeon_8259cl())
         assert len(machine.cache.levels) == 3
         assert machine.cache.memory_latency_cycles == 220
+
+
+def allocated_sets(machine):
+    return sum(len(level._sets) for level in machine.cache.levels)
+
+
+class TestCacheStorage:
+    """A machine's cache sets exist only while a trace uses them."""
+
+    def test_fresh_machine_holds_no_set_storage(self):
+        machine = Machine(i7_920())
+        assert machine.cache.cold
+        assert allocated_sets(machine) == 0
+
+    def test_rate_blocks_leave_the_cache_cold(self):
+        machine = Machine(i7_920())
+        program = ListProgram("rate", [RateBlock(instructions=1e5)])
+        cursor = BlockCursor(program)
+        while not cursor.finished:
+            machine.core.execute(cursor, 1_000_000)
+        assert allocated_sets(machine) == 0
+
+    @pytest.mark.parametrize("ops", [8, 256], ids=["generic", "batch"])
+    def test_trace_replay_allocates_every_level(self, ops):
+        machine = Machine(i7_920())
+        trace = TraceBlock(ops=tuple(MemOp(index * 64) for index in range(ops)))
+        cursor = BlockCursor(ListProgram("trace", [trace]))
+        machine.core.execute(cursor, 1_000_000)
+        assert [len(level._sets) for level in machine.cache.levels] == [
+            level.num_sets for level in i7_920().cache_levels]
+
+    def test_run_monitored_releases_cache_storage(self):
+        """With the collector off, a finished trial's graph stays alive
+        (it is cyclic), so the release is what frees its sets."""
+        gc.disable()
+        try:
+            result = run_monitored(SecretPrinter(secret="AB"),
+                                   create_tool("k-leb"), period_ns=100_000)
+            cache = result.kernel.machine.cache
+            assert cache.stats.accesses > 0
+            assert [level._sets for level in cache.levels] == [[], [], []]
+        finally:
+            gc.enable()
