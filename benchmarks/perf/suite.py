@@ -337,6 +337,52 @@ def bench_trace_replay_fresh(lists: int,
     return result
 
 
+def bench_trace_plan_compile(compiles: int,
+                             accesses: int = 20_000) -> Dict[str, float]:
+    """``_trace_plan`` on fresh op lists with no cached plan.
+
+    Two shapes, ``compiles`` of each: a 20k-op strided streamer (the
+    smp_migrate list compiled once per replay) and the Meltdown attack
+    tile (50 Flush+Reload rounds).  Lists are built off the clock, and
+    each is dropped after its compile, so at most one plan stays
+    cached.  ``streamer_ns_per_op`` and ``attack_ns_per_op`` split the
+    combined ``ns_per_op``.
+    """
+    from repro.hw.core import _trace_plan
+    from repro.workloads.meltdown import _flush_reload_ops, _tiled_ops
+    from repro.workloads.synthetic import StridedMemoryWorkload
+
+    descriptors = Machine(i7_920()).cache._descriptors
+    tile = _tiled_ops(_flush_reload_ops(0x4000_0000, 4096, ord("S")), 50)
+
+    def compile_all(lists: List[list]) -> int:
+        ops = 0
+        while lists:
+            trace = lists.pop()
+            ops += len(trace)
+            _trace_plan(trace, descriptors)
+        return ops
+
+    streamers = [
+        next(StridedMemoryWorkload(64 << 20, accesses,
+                                   address_base=(index % 3 + 1) << 30)
+             .blocks()).ops
+        for index in range(compiles)]
+    # Copies of the memoized tile: same ops, fresh identity, no plan.
+    attacks = [list(tile) for _ in range(compiles)]
+    streamer = _timed(lambda: compile_all(streamers))
+    attack = _timed(lambda: compile_all(attacks))
+    result = {
+        "seconds": streamer["seconds"] + attack["seconds"],
+        "ops": streamer["ops"] + attack["ops"],
+        "streamer_ns_per_op": streamer["ns_per_op"],
+        "attack_ns_per_op": attack["ns_per_op"],
+    }
+    result["ns_per_op"] = result["seconds"] * 1e9 / result["ops"]
+    result["checksum"] = result["ops"]
+    return result
+
+
 def bench_machine_build(builds: int) -> Dict[str, float]:
     """``Machine(i7_920())`` — the machine every trial builds.
 
@@ -656,6 +702,7 @@ _QUICK_SCALE = {
     "trace_replay": 60,
     "trace_replay_batch": 60,
     "trace_replay_fresh": 6,
+    "trace_plan_compile": 4,
     "machine_build": 2_000,
     "ringbuffer_drain_columnar": 100_000,
     "ringbuffer_merge_drain": 60_000,
@@ -668,6 +715,7 @@ _FULL_SCALE = {
     "trace_replay": 300,
     "trace_replay_batch": 300,
     "trace_replay_fresh": 30,
+    "trace_plan_compile": 12,
     "machine_build": 10_000,
     "ringbuffer_drain_columnar": 500_000,
     "ringbuffer_merge_drain": 300_000,
@@ -715,6 +763,9 @@ def run_suite(quick: bool = False,
         repeats)
     results["trace_replay_fresh"] = _best_of(
         lambda: bench_trace_replay_fresh(scale["trace_replay_fresh"]),
+        repeats)
+    results["trace_plan_compile"] = _best_of(
+        lambda: bench_trace_plan_compile(scale["trace_plan_compile"]),
         repeats)
     results["machine_build"] = _best_of(
         lambda: bench_machine_build(scale["machine_build"]), repeats)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import chain, repeat
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -54,7 +55,7 @@ _EPOCH_EVENTS = (
 # through a plan lookup; the batch planner only kicks in above it.
 _BATCH_MIN_OPS = 64
 
-_KIND_LOAD, _KIND_STORE, _KIND_FLUSH = 0, 1, 2
+_KIND_FLUSH = 2
 
 
 class _TracePlan:
@@ -115,6 +116,20 @@ def _drop_dead_plans() -> None:
         del _TRACE_PLANS[key]
 
 
+def _shared_runs(values: _np.ndarray) -> list:
+    """``values.tolist()``, with one int object per run of equal values.
+
+    ``tolist`` boxes every element separately; replay only reads these
+    lists, so sharing one object along each run keeps a long run of a
+    value above the small-int cache as cheap as a single int.
+    """
+    bounds = _np.flatnonzero(values[1:] != values[:-1]) + 1
+    starts = _np.concatenate(([0], bounds))
+    lengths = _np.diff(_np.concatenate((starts, [len(values)])))
+    return list(chain.from_iterable(
+        map(repeat, values[starts].tolist(), lengths.tolist())))
+
+
 def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     """Build (or fetch) the batch replay plan for ``ops``."""
     _d1, _d2, _d3 = descriptors
@@ -125,36 +140,35 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     plan = _TRACE_PLANS.get(key)
     if plan is not None:
         return plan
-    _drop_dead_plans()
     n = len(ops)
+    if not n:  # nothing to plan
+        return None
+    _drop_dead_plans()
+    address_col, kind_col = zip(*ops)
     try:
-        addresses = _np.fromiter((op[0] for op in ops),
-                                 dtype=_np.int64, count=n)
+        addresses = _np.array(address_col, dtype=_np.int64)
     except OverflowError:  # addresses beyond int64: scalar path
         return None
-    kinds = _np.fromiter(
-        (_KIND_FLUSH if op[1] is OpKind.FLUSH
-         else _KIND_STORE if op[1] is OpKind.STORE
-         else _KIND_LOAD for op in ops),
-        dtype=_np.int8, count=n)
+    # OpKind members are singletons, so kinds compare by identity; any
+    # kind that is neither a flush nor a store replays as a load.
+    kind_ids = _np.fromiter(map(id, kind_col), dtype=_np.int64, count=n)
+    flushes = kind_ids == id(OpKind.FLUSH)
+    stores = kind_ids == id(OpKind.STORE)
+    accesses = ~flushes
 
     line1 = addresses >> s1
     line2 = addresses >> s2
     line3 = addresses >> s3
-    accesses = kinds != _KIND_FLUSH
     # MRU mask: an access whose predecessor is an access to the same L1
     # line is a guaranteed hit (the line is most-recently-used and the
     # shortcut mutates nothing).  The first op of each execution slice
     # is forced down the probe path at replay time, mirroring the
     # scalar loop's per-slice ``last_line = -1`` reset.
-    same = _np.zeros(n, dtype=bool)
+    mru = _np.zeros(n, dtype=bool)
     if n > 1:
-        same[1:] = (line1[1:] == line1[:-1]) & accesses[:-1]
-    mru = accesses & same
-    kindcat = _np.where(
-        kinds == _KIND_FLUSH, _KIND_FLUSH,
-        _np.where(mru, 1, 0)).astype(_np.int8).tolist()
-    kinds_list = kinds.tolist()
+        mru[1:] = (line1[1:] == line1[:-1]) & accesses[:-1]
+    kindcat = _np.where(flushes, _KIND_FLUSH,
+                        _np.where(mru, 1, 0)).astype(_np.int8)
 
     # Guaranteed-miss analysis (Flush+Reload's reload pass): an access
     # whose most recent same-line predecessor *within this trace* is a
@@ -164,64 +178,61 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     # records that flush's op index (-1 when the guarantee cannot be
     # made statically); replay checks guard >= slice start at run time.
     # Only valid when every level shares one line size, so "same line"
-    # means the same bytes at every level.
-    guard = [-1] * n
-    if s1 == s2 == s3:
-        lines = line1.tolist()
-        last_touch: Dict[int, int] = {}
-        for i in range(n):
-            line = lines[i]
-            previous = last_touch.get(line)
-            if kinds_list[i] == _KIND_FLUSH:
-                last_touch[line] = ~i  # flushes encode as ~index
-            else:
-                if previous is not None and previous < 0:
-                    guard[i] = ~previous
-                    if kindcat[i] == 0:
-                        kindcat[i] = 3
-                last_touch[line] = i
+    # means the same bytes at every level.  A stable sort by line puts
+    # each op right after its previous same-line op.  Such an access is
+    # never an MRU repeat (its predecessor would be that same-line op),
+    # so it is a probe and becomes category 3.
+    guard = _np.full(n, -1, dtype=_np.int64)
+    if s1 == s2 == s3 and n > 1:
+        order = _np.argsort(line1, kind="stable")
+        previous, current = order[:-1], order[1:]
+        guarded = ((line1[current] == line1[previous])
+                   & flushes[previous] & accesses[current])
+        guard[current[guarded]] = previous[guarded]
+        kindcat[current[guarded]] = 3
+
+    # Runs of one category.  Replay consumes flush/MRU/guaranteed-miss
+    # runs in O(1) and walks probe runs in one tight inner loop.
+    bounds = _np.flatnonzero(kindcat[1:] != kindcat[:-1]) + 1
+    run_starts = _np.concatenate(([0], bounds))
+    run_ends = _np.concatenate((bounds, [n]))
+    run_lengths = run_ends - run_starts
+    run_cats = kindcat[run_starts]
+    # Suffix-min of guard over each run: the whole remainder of a
+    # guaranteed-miss run is provably absent iff every member's flush
+    # happened at or after the slice start.  (Outside category 3 every
+    # guard is -1.)  Reversed, a suffix-min is a running min; offsetting
+    # each run above every run after it in the reversed order keeps the
+    # running min from carrying across run boundaries.
+    guard_min = guard
+    if (run_cats == 3).any():
+        span = n + 1
+        offsets = _np.repeat(
+            _np.arange(len(run_starts), dtype=_np.int64) * span,
+            run_lengths)
+        shifted = (guard + 1 + offsets)[::-1]
+        guard_min = (_np.minimum.accumulate(shifted)[::-1]
+                     - offsets - 1)
 
     plan = _TracePlan()
     plan.ops = ops
-    plan.kindcat = kindcat
+    plan.kindcat = kindcat.tolist()
     plan.se1 = (line1 & m1).tolist()
     plan.tg1 = (line1 >> t1).tolist()
     plan.se2 = (line2 & m2).tolist()
     plan.tg2 = (line2 >> t2).tolist()
     plan.se3 = (line3 & m3).tolist()
     plan.tg3 = (line3 >> t3).tolist()
-    stores = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(kinds == _KIND_STORE, out=stores[1:])
-    plan.pre_store = stores.tolist()
-    flushes = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(kinds == _KIND_FLUSH, out=flushes[1:])
-    plan.pre_flush = flushes.tolist()
-
-    # Segment table: for every op, the end of the maximal run of ops of
-    # its category, so replay consumes flush/MRU/guaranteed-miss runs
-    # in O(1) and walks probe runs in one tight inner loop.
-    seg_end = [0] * n
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n and kindcat[i + 1] == kindcat[i]:
-            seg_end[i] = seg_end[i + 1]
-        else:
-            seg_end[i] = i + 1
-    plan.seg_end = seg_end
-    # Suffix-min of guard over each guaranteed-miss run: the whole
-    # remainder of a run is provably absent iff every member's flush
-    # happened at or after the slice start.
-    guard_min = guard
-    for i in range(n - 2, -1, -1):
-        if kindcat[i] == 3 and kindcat[i + 1] == 3:
-            if guard_min[i + 1] < guard_min[i]:
-                guard_min[i] = guard_min[i + 1]
-    plan.guard_min = guard_min
-    flush_start = [0] * n
-    for i in range(n):
-        if kindcat[i] == _KIND_FLUSH:
-            flush_start[i] = (flush_start[i - 1]
-                              if i and kindcat[i - 1] == _KIND_FLUSH else i)
-    plan.flush_start = flush_start
+    prefix = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(stores, out=prefix[1:])
+    plan.pre_store = _shared_runs(prefix)
+    _np.cumsum(flushes, out=prefix[1:])
+    plan.pre_flush = _shared_runs(prefix)
+    plan.seg_end = _shared_runs(_np.repeat(run_ends, run_lengths))
+    plan.guard_min = _shared_runs(guard_min)
+    is_flush_run = run_cats == _KIND_FLUSH
+    plan.flush_start = _shared_runs(_np.repeat(
+        _np.where(is_flush_run, run_starts, 0), run_lengths))
     # Per maximal flush run: the collapsed per-level wipe list
     # [(set index, {tags})].  A flush is a presence-independent pop, so
     # a whole run applies as one set-intersection removal per touched
@@ -229,15 +240,13 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     collapsed = {}
     se_tg = ((plan.se1, plan.tg1), (plan.se2, plan.tg2),
              (plan.se3, plan.tg3))
-    for run in range(n):
-        if kindcat[run] != _KIND_FLUSH or flush_start[run] != run:
-            continue
-        end = seg_end[run]
+    for run, end in zip(run_starts[is_flush_run].tolist(),
+                        run_ends[is_flush_run].tolist()):
         levels = []
         for se, tg in se_tg:
-            wipes: Dict[int, set] = {}
-            for i in range(run, end):
-                wipes.setdefault(se[i], set()).add(tg[i])
+            wipes: Dict[int, set] = defaultdict(set)
+            for set_index, tag in zip(se[run:end], tg[run:end]):
+                wipes[set_index].add(tag)
             levels.append(list(wipes.items()))
         collapsed[run] = levels
     plan.flush_collapsed = collapsed

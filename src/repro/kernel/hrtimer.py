@@ -52,6 +52,12 @@ class HrTimer:
         self._rng: np.random.Generator = kernel.rng.stream(f"hrtimer:{label}")
         self.fires = 0
         self.counts = TimerCounts()
+        # The fault plan is frozen, so whether it can ever touch a fire
+        # is known now; an inert timer path makes no fault calls.
+        plan = kernel.faults.plan
+        self._faults = (kernel.faults
+                        if plan.timer_extra_jitter_prob > 0
+                        or plan.timer_miss_prob > 0 else None)
         self._obs = _obs_hooks.active()
         if self._obs is not None:
             self._obs.timers.append(self.counts)
@@ -117,11 +123,11 @@ class HrTimer:
         return max(0, int(draw))
 
     def _schedule(self) -> None:
-        # Fault injection may stretch this fire's latency beyond the
-        # model's own jitter (e.g. long IRQ-disabled sections).
-        fire_at = (self._next_ideal + self._jitter()
-                   + self._kernel.faults.timer_extra_jitter_ns(
-                       self._kernel.now))
+        fire_at = self._next_ideal + self._jitter()
+        if self._faults is not None:
+            # Fault injection may stretch this fire's latency beyond the
+            # model's own jitter (e.g. long IRQ-disabled sections).
+            fire_at += self._faults.timer_extra_jitter_ns(self._kernel.now)
         self._pending = self._kernel.events.schedule(
             fire_at, self._fire, label=f"hrtimer:{self._label}"
         )
@@ -129,7 +135,7 @@ class HrTimer:
     def _fire(self, when: int) -> None:
         self._pending = None
         obs = self._obs
-        if self._kernel.faults.timer_missed(when):
+        if self._faults is not None and self._faults.timer_missed(when):
             # Injected missed deadline: the expiry came and went inside
             # a masked-interrupt window — the handler never runs and
             # this sample window is simply lost (a gap, not a burst).

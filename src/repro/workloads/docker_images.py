@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List
 
 import numpy as np
 
-from repro.workloads.base import Block, MemOp, OpKind, Program, RateBlock, TraceBlock
+from repro.workloads.base import Block, Program, RateBlock, TraceBlock, mem_ops
 
 _LINE = 64
 
@@ -138,27 +138,23 @@ class ContainerWorkload(Program):
                 cpi=profile.cpi,
                 label=f"service-{iteration}",
             )
-            ops: List[MemOp] = []
             hot_indices = rng.integers(0, hot_lines, size=profile.hot_ops)
-            for index in hot_indices:
-                ops.append(MemOp(hot_base + int(index) * _LINE, OpKind.LOAD))
-            stream_addresses: List[int] = []
-            for _ in range(profile.stream_ops):
-                address = stream_base + stream_cursor * _LINE
-                stream_cursor += 1
-                stream_addresses.append(address)
-                ops.append(MemOp(address, OpKind.LOAD))
+            addresses = [hot_base + offset
+                         for offset in (hot_indices * _LINE).tolist()]
+            stream_start = stream_base + stream_cursor * _LINE
+            stream_cursor += profile.stream_ops
+            stream_addresses = list(range(
+                stream_start, stream_base + stream_cursor * _LINE, _LINE))
+            addresses += stream_addresses
             if previous_stream and profile.reuse_ops:
                 step = max(1, len(previous_stream) // profile.reuse_ops)
-                for address in previous_stream[::step][:profile.reuse_ops]:
-                    ops.append(MemOp(address, OpKind.LOAD))
+                addresses += previous_stream[::step][:profile.reuse_ops]
             if profile.far_reuse_ops and \
                     len(history) > profile.far_reuse_distance_lines:
                 window_end = len(history) - profile.far_reuse_distance_lines
-                window = history[max(0, window_end - profile.far_reuse_ops):
-                                 window_end]
-                for address in window:
-                    ops.append(MemOp(address, OpKind.LOAD))
+                addresses += history[max(0, window_end - profile.far_reuse_ops):
+                                     window_end]
+            ops = mem_ops(addresses)
             history.extend(stream_addresses)
             previous_stream = stream_addresses
             yield TraceBlock(

@@ -23,7 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from repro.workloads.base import Block, MemOp, OpKind, Program, RateBlock, TraceBlock
+from repro.workloads.base import (Block, MemOp, OpKind, Program, RateBlock,
+                                  TraceBlock, mem_ops)
 
 _LINE = 64
 _PAGE = 4096
@@ -55,14 +56,13 @@ DEFAULT_SECRET = "SqueamishOssifrage!!"
 @lru_cache(maxsize=None)
 def _victim_scan_ops(stream_base: int, index: int) -> Tuple[MemOp, ...]:
     """Streaming + reuse trace for victim character ``index``."""
-    ops: List[MemOp] = []
     stream_start = stream_base + index * _VICTIM_STREAM_OPS * _LINE
-    for op_index in range(_VICTIM_STREAM_OPS):
-        ops.append(MemOp(stream_start + op_index * _LINE, OpKind.LOAD))
+    ops = mem_ops(range(stream_start,
+                        stream_start + _VICTIM_STREAM_OPS * _LINE, _LINE))
     if index >= 2:
         reuse_start = stream_base + (index - 2) * _VICTIM_STREAM_OPS * _LINE
-        for op_index in range(_VICTIM_REUSE_OPS):
-            ops.append(MemOp(reuse_start + op_index * _LINE, OpKind.LOAD))
+        ops += mem_ops(range(reuse_start,
+                             reuse_start + _VICTIM_REUSE_OPS * _LINE, _LINE))
     return tuple(ops)
 
 
@@ -82,15 +82,13 @@ def _flush_reload_ops(probe_base: int, stride: int,
                       byte_value: int) -> Tuple[MemOp, ...]:
     """One Flush+Reload round: flush all probes, transient access,
     reload all probes (one hit — the leaked byte — 255 misses)."""
-    ops: List[MemOp] = []
-    for line in range(_PROBE_LINES):
-        ops.append(MemOp(probe_base + line * stride, OpKind.FLUSH))
+    probes = [probe_base + line * stride for line in range(_PROBE_LINES)]
+    ops = mem_ops(probes, OpKind.FLUSH)
     # Transient out-of-order access: the secret byte indexes the
     # probe array; the architectural exception is suppressed but the
     # cache fill persists — the heart of Meltdown.
     ops.append(MemOp(probe_base + byte_value * stride, OpKind.LOAD))
-    for line in range(_PROBE_LINES):
-        ops.append(MemOp(probe_base + line * stride, OpKind.LOAD))
+    ops += mem_ops(probes)
     return tuple(ops)
 
 

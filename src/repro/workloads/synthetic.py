@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Block, MemOp, OpKind, Program, RateBlock, TraceBlock
+from repro.workloads.base import Block, Program, RateBlock, TraceBlock, mem_ops
 
 DEFAULT_COMPUTE_RATES: Dict[str, float] = {
     "LOADS": 0.30,
@@ -150,12 +150,9 @@ class StridedMemoryWorkload(Program):
         self.address_base = address_base
 
     def blocks(self) -> Iterator[Block]:
-        ops = []
-        address = 0
-        for _ in range(self.accesses):
-            ops.append(MemOp(self.address_base + address % self.buffer_bytes,
-                             OpKind.LOAD))
-            address += self.stride_bytes
+        ops = mem_ops(self.address_base + address % self.buffer_bytes
+                      for address in range(0, self.accesses * self.stride_bytes,
+                                           self.stride_bytes))
         yield TraceBlock(ops=ops,
                          instructions_per_op=self.instructions_per_access,
                          label="sweep")
@@ -185,8 +182,8 @@ class PointerChaseWorkload(Program):
         rng = np.random.default_rng(self.seed)
         lines = max(1, self.working_set_bytes // 64)
         indices = rng.integers(0, lines, size=self.accesses)
-        ops = [MemOp(self.address_base + int(index) * 64, OpKind.LOAD)
-               for index in indices]
+        ops = mem_ops(self.address_base + offset
+                      for offset in (indices * 64).tolist())
         yield TraceBlock(ops=ops,
                          instructions_per_op=self.instructions_per_access,
                          label="chase")

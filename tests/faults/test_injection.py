@@ -67,6 +67,46 @@ class TestTimerFaults:
         assert result.report.sample_count > 0
 
 
+class CountingInjector(FaultInjector):
+    """Counts the HRTimer hook calls a run makes."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.timer_calls = 0
+
+    def timer_extra_jitter_ns(self, now):
+        self.timer_calls += 1
+        return super().timer_extra_jitter_ns(now)
+
+    def timer_missed(self, now):
+        self.timer_calls += 1
+        return super().timer_missed(now)
+
+
+class TestInertTimerPath:
+    def run_counting(self, plan):
+        injector = CountingInjector(plan)
+        result = run_monitored(TripleLoopMatmul(256), KLebTool(),
+                               period_ns=1_000_000, seed=7, faults=injector)
+        return result, injector
+
+    def test_no_timer_fault_calls_without_timer_faults(self):
+        """Other sites armed, timer sites inert: fires skip the hooks."""
+        result, injector = self.run_counting(
+            FaultPlan(seed=8, read_failure_prob=0.5))
+        assert result.kernel.get_module("k_leb").stats.timer_fires > 0
+        assert injector.timer_calls == 0
+
+    def test_one_armed_timer_fault_consults_both_hooks(self):
+        """Jitter alone armed: both hooks are called on every fire, and
+        the jitter lands (a miss-only plan is held by TestTimerFaults)."""
+        result, injector = self.run_counting(
+            FaultPlan(seed=4, timer_extra_jitter_prob=0.5))
+        assert injector.ledger.count("hrtimer", "extra-jitter") > 0
+        assert injector.timer_calls >= 2 * result.kernel.get_module(
+            "k_leb").stats.timer_fires
+
+
 class TestDeviceFaults:
     def test_transient_ioctl_failures_are_retried(self):
         result, injector = run_kleb(

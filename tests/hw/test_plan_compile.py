@@ -1,0 +1,240 @@
+"""The vectorized trace-plan compiler against its per-op reference.
+
+``reference_plan`` is the compiler as a set of per-op Python loops, kept
+here as the definition: every ``_TracePlan`` slot the array compiler in
+``hw/core.py`` produces must equal it, for any op mix and geometry.
+"""
+
+from typing import Dict
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.hw import core as core_module
+from repro.hw.cache import CacheConfig, CacheHierarchy
+from repro.hw.core import ExecStop, _TracePlan, _trace_plan
+from repro.hw.machine import Machine
+from repro.hw.pmu import RDPMC_FIXED_FLAG
+from repro.hw.presets import i7_920, xeon_8259cl
+from repro.workloads.base import (
+    BlockCursor,
+    ListProgram,
+    MemOp,
+    OpKind,
+    TraceBlock,
+)
+from repro.workloads.meltdown import _flush_reload_ops, _tiled_ops
+
+LINE = 64
+LOAD, STORE, FLUSH = 0, 1, 2
+
+
+def reference_plan(ops, descriptors) -> Dict[str, object]:
+    """Every plan slot but ``ops``, compiled one op at a time."""
+    _d1, _d2, _d3 = descriptors
+    s1, m1, t1 = _d1[1], _d1[2], _d1[3]
+    s2, m2, t2 = _d2[1], _d2[2], _d2[3]
+    s3, m3, t3 = _d3[1], _d3[2], _d3[3]
+    n = len(ops)
+    addresses = [op[0] for op in ops]
+    kinds = [FLUSH if op[1] is OpKind.FLUSH
+             else STORE if op[1] is OpKind.STORE else LOAD for op in ops]
+    line1 = [address >> s1 for address in addresses]
+    line2 = [address >> s2 for address in addresses]
+    line3 = [address >> s3 for address in addresses]
+    kindcat = []
+    for i in range(n):
+        if kinds[i] == FLUSH:
+            kindcat.append(FLUSH)
+        elif i and kinds[i - 1] != FLUSH and line1[i] == line1[i - 1]:
+            kindcat.append(1)
+        else:
+            kindcat.append(0)
+    guard = [-1] * n
+    if s1 == s2 == s3:
+        last_touch: Dict[int, int] = {}
+        for i in range(n):
+            line = line1[i]
+            previous = last_touch.get(line)
+            if kinds[i] == FLUSH:
+                last_touch[line] = ~i  # flushes encode as ~index
+            else:
+                if previous is not None and previous < 0:
+                    guard[i] = ~previous
+                    if kindcat[i] == 0:
+                        kindcat[i] = 3
+                last_touch[line] = i
+    seg_end = [0] * n
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n and kindcat[i + 1] == kindcat[i]:
+            seg_end[i] = seg_end[i + 1]
+        else:
+            seg_end[i] = i + 1
+    guard_min = guard
+    for i in range(n - 2, -1, -1):
+        if kindcat[i] == 3 and kindcat[i + 1] == 3:
+            if guard_min[i + 1] < guard_min[i]:
+                guard_min[i] = guard_min[i + 1]
+    flush_start = [0] * n
+    for i in range(n):
+        if kindcat[i] == FLUSH:
+            flush_start[i] = (flush_start[i - 1]
+                              if i and kindcat[i - 1] == FLUSH else i)
+    pre_store, pre_flush = [0], [0]
+    for kind in kinds:
+        pre_store.append(pre_store[-1] + (kind == STORE))
+        pre_flush.append(pre_flush[-1] + (kind == FLUSH))
+    se_tg = [([line & m1 for line in line1], [line >> t1 for line in line1]),
+             ([line & m2 for line in line2], [line >> t2 for line in line2]),
+             ([line & m3 for line in line3], [line >> t3 for line in line3])]
+    collapsed = {}
+    for run in range(n):
+        if kindcat[run] != FLUSH or flush_start[run] != run:
+            continue
+        levels = []
+        for se, tg in se_tg:
+            wipes: Dict[int, set] = {}
+            for i in range(run, seg_end[run]):
+                wipes.setdefault(se[i], set()).add(tg[i])
+            levels.append(list(wipes.items()))
+        collapsed[run] = levels
+    return {
+        "kindcat": kindcat, "seg_end": seg_end, "flush_start": flush_start,
+        "flush_collapsed": collapsed,
+        "se1": se_tg[0][0], "tg1": se_tg[0][1],
+        "se2": se_tg[1][0], "tg2": se_tg[1][1],
+        "se3": se_tg[2][0], "tg3": se_tg[2][1],
+        "pre_store": pre_store, "pre_flush": pre_flush,
+        "guard_min": guard_min,
+    }
+
+
+def split_lines_geometry():
+    """Three levels with 32/64/128-byte lines: no guaranteed misses."""
+    return CacheHierarchy([
+        CacheConfig("L1D", 8 * 32, ways=2, line_bytes=32,
+                    hit_latency_cycles=4),
+        CacheConfig("L2", 16 * 64, ways=4, hit_latency_cycles=11),
+        CacheConfig("LLC", 32 * 128, ways=4, line_bytes=128,
+                    hit_latency_cycles=39),
+    ], memory_latency_cycles=200)._descriptors
+
+
+GEOMETRIES = {
+    "i7_920": Machine(i7_920()).cache._descriptors,
+    "xeon_8259cl": Machine(xeon_8259cl()).cache._descriptors,
+    "split_lines": split_lines_geometry(),
+}
+KINDS = (OpKind.LOAD, OpKind.STORE, OpKind.FLUSH)
+
+# A few lines a page apart, touched at a few offsets each, so same-line
+# MRU runs, flush runs and flush-then-reload misses all occur.
+op_specs = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from((0, 8, 40)),
+              st.sampled_from(KINDS)),
+    min_size=1, max_size=160)
+
+
+def assert_plan_matches(ops, descriptors):
+    plan = _trace_plan(ops, descriptors)
+    expected = reference_plan(ops, descriptors)
+    assert plan.ops is ops
+    for slot in _TracePlan.__slots__:
+        if slot != "ops":
+            assert getattr(plan, slot) == expected[slot], slot
+    return plan
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@settings(max_examples=60, deadline=None)
+@given(specs=op_specs, as_memops=st.booleans())
+def test_plan_equals_reference(geometry, specs, as_memops):
+    make = MemOp if as_memops else (lambda address, kind: (address, kind))
+    ops = [make(0x4000_0000 + line * 4096 + offset, kind)
+           for line, offset, kind in specs]
+    assert_plan_matches(ops, GEOMETRIES[geometry])
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_attack_tile_plan_equals_reference(geometry):
+    ops = _tiled_ops(_flush_reload_ops(0x4000_0000, 4096, 83), 3)
+    plan = assert_plan_matches(ops, GEOMETRIES[geometry])
+    has_guaranteed_misses = 3 in plan.kindcat
+    assert has_guaranteed_misses == (geometry != "split_lines")
+
+
+def test_runs_share_one_int_object():
+    """A run's entries are one object, not one boxed int per op: long
+    runs of values above the small-int cache cost one int each."""
+    flushes = [MemOp(0x4000_0000 + index * 4096, OpKind.FLUSH)
+               for index in range(600)]
+    # Reloaded in reverse, so the run's guard suffix-min is one value.
+    reloads = [MemOp(0x4000_0000 + index * 4096)
+               for index in reversed(range(600))]
+    stream = [MemOp(0x8000_0000 + index * LINE, OpKind.STORE)
+              for index in range(600)]
+    ops = stream + flushes + reloads
+    plan = assert_plan_matches(ops, GEOMETRIES["i7_920"])
+    assert plan.kindcat[600:1200] == [FLUSH] * 600
+    assert plan.kindcat[1200:] == [3] * 600
+    for first, last in ((0, 599), (600, 1199), (1200, 1799)):
+        assert plan.seg_end[first] is plan.seg_end[last]
+    assert plan.flush_start[600] is plan.flush_start[1199]
+    assert plan.guard_min[1200] is plan.guard_min[1799]
+    assert plan.guard_min[1200] == 600
+    # After the stores the store count stays at 600 to the end, and
+    # after the flush run so does the flush count.
+    assert plan.pre_store[600] is plan.pre_store[1800]
+    assert plan.pre_flush[1200] is plan.pre_flush[1800]
+
+
+def observe(program, force_generic):
+    """Replay ``program`` sliced at 50 us; every observable total."""
+    machine = Machine(i7_920())
+    pmu = machine.pmu
+    pmu.program_counter(0, "LOADS", user=True, kernel=True)
+    pmu.program_counter(1, "STORES", user=True, kernel=True)
+    pmu.program_counter(2, "LLC_MISSES", user=True, kernel=True)
+    pmu.program_counter(3, "CACHE_FLUSHES", user=True, kernel=True)
+    pmu.enable_fixed(user=True, kernel=True)
+    pmu.global_enable()
+    core = machine.core
+    if force_generic:
+        core._integer_latencies = lambda: False
+    cursor = BlockCursor(program)
+    instructions, consumed = 0.0, 0
+    while True:
+        result = core.execute(cursor, 50_000)
+        instructions += result.instructions
+        consumed += result.consumed_ns
+        if result.stop is ExecStop.PROGRAM_DONE:
+            break
+    stats = machine.cache.stats
+    return (instructions, consumed,
+            tuple(pmu.rdpmc(index) for index in range(4)),
+            tuple(pmu.rdpmc(RDPMC_FIXED_FLAG | index) for index in range(3)),
+            (stats.accesses, stats.misses, stats.flushes))
+
+
+def test_address_beyond_int64_takes_the_generic_path():
+    ops = [MemOp(0x1000_0000 + index * LINE,
+                 OpKind.STORE if index % 3 == 0 else OpKind.LOAD)
+           for index in range(96)]
+    ops[40] = MemOp(1 << 63, OpKind.LOAD)
+    ops += [MemOp(0x1000_0000 + index * LINE, OpKind.FLUSH)
+            for index in range(16)]
+    ops += ops[:16]
+    assert _trace_plan(ops, GEOMETRIES["i7_920"]) is None
+    assert not any(key[0] == id(ops) for key in core_module._TRACE_PLANS)
+    program = ListProgram("wide", [TraceBlock(
+        ops=ops, instructions_per_op=3.0, event_scale=2.0)])
+    assert observe(program, force_generic=False) == \
+        observe(program, force_generic=True)
+
+
+def test_addresses_just_below_2_to_63_still_plan():
+    top = (1 << 63) - 64 * LINE
+    ops = [MemOp(top + index * LINE,
+                 OpKind.FLUSH if index % 7 == 0 else OpKind.LOAD)
+           for index in range(64)]
+    assert_plan_matches(ops, GEOMETRIES["i7_920"])
