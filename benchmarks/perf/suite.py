@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import gc
 import time
+import weakref
 from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.experiments import table2
 from repro.experiments.runner import run_monitored
@@ -27,7 +30,8 @@ from repro.sim.clock import ms, us
 from repro.sim.engine import EventQueue
 from repro.sim.rng import RngStreams
 from repro.tools.registry import create_tool
-from repro.workloads.base import ListProgram, MemOp, OpKind, Program, TraceBlock
+from repro.workloads.base import (KIND_CODES, ListProgram, OpKind, Program,
+                                  Trace, TraceBlock)
 from repro.workloads.matmul import TripleLoopMatmul
 from repro.workloads.meltdown import MeltdownAttack, SecretPrinter
 
@@ -214,22 +218,20 @@ def _trace_program(rounds: int) -> Program:
     probe pass (page-spaced flushes then reloads) — the Fig. 6/7 mix.
     """
     line, page = 64, 4096
-    ops: List[MemOp] = []
+    index = np.arange(1024)
+    # 4 accesses per line: same-line runs within the sweep.
+    rewalk = (index // 4) * line * 2 + (index % 4) * 8
+    probes = 0x4000_0000 + np.arange(128) * page
+    round_kinds = np.repeat([KIND_CODES[OpKind.LOAD], KIND_CODES[OpKind.FLUSH],
+                             KIND_CODES[OpKind.LOAD]], [512 + 1024, 128, 128])
+    addresses = []
     for round_index in range(rounds):
         stream_base = 0x1000_0000 + round_index * 512 * line
-        for index in range(512):
-            ops.append(MemOp(stream_base + index * line, OpKind.LOAD))
-        for index in range(1024):
-            # 4 accesses per line: same-line runs within the sweep.
-            ops.append(MemOp(stream_base + (index // 4) * line * 2
-                             + (index % 4) * 8, OpKind.LOAD))
-        probe_base = 0x4000_0000
-        for index in range(128):
-            ops.append(MemOp(probe_base + index * page, OpKind.FLUSH))
-        for index in range(128):
-            ops.append(MemOp(probe_base + index * page, OpKind.LOAD))
-    block = TraceBlock(ops=ops, instructions_per_op=3.0, event_scale=4.0,
-                       label="bench-trace")
+        addresses += [stream_base + np.arange(512) * line,
+                      stream_base + rewalk, probes, probes]
+    block = TraceBlock(
+        ops=Trace(np.concatenate(addresses), np.tile(round_kinds, rounds)),
+        instructions_per_op=3.0, event_scale=4.0, label="bench-trace")
     return ListProgram("bench-trace", [block])
 
 
@@ -254,7 +256,7 @@ def bench_trace_replay(rounds: int) -> Dict[str, float]:
 
 
 def _attack_trace_program(rounds: int) -> Program:
-    """A Flush+Reload trace tiled from one shared round tuple.
+    """A Flush+Reload trace tiled from one round.
 
     The shape the Meltdown attack produces — a long flush run, one
     transient access, then a reload pass whose misses are statically
@@ -263,15 +265,11 @@ def _attack_trace_program(rounds: int) -> Program:
     """
     page = 4096
     probe_base = 0x4000_0000
-    round_ops: List[MemOp] = []
-    for index in range(256):
-        round_ops.append(MemOp(probe_base + index * page, OpKind.FLUSH))
-    round_ops.append(MemOp(probe_base + 77 * page, OpKind.LOAD))
-    for index in range(256):
-        round_ops.append(MemOp(probe_base + index * page, OpKind.LOAD))
-    ops = tuple(round_ops) * rounds
-    block = TraceBlock(ops=ops, instructions_per_op=4.0, event_scale=4.0,
-                       label="bench-trace-batch")
+    probes = probe_base + np.arange(256) * page
+    round_trace = (Trace(probes, OpKind.FLUSH)
+                   + Trace([probe_base + 77 * page]) + Trace(probes))
+    block = TraceBlock(ops=round_trace * rounds, instructions_per_op=4.0,
+                       event_scale=4.0, label="bench-trace-batch")
     return ListProgram("bench-trace-batch", [block])
 
 
@@ -303,59 +301,59 @@ def bench_trace_replay_batch(rounds: int) -> Dict[str, float]:
 
 def bench_trace_replay_fresh(lists: int,
                              accesses: int = 20_000) -> Dict[str, float]:
-    """Core.execute over fresh strided-load lists, each replayed once.
+    """Core.execute over fresh strided-load traces, each replayed once.
 
-    The smp_migrate streamer shape: every list is built, planned,
+    The smp_migrate streamer shape: every trace is built, planned,
     replayed and dropped, so this is the regime where plan compilation
-    is paid per replay.  ``retained_plans`` counts the plans still
-    cached afterwards that this benchmark compiled — a plan lives only
-    as long as its op list, so at most the last list's remains.
+    is paid per replay.  ``retained_plans`` counts the plans this
+    benchmark compiled that are still reachable once it has dropped its
+    traces — a plan lives on its trace, so none is.
     """
-    from repro.hw import core as core_module
     from repro.workloads.base import BlockCursor
     from repro.workloads.synthetic import StridedMemoryWorkload
 
     machine = Machine(i7_920())
-    before = list(core_module._TRACE_PLANS.values())
+    plans: List[weakref.ref] = []
 
     def loop() -> int:
         for index in range(lists):
             streamer = StridedMemoryWorkload(
                 64 << 20, accesses, name=f"streamer{index}",
                 address_base=(index % 3 + 1) << 30)
-            cursor = BlockCursor(streamer)
+            (block,) = streamer.blocks()
+            cursor = BlockCursor(ListProgram(streamer.name, [block]))
             budget = us(100)
             while not cursor.finished:
                 machine.core.execute(cursor, budget)
+            plans.extend(map(weakref.ref, block.ops.plans.values()))
         return lists * accesses
 
     result = _timed(loop)
     result["checksum"] = float(machine.cache.stats.accesses)
     result["retained_plans"] = float(sum(
-        1 for plan in core_module._TRACE_PLANS.values()
-        if not any(plan is old for old in before)))
+        1 for plan in plans if plan() is not None))
     return result
 
 
 def bench_trace_plan_compile(compiles: int,
                              accesses: int = 20_000) -> Dict[str, float]:
-    """``_trace_plan`` on fresh op lists with no cached plan.
+    """``_trace_plan`` on fresh traces with no plan yet.
 
     Two shapes, ``compiles`` of each: a 20k-op strided streamer (the
     smp_migrate list compiled once per replay) and the Meltdown attack
-    tile (50 Flush+Reload rounds).  Lists are built off the clock, and
-    each is dropped after its compile, so at most one plan stays
-    cached.  ``streamer_ns_per_op`` and ``attack_ns_per_op`` split the
+    tile (50 Flush+Reload rounds).  Traces are built off the clock, and
+    each is dropped after its compile, taking its plan with it.
+    ``streamer_ns_per_op`` and ``attack_ns_per_op`` split the
     combined ``ns_per_op``.
     """
     from repro.hw.core import _trace_plan
-    from repro.workloads.meltdown import _flush_reload_ops, _tiled_ops
+    from repro.workloads.meltdown import _flush_reload_tile
     from repro.workloads.synthetic import StridedMemoryWorkload
 
     descriptors = Machine(i7_920()).cache._descriptors
-    tile = _tiled_ops(_flush_reload_ops(0x4000_0000, 4096, ord("S")), 50)
+    tile = _flush_reload_tile(0x4000_0000, 4096, ord("S"), 50)
 
-    def compile_all(lists: List[list]) -> int:
+    def compile_all(lists: List[Trace]) -> int:
         ops = 0
         while lists:
             trace = lists.pop()
@@ -368,8 +366,8 @@ def bench_trace_plan_compile(compiles: int,
                                    address_base=(index % 3 + 1) << 30)
              .blocks()).ops
         for index in range(compiles)]
-    # Copies of the memoized tile: same ops, fresh identity, no plan.
-    attacks = [list(tile) for _ in range(compiles)]
+    # Copies of the memoized tile: same ops, no plan yet.
+    attacks = [Trace(tile.addresses, tile.kinds) for _ in range(compiles)]
     streamer = _timed(lambda: compile_all(streamers))
     attack = _timed(lambda: compile_all(attacks))
     result = {

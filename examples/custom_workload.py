@@ -18,7 +18,8 @@ from repro.experiments.report import sparkline, text_table
 from repro.experiments.runner import run_monitored
 from repro.sim.clock import ms
 from repro.tools.registry import create_tool
-from repro.workloads.base import Block, MemOp, OpKind, Program, RateBlock, TraceBlock
+from repro.workloads.base import (Block, OpKind, Program, RateBlock, Trace,
+                                  TraceBlock)
 
 EVENTS = ("LOADS", "STORES", "ARITH_MUL", "LLC_MISSES")
 
@@ -55,11 +56,13 @@ class ImageFilterPipeline(Program):
                 label=f"convolve-{frame}",
             )
             # Encode: stream the frame out — fresh lines, genuine misses.
-            ops = [MemOp(output_base + (cursor + index) * line, OpKind.STORE)
-                   for index in range(40_000)]
+            # A Trace is two columns (addresses, op kinds) built in one
+            # array expression; Trace.from_ops also takes MemOp lists.
+            addresses = output_base + (cursor + np.arange(40_000)) * line
             cursor += 40_000
-            yield TraceBlock(ops=ops, instructions_per_op=6,
-                             event_scale=4, label=f"encode-{frame}")
+            yield TraceBlock(ops=Trace(addresses, OpKind.STORE),
+                             instructions_per_op=6, event_scale=4,
+                             label=f"encode-{frame}")
 
 
 def main() -> None:

@@ -132,6 +132,11 @@ def run_monitored_smp(program: Program,
         cluster, victim, list(events), period_ns)
     cluster.run_until_tasks_exit([victim], deadline_ns=deadline_ns)
     tool_report = session.finalize()
+    # As in run_monitored: only the cyclic collector frees a finished
+    # cluster, so return every core's cache sets, and with them the
+    # shared LLCs', now.
+    for kernel in cluster.kernels:
+        kernel.machine.cache.release()
     return SmpRunResult(
         report=tool_report,
         wall_ns=victim.wall_time_ns or 0,

@@ -21,8 +21,7 @@ resumes mid-block after preemption.
 from __future__ import annotations
 
 import enum
-import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from itertools import chain, repeat
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -33,10 +32,12 @@ from repro.errors import SimulationError
 from repro.hw.cache import CacheHierarchy
 from repro.hw.pmu import Pmu
 from repro.workloads.base import (
+    KIND_CODES,
     BlockCursor,
     OpKind,
     RateBlock,
     SyscallBlock,
+    Trace,
     TraceBlock,
 )
 
@@ -55,65 +56,30 @@ _EPOCH_EVENTS = (
 # through a plan lookup; the batch planner only kicks in above it.
 _BATCH_MIN_OPS = 64
 
-_KIND_FLUSH = 2
+# Plan category of a flush op (categories: 0 probe, 1 MRU repeat,
+# 2 flush, 3 guaranteed miss).
+_CAT_FLUSH = 2
+_KIND_CODE_STORE = KIND_CODES[OpKind.STORE]
+_KIND_CODE_FLUSH = KIND_CODES[OpKind.FLUSH]
 
 
 class _TracePlan:
-    """Precompiled replay plan for one (ops, cache geometry) pair.
+    """Precompiled replay plan for one (trace, cache geometry) pair.
 
     Per-op Python lists (segment ends, per-level set indices and tags,
     prefix store/flush counts) plus the collapsed flush-run wipes, all
     integers derived from op addresses and the level shift/mask
     geometry — never references into a live hierarchy — so one plan
     serves every cache instance with the same geometry (each trial
-    builds a fresh hierarchy).  ``ops`` is retained so the ``id(ops)``
-    cache key cannot be recycled while the plan lives, and so the cache
-    can tell when nothing else holds the op list any more.
+    builds a fresh hierarchy).  Plans live on their trace
+    (``Trace.plans``), so a plan is freed with its trace.
     """
 
     __slots__ = (
-        "ops", "kindcat", "seg_end", "flush_start", "flush_collapsed",
+        "kindcat", "seg_end", "flush_start", "flush_collapsed",
         "se1", "tg1", "se2", "tg2", "se3", "tg3",
-        "pre_store", "pre_flush", "guard_min",
+        "pre_store", "pre_flush", "guard_min", "__weakref__",
     )
-
-
-# (id(ops), geometry) -> _TracePlan.  Keyed on object identity:
-# workload generators memoize their op tuples, so the common case is a
-# handful of long-lived tuples replayed across every trial.  A plan
-# lives exactly as long as its op list: every compile first drops the
-# plans whose ``ops`` no one but plan slots still references (see
-# :func:`_drop_dead_plans`), so plan memory tracks live trace memory.
-_TRACE_PLANS: Dict[tuple, _TracePlan] = {}
-
-
-def _sole_holder_refcount() -> int:
-    """``sys.getrefcount(plan.ops)`` for ops held by one plan slot only.
-
-    Measured rather than assumed: the count a call adds for its own
-    argument differs across interpreter versions.
-    """
-    probe = _TracePlan()
-    probe.ops = []
-    return sys.getrefcount(probe.ops)
-
-
-_SOLE_HOLDER_REFS = _sole_holder_refcount()
-
-
-def _drop_dead_plans() -> None:
-    """Drop every plan whose op list only plan slots still reference.
-
-    An op list planned under k geometries is held by k plan slots; it
-    is dead once its refcount exceeds the sole-holder count by no more
-    than the k - 1 other slots.
-    """
-    slots = Counter(key[0] for key in _TRACE_PLANS)
-    dead = [key for key, plan in _TRACE_PLANS.items()
-            if sys.getrefcount(plan.ops) - slots[key[0]]
-            < _SOLE_HOLDER_REFS]
-    for key in dead:
-        del _TRACE_PLANS[key]
 
 
 def _shared_runs(values: _np.ndarray) -> list:
@@ -130,30 +96,21 @@ def _shared_runs(values: _np.ndarray) -> list:
         map(repeat, values[starts].tolist(), lengths.tolist())))
 
 
-def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
-    """Build (or fetch) the batch replay plan for ``ops``."""
+def _trace_plan(trace: Trace, descriptors: tuple) -> _TracePlan:
+    """Build (or fetch) the batch replay plan of a non-empty ``trace``
+    for the cache geometry in ``descriptors``."""
     _d1, _d2, _d3 = descriptors
     s1, m1, t1 = _d1[1], _d1[2], _d1[3]
     s2, m2, t2 = _d2[1], _d2[2], _d2[3]
     s3, m3, t3 = _d3[1], _d3[2], _d3[3]
-    key = (id(ops), s1, m1, t1, s2, m2, t2, s3, m3, t3)
-    plan = _TRACE_PLANS.get(key)
+    key = (s1, m1, t1, s2, m2, t2, s3, m3, t3)
+    plan = trace.plans.get(key)
     if plan is not None:
         return plan
-    n = len(ops)
-    if not n:  # nothing to plan
-        return None
-    _drop_dead_plans()
-    address_col, kind_col = zip(*ops)
-    try:
-        addresses = _np.array(address_col, dtype=_np.int64)
-    except OverflowError:  # addresses beyond int64: scalar path
-        return None
-    # OpKind members are singletons, so kinds compare by identity; any
-    # kind that is neither a flush nor a store replays as a load.
-    kind_ids = _np.fromiter(map(id, kind_col), dtype=_np.int64, count=n)
-    flushes = kind_ids == id(OpKind.FLUSH)
-    stores = kind_ids == id(OpKind.STORE)
+    addresses = trace.addresses
+    n = len(addresses)
+    flushes = trace.kinds == _KIND_CODE_FLUSH
+    stores = trace.kinds == _KIND_CODE_STORE
     accesses = ~flushes
 
     line1 = addresses >> s1
@@ -167,7 +124,7 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     mru = _np.zeros(n, dtype=bool)
     if n > 1:
         mru[1:] = (line1[1:] == line1[:-1]) & accesses[:-1]
-    kindcat = _np.where(flushes, _KIND_FLUSH,
+    kindcat = _np.where(flushes, _CAT_FLUSH,
                         _np.where(mru, 1, 0)).astype(_np.int8)
 
     # Guaranteed-miss analysis (Flush+Reload's reload pass): an access
@@ -215,7 +172,6 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
                      - offsets - 1)
 
     plan = _TracePlan()
-    plan.ops = ops
     plan.kindcat = kindcat.tolist()
     plan.se1 = (line1 & m1).tolist()
     plan.tg1 = (line1 >> t1).tolist()
@@ -230,7 +186,7 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     plan.pre_flush = _shared_runs(prefix)
     plan.seg_end = _shared_runs(_np.repeat(run_ends, run_lengths))
     plan.guard_min = _shared_runs(guard_min)
-    is_flush_run = run_cats == _KIND_FLUSH
+    is_flush_run = run_cats == _CAT_FLUSH
     plan.flush_start = _shared_runs(_np.repeat(
         _np.where(is_flush_run, run_starts, 0), run_lengths))
     # Per maximal flush run: the collapsed per-level wipe list
@@ -251,7 +207,7 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
         collapsed[run] = levels
     plan.flush_collapsed = collapsed
 
-    _TRACE_PLANS[key] = plan
+    trace.plans[key] = plan
     return plan
 
 
@@ -367,9 +323,7 @@ class Core:
                     and folded_cycles.is_integer()
                     and self._integer_latencies()):
                 plan = _trace_plan(block.ops, cache._descriptors)
-                if plan is not None:
-                    return self._run_trace_batch(
-                        cursor, block, budget_ns, plan)
+                return self._run_trace_batch(cursor, block, budget_ns, plan)
         return self._run_trace_generic(cursor, block, budget_ns)
 
     def _integer_latencies(self) -> bool:
@@ -620,8 +574,8 @@ class Core:
         latencies.append(cache.memory_latency_cycles)
         llc_index = len(cache.levels) - 1
         memory_index = len(cache.levels)
-        flush_kind = OpKind.FLUSH
-        store_kind = OpKind.STORE
+        flush_kind = _KIND_CODE_FLUSH
+        store_kind = _KIND_CODE_STORE
         event_scale = block.event_scale
         op_instructions = block.instructions_per_op + event_scale
         l1_latency = latencies[0]
@@ -643,50 +597,61 @@ class Core:
         loads = stores = flushes = 0.0
         l1_misses = l2_misses = llc_refs = llc_misses = 0.0
         instructions = 0.0
-        ops_done = 0
         start = cursor.op_index
-        ops = block.ops
-        total = len(ops)
-        while start + ops_done < total and cycles < budget_cycles:
-            address, kind = ops[start + ops_done]
-            cycles += folded_cycles
-            if kind is flush_kind:
-                clflush(address)
-                cycles += _FLUSH_LATENCY_CYCLES
-                flushes += 1.0
-                instructions += folded_instructions + 1.0
-                last_line = -1
-            else:
-                line = address >> l1_shift
-                if line == last_line:
-                    level0.hits += 1
-                    stats.accesses += 1
-                    stats_hits[l1_name] += 1
-                    hit_index = 0
-                    cycles += l1_latency
+        trace = block.ops
+        total = len(trace)
+        # Every op costs at least ``min_cost`` cycles, so the budget
+        # admits at most ``window`` ops (two spare absorb float
+        # rounding), and only those are unboxed from the columns.  A
+        # slice that outlasts its window goes on with the next one.
+        min_cost = folded_cycles + min(_FLUSH_LATENCY_CYCLES, *latencies)
+        window = int(budget_cycles / min_cost) + 2 if min_cost > 0 else total
+        position = start
+        while position < total and cycles < budget_cycles:
+            stop = min(total, position + window)
+            for address, kind in zip(trace.addresses[position:stop].tolist(),
+                                     trace.kinds[position:stop].tolist()):
+                if cycles >= budget_cycles:
+                    break
+                cycles += folded_cycles
+                if kind == flush_kind:
+                    clflush(address)
+                    cycles += _FLUSH_LATENCY_CYCLES
+                    flushes += 1.0
+                    instructions += folded_instructions + 1.0
+                    last_line = -1
                 else:
-                    hit_index = access_fast(address)
-                    cycles += latencies[hit_index]
-                    if reset_on_miss and hit_index == memory_index:
-                        last_line = -1
+                    line = address >> l1_shift
+                    if line == last_line:
+                        level0.hits += 1
+                        stats.accesses += 1
+                        stats_hits[l1_name] += 1
+                        hit_index = 0
+                        cycles += l1_latency
                     else:
-                        last_line = line
-                # The folded accesses are additional memory instructions
-                # hitting L1 (spatial locality within the cached line).
-                if kind is store_kind:
-                    stores += event_scale
-                else:
-                    loads += event_scale
-                if hit_index >= 1:
-                    l1_misses += 1.0
-                    if hit_index >= 2:
-                        l2_misses += 1.0
-                if hit_index >= llc_index:
-                    llc_refs += 1.0
-                    if hit_index == memory_index:
-                        llc_misses += 1.0
-                instructions += op_instructions
-            ops_done += 1
+                        hit_index = access_fast(address)
+                        cycles += latencies[hit_index]
+                        if reset_on_miss and hit_index == memory_index:
+                            last_line = -1
+                        else:
+                            last_line = line
+                    # The folded accesses are additional memory instructions
+                    # hitting L1 (spatial locality within the cached line).
+                    if kind == store_kind:
+                        stores += event_scale
+                    else:
+                        loads += event_scale
+                    if hit_index >= 1:
+                        l1_misses += 1.0
+                        if hit_index >= 2:
+                            l2_misses += 1.0
+                    if hit_index >= llc_index:
+                        llc_refs += 1.0
+                        if hit_index == memory_index:
+                            llc_misses += 1.0
+                    instructions += op_instructions
+                position += 1
+        ops_done = position - start
         if ops_done:
             self.pmu.accumulate_epoch(
                 _EPOCH_EVENTS,

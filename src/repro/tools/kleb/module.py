@@ -234,6 +234,7 @@ class KLebModule(KernelModule):
         self.active_period_ns = 0
         self.skip_factor = 1
         self.rotate_slowdown = 1
+        self._squeeze_armed = False
 
     # ------------------------------------------------------------------
     # Module lifecycle
@@ -241,6 +242,9 @@ class KLebModule(KernelModule):
     def on_load(self, kernel) -> None:
         context = self.smp or SmpContext(kernels=(kernel,))
         self._kernels = tuple(context.kernels)
+        # The fault plan is frozen, so whether a fire can ever squeeze
+        # the ring is known now; an inert fire path makes no squeeze call.
+        self._squeeze_armed = kernel.faults.plan.squeeze_prob > 0
         # One HRTimer per core, each bound to its own kernel so fires
         # charge interrupt time (and draw jitter) on the right cpu.
         # The home timer keeps the classic label.
@@ -694,14 +698,15 @@ class KLebModule(KernelModule):
         stats.handler_time_ns += costs.KLEB_HANDLER_NS
         buffer = self.buffer
         assert buffer is not None
-        # Fault injection: memory pressure may squeeze the sample pool's
-        # effective capacity for a window of fires.
-        squeezed = kernel.faults.squeeze_capacity(buffer.capacity,
-                                                  kernel.now)
-        if squeezed is not None:
-            buffer.squeeze(squeezed)
-        else:
-            buffer.unsqueeze()
+        if self._squeeze_armed:
+            # Fault injection: memory pressure may squeeze the sample
+            # pool's effective capacity for a window of fires.
+            squeezed = kernel.faults.squeeze_capacity(buffer.capacity,
+                                                      kernel.now)
+            if squeezed is not None:
+                buffer.squeeze(squeezed)
+            else:
+                buffer.unsqueeze()
         if mux is not None:
             self._mux_harvest()
             row = self._mux_sample_row()

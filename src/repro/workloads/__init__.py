@@ -12,6 +12,7 @@ from repro.workloads.base import (
     TraceBlock,
     SyscallBlock,
     MemOp,
+    Trace,
     OpKind,
     BlockCursor,
     Program,
@@ -42,6 +43,7 @@ __all__ = [
     "TraceBlock",
     "SyscallBlock",
     "MemOp",
+    "Trace",
     "OpKind",
     "BlockCursor",
     "Program",

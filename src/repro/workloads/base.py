@@ -7,7 +7,7 @@ core executes:
   event mix and CPI.  Supports partial execution, so the scheduler can
   preempt mid-block.  Used for compute-dominated workloads (LINPACK,
   matrix multiply) where cache state does not need to be simulated.
-* :class:`TraceBlock` — an explicit list of memory operations replayed
+* :class:`TraceBlock` — an explicit memory trace (a :class:`Trace`) replayed
   through the cache hierarchy.  Cache events (LLC references/misses)
   *emerge* from the access pattern.  Used for the Meltdown and Docker
   case studies.
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from itertools import repeat
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
+
+import numpy as np
 
 from repro.errors import WorkloadError
 
@@ -41,25 +42,127 @@ class OpKind(enum.Enum):
 class MemOp(NamedTuple):
     """One memory operation: a byte address plus operation kind.
 
-    A ``NamedTuple`` rather than a dataclass: traces contain hundreds
-    of thousands of these, and construction cost dominates trace build
-    time otherwise.
+    The per-op way to write a trace; :meth:`Trace.from_ops` turns a
+    sequence of these (or of plain ``(address, kind)`` pairs) into the
+    columns every trace is replayed from.
     """
 
     address: int
     kind: OpKind = OpKind.LOAD
 
 
-def mem_ops(addresses: Iterable[int],
-            kind: OpKind = OpKind.LOAD) -> List[MemOp]:
-    """One ``MemOp`` of ``kind`` per address, in order, built in bulk.
+#: Code of each :class:`OpKind` in a trace's kind column (OpKind order:
+#: load 0, store 1, flush 2).
+KIND_CODES: Dict[OpKind, int] = {kind: code for code, kind in enumerate(OpKind)}
 
-    ``MemOp(address, kind)`` runs the Python-level ``__new__`` that
-    ``NamedTuple`` generates; ``tuple.__new__`` over ready pairs makes
-    the same objects in C, at under half the cost per op.
+
+def _address_column(addresses) -> np.ndarray:
+    """``addresses`` as a fresh ``uint64`` column; each must lie in
+    ``[0, 2**64)``."""
+    if isinstance(addresses, np.ndarray):
+        if addresses.ndim != 1 or addresses.dtype.kind not in "iu" or (
+                addresses.dtype.kind == "i" and len(addresses)
+                and addresses.min() < 0):
+            raise WorkloadError(
+                "trace addresses must be integers in [0, 2**64)")
+        return addresses.astype(np.uint64)
+    try:
+        return np.array(addresses, dtype=np.uint64)
+    except (OverflowError, TypeError, ValueError):
+        raise WorkloadError(
+            "trace addresses must be integers in [0, 2**64)") from None
+
+
+class Trace:
+    """A memory trace as two columns, in op order: ``addresses``
+    (``uint64`` byte addresses) and ``kinds`` (``uint8``
+    :data:`KIND_CODES`).
+
+    Builders fill the columns with array arithmetic, so a trace is a
+    handful of objects however long it is, not one tuple per op for the
+    cyclic collector to track.  The columns are read-only, so one trace
+    backs any number of blocks, slices and trials.  ``plans`` holds the
+    batch replay plans the core compiles for this trace, one per cache
+    geometry (:func:`repro.hw.core._trace_plan`): a plan lives exactly
+    as long as its trace.
     """
-    return list(map(tuple.__new__, repeat(MemOp),
-                    zip(addresses, repeat(kind))))
+
+    __slots__ = ("addresses", "kinds", "plans")
+
+    def __init__(self, addresses, kinds=OpKind.LOAD) -> None:
+        """``kinds`` is one :class:`OpKind` for every op, or a column of
+        :data:`KIND_CODES` as long as ``addresses``."""
+        column = _address_column(addresses)
+        if isinstance(kinds, OpKind):
+            codes = np.full(len(column), KIND_CODES[kinds], dtype=np.uint8)
+        else:
+            codes = np.asarray(kinds)
+            if codes.shape != column.shape or (len(codes) and (
+                    codes.dtype.kind not in "iu" or codes.min() < 0
+                    or codes.max() >= len(KIND_CODES))):
+                raise WorkloadError(
+                    "trace kinds must be one OpKind or a column of "
+                    "kind codes, one per address")
+            codes = codes.astype(np.uint8)
+        self._set_columns(column, codes)
+
+    def _set_columns(self, addresses: np.ndarray, kinds: np.ndarray) -> None:
+        addresses.flags.writeable = False
+        kinds.flags.writeable = False
+        self.addresses = addresses
+        self.kinds = kinds
+        self.plans: Dict[tuple, object] = {}
+
+    @classmethod
+    def _of_columns(cls, addresses: np.ndarray,
+                    kinds: np.ndarray) -> "Trace":
+        """A trace over already-valid columns (no copy, no checks)."""
+        trace = cls.__new__(cls)
+        trace._set_columns(addresses, kinds)
+        return trace
+
+    @classmethod
+    def from_ops(cls, ops: Iterable) -> "Trace":
+        """The trace of ``(address, kind)`` pairs, such as ``MemOp``s."""
+        pairs = list(ops)
+        try:
+            kinds = [KIND_CODES[kind] for _, kind in pairs]
+        except KeyError as error:
+            raise WorkloadError(
+                f"unknown trace op kind {error.args[0]!r}") from None
+        return cls([address for address, _ in pairs],
+                   np.array(kinds, dtype=np.uint8))
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __getitem__(self, index: slice) -> "Trace":
+        """A contiguous sub-trace (views of both columns)."""
+        if not isinstance(index, slice) or index.step not in (None, 1):
+            raise TypeError("a trace is indexed by contiguous slices only")
+        return self._of_columns(self.addresses[index], self.kinds[index])
+
+    def __add__(self, other: "Trace") -> "Trace":
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self._of_columns(
+            np.concatenate((self.addresses, other.addresses)),
+            np.concatenate((self.kinds, other.kinds)))
+
+    def __mul__(self, repeats: int) -> "Trace":
+        return self._of_columns(np.tile(self.addresses, repeats),
+                                np.tile(self.kinds, repeats))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (np.array_equal(self.addresses, other.addresses)
+                and np.array_equal(self.kinds, other.kinds))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} ops)"
 
 
 # Events every rate-charged slice produces from its instruction count
@@ -109,7 +212,9 @@ class TraceBlock:
     """Explicit memory operations replayed through the cache hierarchy.
 
     Attributes:
-        ops: the memory operations, in order.
+        ops: the memory operations, as a :class:`Trace`; any other
+            sequence of ``(address, kind)`` pairs is converted once, at
+            construction.
         instructions_per_op: non-memory instructions interleaved before
             each op (charged at ``cpi``).
         event_scale: memory instructions folded into each simulated op.
@@ -124,7 +229,7 @@ class TraceBlock:
         label: phase name.
     """
 
-    ops: Sequence[MemOp]
+    ops: Trace
     instructions_per_op: float = 0.0
     event_scale: float = 1.0
     cpi: float = 1.0
@@ -132,6 +237,8 @@ class TraceBlock:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ops, Trace):
+            self.ops = Trace.from_ops(self.ops)
         if self.instructions_per_op < 0:
             raise WorkloadError("instructions_per_op must be non-negative")
         if self.event_scale <= 0:
@@ -274,7 +381,7 @@ class _InstrumentedProgram(Program):
                         budget = inserter.every_instructions
             elif isinstance(block, TraceBlock):
                 per_op = block.instructions_per_op + 1.0
-                ops = list(block.ops)
+                ops = block.ops
                 start = 0
                 while start < len(ops):
                     take_ops = max(1, int(budget / per_op))

@@ -20,11 +20,11 @@ so tests can assert the emergent value lands in the right class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 import numpy as np
 
-from repro.workloads.base import Block, Program, RateBlock, TraceBlock, mem_ops
+from repro.workloads.base import Block, Program, RateBlock, Trace, TraceBlock
 
 _LINE = 64
 
@@ -123,9 +123,9 @@ class ContainerWorkload(Program):
         hot_lines = max(1, profile.hot_set_bytes // _LINE)
         hot_base = self.address_base
         stream_base = self.address_base + profile.hot_set_bytes + (1 << 24)
-        stream_cursor = 0
-        previous_stream: List[int] = []
-        history: List[int] = []
+        # Stream line k is the k-th stream access of the run, so the
+        # previous iteration's stream and every far-reuse window are
+        # ranges of line numbers below ``streamed``.
         for iteration in range(self.iterations):
             yield RateBlock(
                 instructions=profile.compute_instructions,
@@ -139,26 +139,22 @@ class ContainerWorkload(Program):
                 label=f"service-{iteration}",
             )
             hot_indices = rng.integers(0, hot_lines, size=profile.hot_ops)
-            addresses = [hot_base + offset
-                         for offset in (hot_indices * _LINE).tolist()]
-            stream_start = stream_base + stream_cursor * _LINE
-            stream_cursor += profile.stream_ops
-            stream_addresses = list(range(
-                stream_start, stream_base + stream_cursor * _LINE, _LINE))
-            addresses += stream_addresses
-            if previous_stream and profile.reuse_ops:
-                step = max(1, len(previous_stream) // profile.reuse_ops)
-                addresses += previous_stream[::step][:profile.reuse_ops]
+            streamed = iteration * profile.stream_ops
+            lines = [np.arange(streamed, streamed + profile.stream_ops)]
+            if streamed and profile.reuse_ops:
+                step = max(1, profile.stream_ops // profile.reuse_ops)
+                previous = np.arange(streamed - profile.stream_ops, streamed)
+                lines.append(previous[::step][:profile.reuse_ops])
             if profile.far_reuse_ops and \
-                    len(history) > profile.far_reuse_distance_lines:
-                window_end = len(history) - profile.far_reuse_distance_lines
-                addresses += history[max(0, window_end - profile.far_reuse_ops):
-                                     window_end]
-            ops = mem_ops(addresses)
-            history.extend(stream_addresses)
-            previous_stream = stream_addresses
+                    streamed > profile.far_reuse_distance_lines:
+                window_end = streamed - profile.far_reuse_distance_lines
+                lines.append(np.arange(
+                    max(0, window_end - profile.far_reuse_ops), window_end))
+            trace = Trace(np.concatenate(
+                [hot_base + hot_indices * _LINE,
+                 stream_base + np.concatenate(lines) * _LINE]))
             yield TraceBlock(
-                ops=ops,
+                ops=trace,
                 instructions_per_op=profile.instructions_per_op,
                 event_scale=profile.event_scale,
                 cpi=profile.cpi,

@@ -21,10 +21,12 @@ spaced one page apart as in the public PoC (to defeat the prefetcher).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
-from repro.workloads.base import (Block, MemOp, OpKind, Program, RateBlock,
-                                  TraceBlock, mem_ops)
+import numpy as np
+
+from repro.workloads.base import (Block, OpKind, Program, RateBlock, Trace,
+                                  TraceBlock)
 
 _LINE = 64
 _PAGE = 4096
@@ -49,47 +51,42 @@ _ATTACK_LOGIC_INSTR_PER_CHAR = 1.5e5
 DEFAULT_SECRET = "SqueamishOssifrage!!"
 
 
-# Op lists are pure functions of their address parameters, and trace
-# execution never mutates them (the cursor only advances an index), so
-# they are built once and shared across blocks() iterations and trials.
-# A 20-char secret otherwise rebuilds ~60k MemOps per trial.
+# Traces are pure functions of their address parameters, and replay
+# never mutates them (the cursor only advances an index), so they are
+# built once and shared across blocks() iterations and trials, and the
+# batch replay plan each carries is compiled once per process.
 @lru_cache(maxsize=None)
-def _victim_scan_ops(stream_base: int, index: int) -> Tuple[MemOp, ...]:
+def _victim_scan_trace(stream_base: int, index: int) -> Trace:
     """Streaming + reuse trace for victim character ``index``."""
     stream_start = stream_base + index * _VICTIM_STREAM_OPS * _LINE
-    ops = mem_ops(range(stream_start,
-                        stream_start + _VICTIM_STREAM_OPS * _LINE, _LINE))
+    trace = Trace(np.arange(stream_start,
+                            stream_start + _VICTIM_STREAM_OPS * _LINE, _LINE))
     if index >= 2:
         reuse_start = stream_base + (index - 2) * _VICTIM_STREAM_OPS * _LINE
-        ops += mem_ops(range(reuse_start,
-                             reuse_start + _VICTIM_REUSE_OPS * _LINE, _LINE))
-    return tuple(ops)
-
-
-# The attack block repeats one Flush+Reload round rounds_per_char
-# times.  Memoizing the tiling keeps the *same tuple object* across
-# blocks() iterations and trials, so the core's batch replay planner
-# (keyed on op-tuple identity) compiles each character's trace once
-# per process instead of once per trial.
-@lru_cache(maxsize=None)
-def _tiled_ops(round_ops: Tuple[MemOp, ...],
-               repeats: int) -> Tuple[MemOp, ...]:
-    return round_ops * repeats
+        trace += Trace(np.arange(reuse_start,
+                                 reuse_start + _VICTIM_REUSE_OPS * _LINE,
+                                 _LINE))
+    return trace
 
 
 @lru_cache(maxsize=None)
-def _flush_reload_ops(probe_base: int, stride: int,
-                      byte_value: int) -> Tuple[MemOp, ...]:
+def _flush_reload_round(probe_base: int, stride: int,
+                        byte_value: int) -> Trace:
     """One Flush+Reload round: flush all probes, transient access,
     reload all probes (one hit — the leaked byte — 255 misses)."""
-    probes = [probe_base + line * stride for line in range(_PROBE_LINES)]
-    ops = mem_ops(probes, OpKind.FLUSH)
+    probes = probe_base + np.arange(_PROBE_LINES) * stride
     # Transient out-of-order access: the secret byte indexes the
     # probe array; the architectural exception is suppressed but the
     # cache fill persists — the heart of Meltdown.
-    ops.append(MemOp(probe_base + byte_value * stride, OpKind.LOAD))
-    ops += mem_ops(probes)
-    return tuple(ops)
+    transient = Trace([probe_base + byte_value * stride])
+    return Trace(probes, OpKind.FLUSH) + transient + Trace(probes)
+
+
+# The attack block repeats one Flush+Reload round rounds_per_char times.
+@lru_cache(maxsize=None)
+def _flush_reload_tile(probe_base: int, stride: int, byte_value: int,
+                       repeats: int) -> Trace:
+    return _flush_reload_round(probe_base, stride, byte_value) * repeats
 
 
 class SecretPrinter(Program):
@@ -118,7 +115,7 @@ class SecretPrinter(Program):
             cpi=1.0,
             label=f"print-char-{index}",
         )
-        yield TraceBlock(ops=_victim_scan_ops(self.stream_base, index),
+        yield TraceBlock(ops=_victim_scan_trace(self.stream_base, index),
                          instructions_per_op=_VICTIM_TRACE_IPO,
                          label=f"buffer-scan-{index}")
 
@@ -153,10 +150,10 @@ class MeltdownAttack(SecretPrinter):
         """Bytes the side channel has leaked so far (fills in as it runs)."""
         return "".join(self._recovered)
 
-    def _flush_reload_round(self, byte_value: int) -> List[MemOp]:
-        """One Flush+Reload round (see :func:`_flush_reload_ops`)."""
-        return list(_flush_reload_ops(self.probe_base, self.probe_stride,
-                                      byte_value))
+    def _flush_reload_round(self, byte_value: int) -> Trace:
+        """One Flush+Reload round (see :func:`_flush_reload_round`)."""
+        return _flush_reload_round(self.probe_base, self.probe_stride,
+                                   byte_value)
 
     def blocks(self) -> Iterator[Block]:
         self._recovered = []
@@ -174,11 +171,8 @@ class MeltdownAttack(SecretPrinter):
                 cpi=1.0,
                 label=f"attack-logic-{index}",
             )
-            round_ops = _flush_reload_ops(self.probe_base, self.probe_stride,
-                                          ord(char) & 0xFF)
-            # Reuse the same op objects each round: the access pattern
-            # repeats exactly, and trace construction cost matters.
-            ops = _tiled_ops(round_ops, self.rounds_per_char)
-            yield TraceBlock(ops=ops, instructions_per_op=_ATTACK_TRACE_IPO,
+            trace = _flush_reload_tile(self.probe_base, self.probe_stride,
+                                       ord(char) & 0xFF, self.rounds_per_char)
+            yield TraceBlock(ops=trace, instructions_per_op=_ATTACK_TRACE_IPO,
                              label=f"flush-reload-{index}")
             self._recovered.append(char)

@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Block, Program, RateBlock, TraceBlock, mem_ops
+from repro.workloads.base import Block, Program, RateBlock, Trace, TraceBlock
 
 DEFAULT_COMPUTE_RATES: Dict[str, float] = {
     "LOADS": 0.30,
@@ -150,10 +150,9 @@ class StridedMemoryWorkload(Program):
         self.address_base = address_base
 
     def blocks(self) -> Iterator[Block]:
-        ops = mem_ops(self.address_base + address % self.buffer_bytes
-                      for address in range(0, self.accesses * self.stride_bytes,
-                                           self.stride_bytes))
-        yield TraceBlock(ops=ops,
+        offsets = np.arange(self.accesses) * self.stride_bytes
+        trace = Trace(self.address_base + offsets % self.buffer_bytes)
+        yield TraceBlock(ops=trace,
                          instructions_per_op=self.instructions_per_access,
                          label="sweep")
 
@@ -182,8 +181,6 @@ class PointerChaseWorkload(Program):
         rng = np.random.default_rng(self.seed)
         lines = max(1, self.working_set_bytes // 64)
         indices = rng.integers(0, lines, size=self.accesses)
-        ops = mem_ops(self.address_base + offset
-                      for offset in (indices * 64).tolist())
-        yield TraceBlock(ops=ops,
+        yield TraceBlock(ops=Trace(self.address_base + indices * 64),
                          instructions_per_op=self.instructions_per_access,
                          label="chase")

@@ -68,11 +68,16 @@ class TestTimerFaults:
 
 
 class CountingInjector(FaultInjector):
-    """Counts the HRTimer hook calls a run makes."""
+    """Counts the HRTimer and ring-squeeze hook calls a run makes."""
 
     def __init__(self, plan):
         super().__init__(plan)
         self.timer_calls = 0
+        self.squeeze_calls = 0
+
+    def squeeze_capacity(self, nominal_capacity, now):
+        self.squeeze_calls += 1
+        return super().squeeze_capacity(nominal_capacity, now)
 
     def timer_extra_jitter_ns(self, now):
         self.timer_calls += 1
@@ -105,6 +110,30 @@ class TestInertTimerPath:
         assert injector.ledger.count("hrtimer", "extra-jitter") > 0
         assert injector.timer_calls >= 2 * result.kernel.get_module(
             "k_leb").stats.timer_fires
+
+
+class TestInertSqueezePath:
+    def run_counting(self, plan):
+        injector = CountingInjector(plan)
+        result = run_monitored(TripleLoopMatmul(256), KLebTool(),
+                               period_ns=1_000_000, seed=7, faults=injector)
+        return result, injector
+
+    def test_no_squeeze_calls_without_a_squeeze(self):
+        """Other sites armed, squeeze inert: fires skip the hook."""
+        result, injector = self.run_counting(
+            FaultPlan(seed=8, read_failure_prob=0.5,
+                      timer_extra_jitter_prob=0.5))
+        assert result.kernel.get_module("k_leb").stats.timer_fires > 0
+        assert injector.timer_calls > 0
+        assert injector.squeeze_calls == 0
+
+    def test_armed_squeeze_is_consulted_on_every_fire(self):
+        result, injector = self.run_counting(
+            FaultPlan(seed=2, squeeze_prob=0.2, squeeze_fires=3))
+        module = result.kernel.get_module("k_leb")
+        assert injector.ledger.count("ringbuffer", "squeeze") > 0
+        assert injector.squeeze_calls == module.stats.timer_fires > 0
 
 
 class TestDeviceFaults:

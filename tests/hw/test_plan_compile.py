@@ -7,10 +7,11 @@ here as the definition: every ``_TracePlan`` slot the array compiler in
 
 from typing import Dict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw import core as core_module
+from repro.errors import WorkloadError
 from repro.hw.cache import CacheConfig, CacheHierarchy
 from repro.hw.core import ExecStop, _TracePlan, _trace_plan
 from repro.hw.machine import Machine
@@ -21,24 +22,24 @@ from repro.workloads.base import (
     ListProgram,
     MemOp,
     OpKind,
+    Trace,
     TraceBlock,
 )
-from repro.workloads.meltdown import _flush_reload_ops, _tiled_ops
+from repro.workloads.meltdown import _flush_reload_tile
 
 LINE = 64
 LOAD, STORE, FLUSH = 0, 1, 2
 
 
-def reference_plan(ops, descriptors) -> Dict[str, object]:
-    """Every plan slot but ``ops``, compiled one op at a time."""
+def reference_plan(trace, descriptors) -> Dict[str, object]:
+    """Every plan slot, compiled one op at a time."""
     _d1, _d2, _d3 = descriptors
     s1, m1, t1 = _d1[1], _d1[2], _d1[3]
     s2, m2, t2 = _d2[1], _d2[2], _d2[3]
     s3, m3, t3 = _d3[1], _d3[2], _d3[3]
-    n = len(ops)
-    addresses = [op[0] for op in ops]
-    kinds = [FLUSH if op[1] is OpKind.FLUSH
-             else STORE if op[1] is OpKind.STORE else LOAD for op in ops]
+    n = len(trace)
+    addresses = trace.addresses.tolist()
+    kinds = trace.kinds.tolist()
     line1 = [address >> s1 for address in addresses]
     line2 = [address >> s2 for address in addresses]
     line3 = [address >> s3 for address in addresses]
@@ -136,11 +137,12 @@ op_specs = st.lists(
 
 
 def assert_plan_matches(ops, descriptors):
-    plan = _trace_plan(ops, descriptors)
-    expected = reference_plan(ops, descriptors)
-    assert plan.ops is ops
+    trace = ops if isinstance(ops, Trace) else Trace.from_ops(ops)
+    plan = _trace_plan(trace, descriptors)
+    expected = reference_plan(trace, descriptors)
+    assert _trace_plan(trace, descriptors) is plan  # kept on the trace
     for slot in _TracePlan.__slots__:
-        if slot != "ops":
+        if slot != "__weakref__":
             assert getattr(plan, slot) == expected[slot], slot
     return plan
 
@@ -157,8 +159,8 @@ def test_plan_equals_reference(geometry, specs, as_memops):
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_attack_tile_plan_equals_reference(geometry):
-    ops = _tiled_ops(_flush_reload_ops(0x4000_0000, 4096, 83), 3)
-    plan = assert_plan_matches(ops, GEOMETRIES[geometry])
+    trace = _flush_reload_tile(0x4000_0000, 4096, 83, 3)
+    plan = assert_plan_matches(trace, GEOMETRIES[geometry])
     has_guaranteed_misses = 3 in plan.kindcat
     assert has_guaranteed_misses == (geometry != "split_lines")
 
@@ -216,20 +218,45 @@ def observe(program, force_generic):
             (stats.accesses, stats.misses, stats.flushes))
 
 
-def test_address_beyond_int64_takes_the_generic_path():
+def test_address_at_2_to_63_plans_and_replays_like_generic():
     ops = [MemOp(0x1000_0000 + index * LINE,
                  OpKind.STORE if index % 3 == 0 else OpKind.LOAD)
            for index in range(96)]
     ops[40] = MemOp(1 << 63, OpKind.LOAD)
+    ops[41] = MemOp((1 << 64) - LINE, OpKind.FLUSH)
+    ops[42] = MemOp((1 << 64) - 1, OpKind.LOAD)
     ops += [MemOp(0x1000_0000 + index * LINE, OpKind.FLUSH)
             for index in range(16)]
     ops += ops[:16]
-    assert _trace_plan(ops, GEOMETRIES["i7_920"]) is None
-    assert not any(key[0] == id(ops) for key in core_module._TRACE_PLANS)
+    trace = Trace.from_ops(ops)
+    assert trace.addresses[40] == 1 << 63
+    assert_plan_matches(trace, GEOMETRIES["i7_920"])
     program = ListProgram("wide", [TraceBlock(
-        ops=ops, instructions_per_op=3.0, event_scale=2.0)])
+        ops=trace, instructions_per_op=3.0, event_scale=2.0)])
     assert observe(program, force_generic=False) == \
         observe(program, force_generic=True)
+
+
+@pytest.mark.parametrize("address", [-1, -(1 << 63), 1 << 64, 1 << 70])
+def test_address_out_of_range_is_rejected_when_the_trace_is_built(address):
+    ops = [MemOp(0), MemOp(address, OpKind.FLUSH)]
+    with pytest.raises(WorkloadError):
+        Trace.from_ops(ops)
+    with pytest.raises(WorkloadError):
+        TraceBlock(ops=ops)
+    with pytest.raises(WorkloadError):
+        Trace([0, address])
+
+
+def test_malformed_columns_are_rejected():
+    with pytest.raises(WorkloadError):
+        Trace(np.arange(-2, 2) * LINE)
+    with pytest.raises(WorkloadError):
+        Trace([0, LINE], np.array([0, 3]))
+    with pytest.raises(WorkloadError):
+        Trace([0], np.array([0, 1]))
+    with pytest.raises(WorkloadError):
+        TraceBlock(ops=[(0, "load")])
 
 
 def test_addresses_just_below_2_to_63_still_plan():

@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from repro.experiments import smp as smp_module
 from repro.experiments.runner import run_monitored
 from repro.hw.machine import Machine
 from repro.hw.presets import PRESETS, build, i7_920, xeon_8259cl
@@ -11,6 +12,7 @@ from repro.tools.registry import create_tool
 from repro.workloads.base import (BlockCursor, ListProgram, MemOp, RateBlock,
                                   TraceBlock)
 from repro.workloads.meltdown import SecretPrinter
+from repro.workloads.synthetic import PointerChaseWorkload, StridedMemoryWorkload
 
 
 class TestPresets:
@@ -99,5 +101,35 @@ class TestCacheStorage:
             cache = result.kernel.machine.cache
             assert cache.stats.accesses > 0
             assert [level._sets for level in cache.levels] == [[], [], []]
+        finally:
+            gc.enable()
+
+    def test_run_monitored_smp_releases_every_cache(self, monkeypatch):
+        """The SMP twin: every core's hierarchy and the shared LLC end
+        cold, or a finished cluster's sets pile up until a collection."""
+        clusters = []
+
+        class RecordingCluster(smp_module.SmpCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        monkeypatch.setattr(smp_module, "SmpCluster", RecordingCluster)
+        gc.disable()
+        try:
+            streamers = [StridedMemoryWorkload(1 << 20, 2_000,
+                                               address_base=(index + 1) << 30)
+                         for index in range(2)]
+            run = smp_module.run_monitored_smp(
+                PointerChaseWorkload(1 << 18, 5_000, seed=1), cores=3,
+                migrate=True, aggressors=streamers)
+            assert run.report.sample_count > 0
+            (cluster,) = clusters
+            caches = [kernel.machine.cache for kernel in cluster.kernels]
+            assert all(cache.stats.accesses > 0 for cache in caches)
+            assert all(cache.cold for cache in caches)
+            assert [len(level._sets) for cache in caches
+                    for level in cache.levels] == [0] * 9
+            assert [llc._sets for llc in cluster.llcs] == [[]]
         finally:
             gc.enable()

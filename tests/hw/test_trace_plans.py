@@ -1,15 +1,15 @@
-"""Trace-plan lifetime: a compiled plan lives exactly as long as its ops.
+"""Trace-plan lifetime: a compiled plan lives on its trace, and only there.
 
-Every case uses plain, non-cyclic op lists and drops them with an
-explicit ``del``, and runs with the cyclic collector off, so what it
-checks is reference counting alone, never GC timing.
+Every case runs with the cyclic collector off and drops traces with an
+explicit ``del``, so what it checks is reference counting alone, never
+GC timing: a plan is reachable exactly while its trace is.
 """
 
 import gc
+import weakref
 
 import pytest
 
-from repro.hw import core as core_module
 from repro.hw.core import ExecStop, _trace_plan
 from repro.hw.machine import Machine
 from repro.hw.pmu import RDPMC_FIXED_FLAG
@@ -19,8 +19,10 @@ from repro.workloads.base import (
     ListProgram,
     MemOp,
     OpKind,
+    Trace,
     TraceBlock,
 )
+from repro.workloads.meltdown import MeltdownAttack
 from repro.workloads.synthetic import StridedMemoryWorkload
 
 LINE = 64
@@ -41,12 +43,8 @@ def descriptors():
     return Machine(i7_920()).cache._descriptors
 
 
-def fresh_ops(base, count=64):
-    return [MemOp(base + index * LINE, OpKind.LOAD) for index in range(count)]
-
-
-def holds(plan):
-    return any(cached is plan for cached in core_module._TRACE_PLANS.values())
+def fresh_trace(base, count=64):
+    return Trace(range(base, base + count * LINE, LINE))
 
 
 def replay(machine, program):
@@ -85,60 +83,66 @@ def observe(program, force_generic):
 
 
 class TestPlanLifetime:
-    def test_plan_of_dropped_list_goes_at_next_compile(self, descriptors):
-        ops = fresh_ops(0x1000_0000)
-        plan = _trace_plan(ops, descriptors)
-        assert holds(plan)
-        del ops
-        # Nothing has compiled since: the plan is still cached.
-        assert holds(plan)
-        other = fresh_ops(0x2000_0000)
-        _trace_plan(other, descriptors)
-        assert not holds(plan)
+    def test_dropped_fresh_trace_frees_its_plan(self, descriptors):
+        trace = fresh_trace(0x1000_0000)
+        plan = weakref.ref(_trace_plan(trace, descriptors))
+        # The trace holds its plan: a second lookup finds the same one.
+        assert _trace_plan(trace, descriptors) is plan()
+        del trace
+        assert plan() is None
 
-    def test_plan_of_referenced_tuple_survives(self, descriptors):
-        ops = tuple(fresh_ops(0x3000_0000))
-        plan = _trace_plan(ops, descriptors)
-        for index in range(100):
-            scratch = fresh_ops(0x4000_0000 + index * 0x10_0000)
-            _trace_plan(scratch, descriptors)
-            del scratch
-        assert _trace_plan(ops, descriptors) is plan
+    def test_plan_of_referenced_tuple_survives(self):
+        """A referenced trace keeps its plan: each of 100 trials replays
+        the attack's memoized Flush+Reload tile on a fresh machine, and
+        the tile compiles once and keeps that one plan object."""
+        first = None
+        for _ in range(100):
+            attack = MeltdownAttack(secret="A", rounds_per_char=4)
+            (tile,) = [block for block in attack.blocks()
+                       if isinstance(block, TraceBlock)
+                       and block.label.startswith("flush-reload")]
+            replay(Machine(i7_920()), ListProgram("attack", [tile]))
+            (plan,) = tile.ops.plans.values()
+            first = first or plan
+            assert plan is first
 
     def test_plan_of_list_under_two_geometries_goes(self, descriptors):
-        # Two plan slots hold the list; neither alone keeps it live.
+        """One trace under two geometries carries two plans, and both
+        go with the trace."""
         other_geometry = Machine(xeon_8259cl()).cache._descriptors
-        ops = fresh_ops(0x5000_0000)
-        plans = (_trace_plan(ops, descriptors),
-                 _trace_plan(ops, other_geometry))
+        trace = fresh_trace(0x5000_0000)
+        plans = (_trace_plan(trace, descriptors),
+                 _trace_plan(trace, other_geometry))
         assert plans[0] is not plans[1]
-        del ops
-        _trace_plan(fresh_ops(0x6000_0000), descriptors)
-        assert not any(holds(plan) for plan in plans)
+        assert len(trace.plans) == 2
+        assert _trace_plan(trace, descriptors) is plans[0]
+        assert _trace_plan(trace, other_geometry) is plans[1]
+        refs = [weakref.ref(plan) for plan in plans]
+        del plans, trace
+        assert [ref() for ref in refs] == [None, None]
 
     def test_fresh_streamers_leave_only_live_plans(self):
-        """The smp_migrate shape: 100 fresh 20k-op strided lists, each
-        replayed once.  Afterwards the cache holds the plans it held
-        before plus only the last streamer's, which goes at the next
-        compile: retention is bounded without a plan-count limit."""
+        """The smp_migrate shape: 100 fresh 20k-op strided traces, each
+        replayed once and dropped.  Each compiles one plan, and none
+        outlives its streamer: retention is zero without a plan-count
+        limit."""
         machine = Machine(i7_920())
-        # Held by identity, so no plan compiled below can pass for one
-        # of these even if a swept list's id is reused.
-        before = list(core_module._TRACE_PLANS.values())
+        refs = []
         for index in range(100):
             streamer = StridedMemoryWorkload(
                 STREAMER_BUFFER_BYTES, 20_000, name=f"streamer{index}",
                 address_base=(index % 3 + 1) << 30)
-            replay(machine, streamer)
-            del streamer
-        new = [plan for plan in core_module._TRACE_PLANS.values()
-               if not any(plan is old for old in before)]
-        assert len(new) == 1
-        assert len(new[0].ops) == 20_000
+            (block,) = streamer.blocks()
+            replay(machine, ListProgram(streamer.name, [block]))
+            assert len(block.ops) == 20_000
+            refs.extend(weakref.ref(plan) for plan in block.ops.plans.values())
+            del streamer, block
+        assert len(refs) == 100
+        assert not any(ref() is not None for ref in refs)
 
     def test_replay_after_sweep_matches_generic(self, descriptors):
         for index in range(8):
-            dropped = fresh_ops(0x7000_0000 + index * 0x1_0000, 256)
+            dropped = fresh_trace(0x7000_0000 + index * 0x1_0000, 256)
             _trace_plan(dropped, descriptors)
             del dropped
         ops = []
@@ -149,10 +153,10 @@ class TestPlanLifetime:
                 for index in range(32)]
         ops += [MemOp(0x9000_0000 + index * 4096, OpKind.LOAD)
                 for index in range(32)]
-        ops *= 4
+        trace = Trace.from_ops(ops * 4)
         program = ListProgram("swept", [TraceBlock(
-            ops=ops, instructions_per_op=3.0, event_scale=2.0)])
+            ops=trace, instructions_per_op=3.0, event_scale=2.0)])
         batch = observe(program, force_generic=False)
-        # The batch path ran: it compiled a plan for this list.
-        assert any(key[0] == id(ops) for key in core_module._TRACE_PLANS)
+        # The batch path ran: it compiled a plan for this trace.
+        assert len(trace.plans) == 1
         assert batch == observe(program, force_generic=True)

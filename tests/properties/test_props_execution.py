@@ -6,7 +6,7 @@ total instructions, events, and CPU time are conserved.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.cache import CacheConfig, CacheHierarchy
 from repro.hw.core import Core, ExecStop
@@ -126,10 +126,13 @@ def make_core3():
 
 def run_three_level(program, budgets, force_generic):
     """Run ``program`` sliced by ``budgets`` on a 3-level core; returns
-    every externally observable total.  ``force_generic`` defeats the
-    batch seam (via its integrality guard) so the same inputs replay
-    through ``_run_trace_generic``, the per-op reference that defines
-    the semantics; the run asserts that the reference actually ran."""
+    every externally observable total and every level's final set
+    contents, each set's tags in LRU order (oldest first), so a replay
+    that fills the right lines in the wrong order differs.
+    ``force_generic`` defeats the batch seam (via its integrality
+    guard) so the same inputs replay through ``_run_trace_generic``,
+    the per-op reference that defines the semantics; the run asserts
+    that the reference actually ran."""
     core = make_core3()
     generic_calls = []
     if force_generic:
@@ -166,6 +169,8 @@ def run_three_level(program, budgets, force_generic):
         tuple(core.pmu.rdpmc(index) for index in range(4)),
         tuple(core.pmu.rdpmc(RDPMC_FIXED_FLAG | index) for index in range(3)),
         (stats.accesses, stats.misses, stats.flushes),
+        tuple(tuple(tuple(entries) for entries in level._sets)
+              for level in core.cache.levels),
     )
 
 
@@ -179,8 +184,10 @@ _round_ops = st.lists(
         st.tuples(st.just("load"), st.integers(0, 24)),
         st.tuples(st.just("store"), st.integers(0, 24)),
         st.tuples(st.just("flush"), st.integers(0, 24)),
-        # Page-spaced probe lines (the Flush+Reload shape).
+        # Page-spaced probe lines (the Flush+Reload shape), loaded or
+        # flushed.
         st.tuples(st.just("probe"), st.integers(0, 24)),
+        st.tuples(st.just("probe-flush"), st.integers(0, 24)),
     ),
     min_size=4, max_size=40,
 )
@@ -195,6 +202,8 @@ def _build_trace(round_spec, repeats, ipo, event_scale):
             ops.append(MemOp(index * LINE, OpKind.STORE))
         elif kind == "flush":
             ops.append(MemOp(index * LINE, OpKind.FLUSH))
+        elif kind == "probe-flush":
+            ops.append(MemOp(0x400_0000 + index * 4096, OpKind.FLUSH))
         else:
             ops.append(MemOp(0x400_0000 + index * 4096, OpKind.LOAD))
     ops = tuple(ops) * repeats
@@ -209,13 +218,18 @@ class TestBatchReplayEquivalence:
            st.integers(min_value=1, max_value=6),
            st.integers(min_value=1, max_value=4),
            budget_lists)
+    # One Flush+Reload round: its reloads form a guaranteed-miss run
+    # whose lines all share a set, so their fill order is visible.
+    @example([("probe-flush", index) for index in range(8)]
+             + [("probe", index) for index in range(8)], 6, 1, 1, [])
     @settings(max_examples=60, deadline=None)
     def test_batch_matches_scalar_bit_for_bit(self, round_spec, repeats,
                                               ipo, event_scale, budgets):
         """The tentpole gate: segment-batched replay is observationally
         identical to the per-op reference — instructions, consumed
-        time, every PMU counter, and the cache statistics — under
-        arbitrary preemption slicing."""
+        time, every PMU counter, the cache statistics, and every
+        level's final set contents in LRU order — under arbitrary
+        preemption slicing."""
         program = _build_trace(round_spec, repeats, ipo, event_scale)
         generic = run_three_level(program, budgets, force_generic=True)
         batch = run_three_level(program, budgets, force_generic=False)

@@ -1,7 +1,8 @@
-"""Bulk-built op lists equal the per-op construction they replace.
+"""Column-built traces equal the per-op construction they replace.
 
 Each reference below builds its trace one ``MemOp(...)`` at a time, the
-way the generators did before :func:`repro.workloads.base.mem_ops`.
+way the generators did before traces became columns, and converts it
+with :meth:`Trace.from_ops`; every builder's columns must equal it.
 """
 
 from typing import List
@@ -9,37 +10,43 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.workloads.base import MemOp, OpKind, TraceBlock, mem_ops
+from repro.workloads.base import KIND_CODES, MemOp, OpKind, Trace, TraceBlock
 from repro.workloads.docker_images import DOCKER_IMAGES, ContainerWorkload
 from repro.workloads.meltdown import (
     _PROBE_LINES,
     _VICTIM_REUSE_OPS,
     _VICTIM_STREAM_OPS,
-    _flush_reload_ops,
-    _victim_scan_ops,
+    _flush_reload_round,
+    _flush_reload_tile,
+    _victim_scan_trace,
 )
 from repro.workloads.synthetic import PointerChaseWorkload, StridedMemoryWorkload
 
 LINE = 64
 
 
-def assert_same_ops(ops, expected):
-    assert list(ops) == list(expected)
-    assert all(type(op) is MemOp for op in ops)
-    assert all(type(op.address) is int for op in ops)
+def assert_same_ops(trace, expected):
+    reference = Trace.from_ops(expected)
+    assert trace.addresses.dtype == np.uint64
+    assert trace.kinds.dtype == np.uint8
+    assert trace.addresses.tolist() == reference.addresses.tolist()
+    assert trace.kinds.tolist() == reference.kinds.tolist()
+    assert trace == reference
 
 
-def trace_ops(program) -> List[List[MemOp]]:
+def trace_ops(program) -> List[Trace]:
     return [block.ops for block in program.blocks()
             if isinstance(block, TraceBlock)]
 
 
-def test_mem_ops_builds_memops_of_one_kind():
-    ops = mem_ops(range(0, 4 * LINE, LINE), OpKind.FLUSH)
-    assert_same_ops(ops, [MemOp(index * LINE, OpKind.FLUSH)
-                          for index in range(4)])
-    assert mem_ops([]) == []
-    assert mem_ops([7])[0].kind is OpKind.LOAD
+def test_trace_of_one_kind_matches_per_op():
+    trace = Trace(range(0, 4 * LINE, LINE), OpKind.FLUSH)
+    assert_same_ops(trace, [MemOp(index * LINE, OpKind.FLUSH)
+                            for index in range(4)])
+    assert len(Trace([])) == 0
+    assert Trace([7]).kinds.tolist() == [KIND_CODES[OpKind.LOAD]]
+    # Codes follow OpKind order.
+    assert [KIND_CODES[kind] for kind in OpKind] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("buffer_bytes, accesses, stride, base", [
@@ -81,9 +88,9 @@ def test_victim_scan_matches_per_op(index):
         reuse_start = stream_base + (index - 2) * _VICTIM_STREAM_OPS * LINE
         for op_index in range(_VICTIM_REUSE_OPS):
             expected.append(MemOp(reuse_start + op_index * LINE, OpKind.LOAD))
-    ops = _victim_scan_ops(stream_base, index)
-    assert type(ops) is tuple
-    assert_same_ops(ops, expected)
+    trace = _victim_scan_trace(stream_base, index)
+    assert _victim_scan_trace(stream_base, index) is trace  # memoized
+    assert_same_ops(trace, expected)
 
 
 @pytest.mark.parametrize("stride", [4096, LINE])
@@ -94,9 +101,12 @@ def test_flush_reload_round_matches_per_op(stride):
     expected.append(MemOp(probe_base + byte_value * stride, OpKind.LOAD))
     expected += [MemOp(probe_base + line * stride, OpKind.LOAD)
                  for line in range(_PROBE_LINES)]
-    ops = _flush_reload_ops(probe_base, stride, byte_value)
-    assert type(ops) is tuple
-    assert_same_ops(ops, expected)
+    trace = _flush_reload_round(probe_base, stride, byte_value)
+    assert _flush_reload_round(probe_base, stride, byte_value) is trace
+    assert_same_ops(trace, expected)
+    tile = _flush_reload_tile(probe_base, stride, byte_value, 3)
+    assert _flush_reload_tile(probe_base, stride, byte_value, 3) is tile
+    assert_same_ops(tile, expected * 3)
 
 
 def reference_container_ops(profile, iterations, seed, address_base):

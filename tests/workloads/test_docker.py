@@ -63,8 +63,8 @@ class TestContainerWorkload:
         workload = ContainerWorkload(DOCKER_IMAGES["nginx"], iterations=2)
         blocks = [block for block in workload.blocks()
                   if getattr(block, "label", "").startswith("memory")]
-        first = {op.address for op in blocks[0].ops}
-        second = {op.address for op in blocks[1].ops}
+        first = set(blocks[0].ops.addresses.tolist())
+        second = set(blocks[1].ops.addresses.tolist())
         # Reuse ops revisit the first iteration's stream, but the new
         # stream lines must be distinct.
         profile = DOCKER_IMAGES["nginx"]

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.runner import run_monitored
 from repro.sim.clock import ms, us
 from repro.tools.registry import create_tool
-from repro.workloads.base import OpKind, TraceBlock
+from repro.workloads.base import KIND_CODES, OpKind, TraceBlock
 from repro.workloads.meltdown import (
     DEFAULT_SECRET,
     MeltdownAttack,
@@ -18,25 +18,24 @@ EVENTS = ("LLC_REFERENCES", "LLC_MISSES", "LOADS", "STORES")
 class TestStructure:
     def test_flush_reload_round_shape(self):
         attack = MeltdownAttack(secret="A", rounds_per_char=1)
-        ops = attack._flush_reload_round(ord("A"))
-        flushes = [op for op in ops if op.kind is OpKind.FLUSH]
-        loads = [op for op in ops if op.kind is OpKind.LOAD]
-        assert len(flushes) == 256
-        assert len(loads) == 257  # transient access + 256 reloads
+        kinds = attack._flush_reload_round(ord("A")).kinds
+        assert (kinds == KIND_CODES[OpKind.FLUSH]).sum() == 256
+        # transient access + 256 reloads
+        assert (kinds == KIND_CODES[OpKind.LOAD]).sum() == 257
 
     def test_probe_lines_page_spaced(self):
         attack = MeltdownAttack(secret="A", rounds_per_char=1)
-        ops = attack._flush_reload_round(0)
-        flush_addresses = [op.address for op in ops
-                           if op.kind is OpKind.FLUSH]
+        trace = attack._flush_reload_round(0)
+        flush_addresses = trace.addresses[
+            trace.kinds == KIND_CODES[OpKind.FLUSH]].tolist()
         assert flush_addresses[1] - flush_addresses[0] == 4096
 
     def test_transient_access_indexes_by_secret_byte(self):
         attack = MeltdownAttack(secret="A", rounds_per_char=1)
-        ops = attack._flush_reload_round(ord("A"))
-        transient = ops[256]  # right after the flushes
-        assert transient.kind is OpKind.LOAD
-        assert transient.address == attack.probe_base + ord("A") * 4096
+        trace = attack._flush_reload_round(ord("A"))
+        # Right after the flushes.
+        assert trace.kinds[256] == KIND_CODES[OpKind.LOAD]
+        assert trace.addresses[256] == attack.probe_base + ord("A") * 4096
 
     def test_attack_contains_victim_blocks(self):
         victim_labels = {getattr(block, "label", "")

@@ -113,25 +113,25 @@ class TestSynthetic:
                                         stride_bytes=128)
         block = next(program.blocks())
         assert isinstance(block, TraceBlock)
-        addresses = [op.address for op in block.ops]
+        addresses = block.ops.addresses.tolist()
         assert addresses == [0, 128, 256, 384, 512, 640, 768, 896]
 
     def test_strided_wraps_buffer(self):
         program = StridedMemoryWorkload(buffer_bytes=256, accesses=5,
                                         stride_bytes=128)
-        addresses = [op.address for op in next(program.blocks()).ops]
+        addresses = next(program.blocks()).ops.addresses.tolist()
         assert max(addresses) < 256
 
     def test_pointer_chase_stays_in_working_set(self):
         program = PointerChaseWorkload(working_set_bytes=4096, accesses=100,
                                        seed=1)
-        addresses = [op.address for op in next(program.blocks()).ops]
+        addresses = next(program.blocks()).ops.addresses.tolist()
         assert all(0 <= address < 4096 for address in addresses)
 
     def test_pointer_chase_deterministic_by_seed(self):
         def addrs(seed):
             program = PointerChaseWorkload(4096, 50, seed=seed)
-            return [op.address for op in next(program.blocks()).ops]
+            return next(program.blocks()).ops.addresses.tolist()
 
         assert addrs(3) == addrs(3)
         assert addrs(3) != addrs(4)
