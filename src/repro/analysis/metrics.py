@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.errors import ExperimentError
-from repro.tools.base import ToolReport
 
 
 def mpki(misses: float, instructions: float) -> float:
@@ -54,9 +53,3 @@ def report_mpki(totals: Mapping[str, float],
     if "INST_RETIRED" not in totals:
         raise ExperimentError("totals lack INST_RETIRED")
     return mpki(totals[miss_event], totals["INST_RETIRED"])
-
-
-def report_mpki_from(report: ToolReport,
-                     miss_event: str = "LLC_MISSES") -> float:
-    """Convenience wrapper for :func:`report_mpki` on a ToolReport."""
-    return report_mpki(report.totals, miss_event=miss_event)

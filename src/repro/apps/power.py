@@ -54,10 +54,6 @@ class PowerEstimate:
     energy_joules: float
     duration_s: float
 
-    @property
-    def average_above_static(self) -> float:
-        return self.mean_watts
-
 
 @dataclass
 class PowerModel:

@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments import report
 from repro.experiments.runner import run_monitored
+from repro.hw.schedule import plan_groups
 from repro.sim.clock import ms, us
 from repro.tools.kleb.tool import KLebTool
 from repro.workloads.matmul import TripleLoopMatmul
@@ -47,21 +48,17 @@ class MultiplexResult:
         errors = self.errors_percent[rotation_ns]
         return sum(errors.values()) / len(errors)
 
-    def worst_error_percent(self, rotation_ns: int) -> float:
-        return max(self.errors_percent[rotation_ns].values())
-
 
 def _ground_truth(n: int, period_ns: int, seed: int,
                   events: Sequence[str]) -> Dict[str, float]:
-    """Full-count totals: each four-event group gets a dedicated run."""
+    """Full-count totals: each rotation group gets a dedicated run."""
     truth: Dict[str, float] = {}
-    for start in range(0, len(events), 4):
-        chunk = tuple(events[start:start + 4])
+    for group in plan_groups(events).groups:
         result = run_monitored(
-            TripleLoopMatmul(n), KLebTool(), events=chunk,
+            TripleLoopMatmul(n), KLebTool(), events=group.names,
             period_ns=period_ns, seed=seed,
         )
-        for name in chunk:
+        for name in group.names:
             truth[name] = result.report.totals[name]
     return truth
 

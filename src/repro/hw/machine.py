@@ -13,7 +13,7 @@ L1/L2), each socket shares one last-level cache and one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import SimulationError
 from repro.hw.cache import CacheConfig, CacheHierarchy, CacheLevel
@@ -112,14 +112,6 @@ class Topology:
                 f"cpu {cpu} outside topology of {self.total_cores} cores")
         return cpu // self.cores_per_socket
 
-    def cores_in(self, socket: int) -> Tuple[int, ...]:
-        """CPU ids on ``socket``."""
-        if not 0 <= socket < self.sockets:
-            raise SimulationError(
-                f"socket {socket} outside topology of {self.sockets} sockets")
-        base = socket * self.cores_per_socket
-        return tuple(range(base, base + self.cores_per_socket))
-
 
 class SmpMachine:
     """Per-core :class:`Machine` instances composed under a topology.
@@ -157,12 +149,6 @@ class SmpMachine:
 
     def machine(self, cpu: int) -> Machine:
         return self.machines[cpu]
-
-    def llc_of(self, cpu: int) -> CacheLevel:
-        return self.llcs[self.topology.socket_of(cpu)]
-
-    def uncore_of(self, cpu: int) -> UncorePmu:
-        return self.uncores[self.topology.socket_of(cpu)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SmpMachine({self.config.name!r}, "

@@ -22,7 +22,8 @@ expose the floored integer value, as hardware would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Tuple)
 
 from repro.errors import PMUError
 from repro.hw import events as ev
@@ -36,6 +37,9 @@ from repro.hw.msr import (
     EVTSEL_INT,
     EVTSEL_EN,
 )
+
+if TYPE_CHECKING:  # schedule imports this module's counter counts
+    from repro.hw.schedule import CounterAssignment
 
 NUM_PROGRAMMABLE = 4
 NUM_FIXED = 3
@@ -194,6 +198,23 @@ class Pmu:
         if not 0 <= index < NUM_PROGRAMMABLE:
             raise PMUError(f"no programmable counter {index}")
         self.wrmsr(_EVTSEL_MSRS[index], 0)
+
+    def load_assignment(self, assignment: "CounterAssignment", *,
+                        user: bool = True, kernel: bool = False) -> None:
+        """Load a :func:`~repro.hw.schedule.assign_counters` placement.
+
+        Programs (and zeroes) every assigned programmable counter and
+        clears the event select of every other one, so no event left by
+        an earlier placement keeps counting.  Fixed-pinned events need
+        no programming: the fixed counters always count their event.
+        """
+        assigned = {slot: name for name, slot in assignment.programmable}
+        for index in range(NUM_PROGRAMMABLE):
+            name = assigned.get(index)
+            if name is None:
+                self.disable_counter(index)
+            else:
+                self.program_counter(index, name, user=user, kernel=kernel)
 
     def enable_fixed(self, *, user: bool = True, kernel: bool = False) -> None:
         """Enable all three fixed counters with the given privilege mask."""

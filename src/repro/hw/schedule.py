@@ -35,8 +35,16 @@ from repro.hw.pmu import NUM_FIXED, NUM_PROGRAMMABLE
 EventSpec = Union[str, ev.Event]
 
 
-def _resolve(spec: EventSpec) -> ev.Event:
-    return spec if isinstance(spec, ev.Event) else ev.lookup(spec)
+def _resolve(requested: Sequence[EventSpec]) -> List[ev.Event]:
+    """Catalogue entries of ``requested``; each event at most once."""
+    events = [spec if isinstance(spec, ev.Event) else ev.lookup(spec)
+              for spec in requested]
+    seen = set()
+    for event in events:
+        if event.name in seen:
+            raise ScheduleError(f"event {event.name!r} requested twice")
+        seen.add(event.name)
+    return events
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,12 @@ def _hall_violator(events: Sequence[ev.Event],
     return None
 
 
+def programmable_count(requested: Sequence[EventSpec]) -> int:
+    """How many of ``requested`` need a programmable counter."""
+    return sum(1 for event in _resolve(requested)
+               if event.fixed_counter is None)
+
+
 def assign_counters(requested: Sequence[EventSpec],
                     num_programmable: int = NUM_PROGRAMMABLE,
                     ) -> CounterAssignment:
@@ -105,13 +119,7 @@ def assign_counters(requested: Sequence[EventSpec],
             either more events than counters, or the event subset whose
             combined legality mask is too small.
     """
-    events = [_resolve(spec) for spec in requested]
-    seen: Dict[str, ev.Event] = {}
-    for event in events:
-        if event.name in seen:
-            raise ScheduleError(f"event {event.name!r} requested twice")
-        seen[event.name] = event
-
+    events = _resolve(requested)
     fixed: List[Tuple[str, int]] = []
     fixed_used: Dict[int, str] = {}
     prog_events: List[ev.Event] = []
@@ -206,10 +214,11 @@ def plan_groups(requested: Sequence[EventSpec],
     Greedy first-fit in request order, like perf's group scheduler: an
     event joins the current group if the group stays placeable, else it
     opens the next one.  A single event that is unplaceable on its own
-    (empty or out-of-range mask) cannot be fixed by rotation and raises
-    :class:`~repro.errors.ScheduleError` immediately.
+    (empty or out-of-range mask), or one requested twice, cannot be
+    fixed by rotation and raises :class:`~repro.errors.ScheduleError`
+    immediately.
     """
-    events = [_resolve(spec) for spec in requested]
+    events = _resolve(requested)
     pinned = [event for event in events if event.fixed_counter is not None]
     rotating = [event for event in events if event.fixed_counter is None]
     # Validate pinning conflicts (and get canonical fixed ordering).
@@ -219,17 +228,14 @@ def plan_groups(requested: Sequence[EventSpec],
     current: List[ev.Event] = []
     for event in rotating:
         try:
-            candidate = assign_counters(current + [event], num_programmable)
+            assign_counters(current + [event], num_programmable)
         except ScheduleError:
             if not current:
                 raise  # unplaceable alone: rotation cannot help
             groups.append(assign_counters(current, num_programmable))
-            current = [event]
-            candidate = assign_counters(current, num_programmable)
-        else:
-            current.append(event)
-            continue
-        del candidate  # placement re-checked when the group closes
+            current = []
+            assign_counters([event], num_programmable)  # placeable alone?
+        current.append(event)
     if current:
         groups.append(assign_counters(current, num_programmable))
     return GroupPlan(fixed=fixed, groups=tuple(groups))

@@ -119,9 +119,6 @@ class UncorePmu:
         return self.assignment.slot_of(name)
 
     # -- counter readout -------------------------------------------------
-    def read_counter(self, slot: int) -> int:
-        return self._counters[slot]
-
     def read_event(self, name: str) -> int:
         return self._counters[self.slot_of(name)]
 

@@ -81,14 +81,6 @@ class Scheduler:
         self.context_switches = 0
 
     # ------------------------------------------------------------------
-    @property
-    def runnable_count(self) -> int:
-        """Queued runnable tasks (excluding the one currently running)."""
-        return len(self._queue)
-
-    def _queued_tasks(self) -> List[Task]:
-        return [entry[2] for entry in self._queue]
-
     def enqueue(self, task: Task) -> None:
         """Queue a runnable task behind its priority class."""
         if task.state is not TaskState.RUNNABLE:

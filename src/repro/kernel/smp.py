@@ -142,13 +142,6 @@ class SmpCluster:
         """Spawn ``program`` on the given core's kernel."""
         return self.kernel(core).spawn(program, **kwargs)
 
-    def cpu_of(self, task: Task) -> Optional[int]:
-        """CPU whose task table currently holds ``task`` (None if gone)."""
-        for cpu, kernel in enumerate(self.kernels):
-            if kernel.tasks.get(task.pid) is task:
-                return cpu
-        return None
-
     # ------------------------------------------------------------------
     # Migration
     # ------------------------------------------------------------------

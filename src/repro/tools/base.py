@@ -15,7 +15,7 @@ which may continue running the kernel (draining controller buffers)
 and then produces a :class:`ToolReport`.
 
 :class:`CounterGate` is the shared context-switch isolation machinery:
-program the PMU for the requested events, enable counting only while a
+place the requested events on the PMU, enable counting only while a
 traced task runs, and follow forks/exits.  K-LEB implements this with
 its own kprobes inside the module; perf gets it from the kernel
 perf-events subsystem — mechanically the same hooks, so they share the
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ToolError, ToolUnsupportedError
+from repro.hw import schedule
 from repro.hw.pmu import NUM_PROGRAMMABLE
 from repro.kernel.kernel import Kernel
 from repro.kernel.kprobes import ProbePoint
@@ -116,22 +117,26 @@ class MonitoringTool:
 class CounterGate:
     """Per-task counter isolation via context-switch hooks.
 
-    Programs the PMU for ``events`` and enables counting only while one
-    of the traced tasks is on the CPU.  Forked children of traced tasks
-    are traced too; the gate snapshots final totals when the root task
-    exits.
+    Places ``events`` with :func:`~repro.hw.schedule.assign_counters`,
+    loads that placement onto the PMU, and enables counting only while
+    one of the traced tasks is on the CPU.  Forked children of traced
+    tasks are traced too; the gate snapshots final totals when the root
+    task exits.
     """
 
     def __init__(self, kernel: Kernel, root: Task, events: Sequence[str],
                  *, count_kernel: bool = False, armed: bool = True) -> None:
-        if len(events) > NUM_PROGRAMMABLE:
+        programmable = schedule.programmable_count(events)
+        if programmable > NUM_PROGRAMMABLE:
             raise ToolError(
-                f"{len(events)} events exceed the {NUM_PROGRAMMABLE} "
+                f"{programmable} events exceed the {NUM_PROGRAMMABLE} "
                 "programmable counters; use multiplexing"
             )
+        # Raises ScheduleError, naming the violating events, when the
+        # counter masks cannot host the request.
+        self.assignment = schedule.assign_counters(events)
         self.kernel = kernel
         self.root = root
-        self.events = list(events)
         self.count_kernel = count_kernel
         self.traced_pids: Set[int] = {root.pid}
         self.counting = False
@@ -144,8 +149,7 @@ class CounterGate:
         self._handles = []
         pmu = kernel.pmu
         pmu.reset_counters()
-        for index, event in enumerate(self.events):
-            pmu.program_counter(index, event, user=True, kernel=count_kernel)
+        pmu.load_assignment(self.assignment, user=True, kernel=count_kernel)
         pmu.enable_fixed(user=True, kernel=count_kernel)
         pmu.global_disable()
         # The sample row schema: the fixed counters plus the programmed

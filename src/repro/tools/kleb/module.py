@@ -73,11 +73,13 @@ class KLebModuleConfig:
     def validate(self) -> None:
         if not self.events:
             raise ToolError("K-LEB needs at least one hardware event")
+        names = self.resolved_events()  # raises on unknown names or codes
         if self.multiplex_period_ns is None:
-            if len(self.events) > NUM_PROGRAMMABLE:
+            programmable = schedule.programmable_count(names)
+            if programmable > NUM_PROGRAMMABLE:
                 raise ToolError(
                     f"K-LEB supports at most {NUM_PROGRAMMABLE} programmable "
-                    f"events, got {len(self.events)}; pass a multiplex "
+                    f"events, got {programmable}; pass a multiplex "
                     f"period to rotate them"
                 )
         else:
@@ -96,7 +98,6 @@ class KLebModuleConfig:
                 f"K-LEB buffer capacity must be positive, "
                 f"got {self.buffer_capacity}"
             )
-        names = self.resolved_events()  # raises on unknown names or codes
         # Surface an impossible counter constraint at validation time
         # (ScheduleError names the violating subset).
         if self.multiplex_period_ns is not None:
@@ -332,18 +333,9 @@ class KLebModule(KernelModule):
                 cpu_pmu = cpu_kernel.pmu
                 if cpu_pmu is not pmu:
                     cpu_pmu.reset_counters()
-                for event, index in assignment.programmable:
-                    cpu_pmu.program_counter(index, event, user=True,
-                                            kernel=argument.count_kernel)
-                    if cpu_pmu is not pmu:
-                        continue
-                    preload = self.kernel.faults.counter_preload(
-                        index, self.kernel.now)
-                    if preload is not None:
-                        # Fault injection: start near the 48-bit ceiling
-                        # so the counter wraps mid-run and downstream
-                        # analysis must cope with the discontinuity.
-                        pmu.write_counter(index, preload)
+                cpu_pmu.load_assignment(assignment, user=True,
+                                        kernel=argument.count_kernel)
+            self._preload_faults(assignment)
         for cpu_kernel in self._kernels:
             cpu_kernel.pmu.enable_fixed(user=True,
                                         kernel=argument.count_kernel)
@@ -556,27 +548,30 @@ class KLebModule(KernelModule):
         self._probe_handles = []
         self.collecting = False
 
+    def _preload_faults(self, assignment: schedule.CounterAssignment) -> None:
+        """Fault injection: start the home core's assigned counters near
+        the 48-bit ceiling, so they wrap mid-run and downstream analysis
+        must cope with the discontinuity."""
+        pmu = self.kernel.pmu
+        for _, slot in assignment.programmable:
+            preload = self.kernel.faults.counter_preload(slot,
+                                                         self.kernel.now)
+            if preload is not None:
+                pmu.write_counter(slot, preload)
+
     # ------------------------------------------------------------------
     # Time-multiplexing engine (perf-style round-robin rotation)
     # ------------------------------------------------------------------
     def _mux_program_active(self, preload_faults: bool = False) -> None:
-        """Program the active group's assignment; unused slots disabled."""
+        """Load the active group's assignment onto the PMU."""
         assert self.mux is not None and self.config is not None
         mux = self.mux
         pmu = self.kernel.pmu
         group = mux.plan.groups[mux.active]
-        used = {slot for _, slot in group.programmable}
-        for index in range(NUM_PROGRAMMABLE):
-            if index not in used:
-                pmu.disable_counter(index)
-        for name, slot in group.programmable:
-            pmu.program_counter(slot, name, user=True,
-                                kernel=self.config.count_kernel)
-            if preload_faults:
-                preload = self.kernel.faults.counter_preload(
-                    slot, self.kernel.now)
-                if preload is not None:
-                    pmu.write_counter(slot, preload)
+        pmu.load_assignment(group, user=True,
+                            kernel=self.config.count_kernel)
+        if preload_faults:
+            self._preload_faults(group)
         # Fresh window: deltas restart from the just-written values.
         mux.start = {slot: pmu.rdpmc(slot) for _, slot in group.programmable}
 

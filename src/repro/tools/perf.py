@@ -5,9 +5,10 @@ Mechanisms modelled (paper §II-B/C, §V):
 
 * **perf stat -I** wakes on a *user-space* timer — floored at the jiffy
   (10 ms) — and on every interval issues one read syscall per event
-  plus an expensive formatted interval print.  With more events than
-  programmable counters it time-multiplexes groups and scales the
-  counts (``count × time_total / time_running``), trading accuracy for
+  plus an expensive formatted interval print.  When the events need
+  more than one :func:`~repro.hw.schedule.plan_groups` group it
+  time-multiplexes the groups and scales the counts
+  (``count × time_enabled / time_running``), trading accuracy for
   coverage.
 * **perf record** samples in kernel interrupt context (cheap per
   sample, no interval print), but reports *estimated* counts
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ToolError
-from repro.hw.pmu import NUM_PROGRAMMABLE
+from repro.hw import events as ev
+from repro.hw import schedule
 from repro.kernel.hrtimer import HrTimer
 from repro.kernel.kernel import Kernel
 from repro.kernel.kprobes import ProbePoint
@@ -165,79 +167,57 @@ class _PerfStatProgram(Program):
 
 
 class _Multiplexer:
-    """Time-multiplexing of event groups over the programmable counters.
+    """Time-multiplexing of :func:`~repro.hw.schedule.plan_groups`'
+    groups over the programmable counters.
 
-    Rotates one group per interval tick; reported counts are scaled by
-    ``time_total / time_running`` exactly as perf does, which is where
-    the estimation error comes from.  Each tick's sample row has one
-    fixed schema, :attr:`names`: the fixed counters plus the cumulative
-    raw (unscaled) count of every requested event.
+    Rotates one group per interval tick; reported counts are perf's
+    scaled estimates (:func:`~repro.hw.schedule.scaled_estimate`),
+    which is where the estimation error comes from.  Each tick's sample row has one fixed
+    schema, :attr:`names`: the fixed counters plus the cumulative raw
+    (unscaled) count of every rotated event.
     """
 
     def __init__(self, kernel: Kernel, gate: CounterGate, victim: Task,
-                 events: Sequence[str]) -> None:
+                 plan: schedule.GroupPlan) -> None:
         self.kernel = kernel
         self.gate = gate
         self.victim = victim
-        self.groups: List[List[str]] = [
-            list(events[start:start + NUM_PROGRAMMABLE])
-            for start in range(0, len(events), NUM_PROGRAMMABLE)
-        ]
+        self.plan = plan
+        # The gate loaded group 0.
         self.active = 0
-        self.raw: Dict[str, float] = {name: 0.0 for name in events}
-        self.enabled_cpu: Dict[int, float] = {
-            index: 0.0 for index in range(len(self.groups))
-        }
+        self.raw: Dict[str, float] = {name: 0.0
+                                      for name in plan.rotated_names}
+        self.running_cpu: List[float] = [0.0] * len(plan.groups)
         self._group_start_cpu = float(victim.cpu_time_ns)
-        self._fixed_events = ("INST_RETIRED", "CORE_CYCLES", "REF_CYCLES")
-        self.names = self._fixed_events + tuple(self.raw)
-        self._program_group(self.active)
-
-    def _program_group(self, index: int) -> None:
-        pmu = self.kernel.pmu
-        was_counting = self.gate.counting
-        if was_counting:
-            pmu.global_disable()
-        for slot in range(NUM_PROGRAMMABLE):
-            group = self.groups[index]
-            if slot < len(group):
-                pmu.program_counter(slot, group[slot], user=True,
-                                    kernel=self.gate.count_kernel)
-            else:
-                pmu.wrmsr(0x186 + slot, 0)  # disable unused slot
-        if was_counting:
-            pmu.global_enable()
+        self.names = ev.FIXED_EVENTS + plan.rotated_names
 
     def tick(self) -> List[int]:
-        """Harvest the active group's deltas, rotate, and return the
+        """Harvest the active group's counts, rotate, and return the
         sample row in :attr:`names` order."""
-        snapshot = self.kernel.pmu.snapshot(self.kernel.now).by_event
-        for name in self.groups[self.active]:
-            self.raw[name] += snapshot.get(name, 0)
+        pmu = self.kernel.pmu
+        snapshot = pmu.snapshot(self.kernel.now).by_event
+        for name, _ in self.plan.groups[self.active].programmable:
+            self.raw[name] += snapshot[name]
         cpu_now = float(self.victim.cpu_time_ns)
-        self.enabled_cpu[self.active] += cpu_now - self._group_start_cpu
+        self.running_cpu[self.active] += cpu_now - self._group_start_cpu
         self._group_start_cpu = cpu_now
-        # Zero the programmable counters for the next group's window.
-        for slot in range(NUM_PROGRAMMABLE):
-            self.kernel.pmu.wrmsr(0x0C1 + slot, 0)
-        self.active = (self.active + 1) % len(self.groups)
-        self._program_group(self.active)
-        return ([snapshot.get(name, 0) for name in self._fixed_events]
+        # Loading the next group zeroes its counters for the new window.
+        self.active = (self.active + 1) % len(self.plan.groups)
+        pmu.load_assignment(self.plan.groups[self.active], user=True,
+                            kernel=self.gate.count_kernel)
+        return ([snapshot[name] for name in ev.FIXED_EVENTS]
                 + [int(count) for count in self.raw.values()])
 
     def finalize(self) -> Dict[str, float]:
-        """Scaled estimates: ``raw × time_total / time_running``."""
+        """Exact fixed counts and scaled estimates of rotated events."""
         self.tick()  # harvest the final window
-        total_cpu = float(self.victim.cpu_time_ns)
-        totals: Dict[str, float] = {}
+        enabled = float(self.victim.cpu_time_ns)
         snapshot = self.kernel.pmu.snapshot(self.kernel.now).by_event
-        for name in self._fixed_events:
-            totals[name] = float(snapshot.get(name, 0))
-        for index, group in enumerate(self.groups):
-            running = self.enabled_cpu[index]
-            scale = (total_cpu / running) if running > 0 else 0.0
-            for name in group:
-                totals[name] = self.raw[name] * scale
+        totals = {name: float(snapshot[name]) for name in ev.FIXED_EVENTS}
+        for running, group in zip(self.running_cpu, self.plan.groups):
+            for name, _ in group.programmable:
+                totals[name] = schedule.scaled_estimate(
+                    self.raw[name], enabled, running)
         return totals
 
 
@@ -293,15 +273,17 @@ class PerfStatTool(MonitoringTool):
     def attach(self, kernel: Kernel, task: Task, events: Sequence[str],
                period_ns: int) -> PerfStatSession:
         period_ns = self.effective_period(period_ns)
-        multiplexed = len(events) > NUM_PROGRAMMABLE
-        gate = CounterGate(kernel, task,
-                           list(events)[:NUM_PROGRAMMABLE],
-                           count_kernel=False)
+        plan = schedule.plan_groups(events)
+        multiplexed = plan.multiplexed
+        gate = CounterGate(
+            kernel, task,
+            plan.groups[0].names if multiplexed else events,
+            count_kernel=False)
         cost_rng = kernel.rng.stream("tool-cost:perf-stat")
         cost_factor = float(cost_rng.lognormal(0.0,
                                                costs.COST_SIGMA["perf-stat"]))
         multiplexer = (
-            _Multiplexer(kernel, gate, task, events) if multiplexed else None
+            _Multiplexer(kernel, gate, task, plan) if multiplexed else None
         )
         state = _PerfStatState(SampleColumns(
             gate.names if multiplexer is None else multiplexer.names))
@@ -354,10 +336,12 @@ class PerfRecordSession(Session):
         if mode == "event":
             # Re-program the sampled event's counter with overflow
             # interrupts and preset it one period below the wrap.
-            kernel.pmu.program_counter(0, self.events[0], user=True,
+            self.slot = self.gate.assignment.slot_of(self.events[0])
+            kernel.pmu.program_counter(self.slot, self.events[0], user=True,
                                        kernel=False,
                                        interrupt_on_overflow=True)
-            self._preset_counter()
+            kernel.pmu.write_counter(self.slot,
+                                     self._WRAP - self.event_period)
             kernel.pmu.set_overflow_handler(self._pmi)
         probes = kernel.kprobes
         self._handles = [
@@ -365,11 +349,6 @@ class PerfRecordSession(Session):
             probes.register(ProbePoint.SCHED_SWITCH_OUT, self._switch_out),
             probes.register(ProbePoint.PROCESS_EXIT, self._exit),
         ]
-
-    def _preset_counter(self) -> None:
-        from repro.hw.msr import MSR
-
-        self.kernel.pmu.wrmsr(MSR.IA32_PMC0, self._WRAP - self.event_period)
 
     # -- probe handlers ------------------------------------------------
     def _switch_in(self, task: Task) -> None:
@@ -400,17 +379,15 @@ class PerfRecordSession(Session):
         periods, the handler reads how far past the wrap the counter
         ran and emits one sample per elapsed period, so period-based
         count reconstruction stays accurate."""
-        from repro.hw.msr import MSR
-
-        if 0 not in indices:
+        if self.slot not in indices:
             return
-        leftover = self.kernel.pmu.rdmsr(MSR.IA32_PMC0)
+        leftover = self.kernel.pmu.rdpmc(self.slot)
         elapsed_periods = 1 + int(leftover // self.event_period)
         for _ in range(elapsed_periods):
             self.pmi_count += 1
             self._record_sample()
-        self.kernel.pmu.wrmsr(
-            MSR.IA32_PMC0,
+        self.kernel.pmu.write_counter(
+            self.slot,
             self._WRAP - self.event_period
             + int(leftover % self.event_period),
         )
@@ -467,10 +444,13 @@ class PerfRecordTool(MonitoringTool):
 
     def attach(self, kernel: Kernel, task: Task, events: Sequence[str],
                period_ns: int) -> PerfRecordSession:
-        if len(events) > NUM_PROGRAMMABLE:
-            raise ToolError("perf record model does not multiplex")
         if not events:
             raise ToolError("perf record needs at least one event")
+        if (self.mode == "event"
+                and ev.lookup(events[0]).fixed_counter is not None):
+            raise ToolError(
+                f"perf record samples {events[0]} by counter overflow, but "
+                "the fixed counter it is pinned to raises no interrupt")
         period_ns = self.effective_period(period_ns)
         cost_rng = kernel.rng.stream("tool-cost:perf-record")
         cost_factor = float(

@@ -7,7 +7,8 @@ next measures events W, X, Y and Z); however, this methodology proves
 difficult when trying to perform online or runtime analysis."
 
 This module implements that offline methodology as a first-class
-helper: split the event list into counter-sized groups, run the program
+helper: split the event list into the groups the counter scheduler
+places (:func:`repro.hw.schedule.plan_groups`), run the program
 once per group under any monitoring tool, and merge the totals.  The
 result is *precise* for deterministic (architectural) events — unlike
 perf's multiplexed estimates — at the cost of N complete executions,
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ToolError
+from repro.hw import schedule
 from repro.hw.machine import MachineConfig
-from repro.hw.pmu import NUM_PROGRAMMABLE
 from repro.experiments.runner import TrialSummary, run_monitored, summarize_trial
 from repro.tools.base import MonitoringTool, ToolReport
 from repro.workloads.base import Program
@@ -54,29 +55,22 @@ def profile_sequentially(program: Program, tool_factory: ToolFactory,
                          period_ns: int = 10_000_000,
                          seed: int = 0,
                          machine_config: Optional[MachineConfig] = None,
-                         group_size: int = NUM_PROGRAMMABLE
                          ) -> SequentialProfile:
     """Monitor ``events`` over as many runs as the counters require.
 
-    Each run uses a fresh tool from ``tool_factory`` and a fresh seeded
-    system; fixed-counter events (INST_RETIRED, cycles) come from the
-    first run.  Raises :class:`ToolError` for an empty event list or a
-    non-positive group size.
+    The runs are :func:`~repro.hw.schedule.plan_groups`' groups, so
+    each run's events fit the counters their masks allow.  Each run
+    uses a fresh tool from ``tool_factory`` and a fresh seeded system;
+    fixed-counter events (INST_RETIRED, cycles) ride with the first
+    run, and a request made only of them takes one run.  Raises
+    :class:`ToolError` for an empty event list.
     """
     if not events:
         raise ToolError("sequential profiling needs at least one event")
-    if group_size <= 0 or group_size > NUM_PROGRAMMABLE:
-        raise ToolError(
-            f"group size must be in 1..{NUM_PROGRAMMABLE}, got {group_size}"
-        )
-    unique: List[str] = []
-    for event in events:
-        if event not in unique:
-            unique.append(event)
-    groups = [
-        unique[start:start + group_size]
-        for start in range(0, len(unique), group_size)
-    ]
+    unique = list(dict.fromkeys(events))
+    plan = schedule.plan_groups(unique)
+    groups = [list(group.names) for group in plan.groups] or [[]]
+    groups[0][:0] = [name for name, _ in plan.fixed]
     totals: Dict[str, float] = {}
     runs: List[TrialSummary] = []
     for index, group in enumerate(groups):

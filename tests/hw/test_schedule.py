@@ -102,6 +102,11 @@ class TestGroups:
             for name, slot in group.programmable:
                 assert ev.lookup(name).allows_counter(slot)
 
+    def test_duplicate_request_rejected(self):
+        # Rotation cannot give one event two columns.
+        with pytest.raises(ScheduleError, match="twice"):
+            plan_groups(["LOADS", "STORES", "LOADS"])
+
     def test_rotated_names_cover_every_requested_event(self):
         events = ["LOADS", "STORES", "BRANCHES", "LLC_MISSES",
                   "BRANCH_MISSES", "L1D_MISSES", "L2_MISSES"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw.machine import Machine
 from repro.hw.presets import i7_920
+from repro.hw.schedule import plan_groups
 from repro.kernel.kernel import Kernel
 from repro.sim.clock import seconds
 from repro.sim.rng import RngStreams
@@ -18,17 +19,19 @@ SIX_EVENTS = ("LOADS", "STORES", "BRANCHES", "ARITH_MUL",
 def build(events=SIX_EVENTS):
     kernel = Kernel(Machine(i7_920()), rng=RngStreams(0))
     victim = kernel.spawn(UniformComputeWorkload(1e8))
-    gate = CounterGate(kernel, victim, list(events)[:4])
-    multiplexer = _Multiplexer(kernel, gate, victim, events)
+    plan = plan_groups(events)
+    gate = CounterGate(kernel, victim, plan.groups[0].names)
+    multiplexer = _Multiplexer(kernel, gate, victim, plan)
     return kernel, victim, gate, multiplexer
 
 
 class TestGrouping:
     def test_six_events_make_two_groups(self):
         _, _, _, multiplexer = build()
-        assert len(multiplexer.groups) == 2
-        assert multiplexer.groups[0] == list(SIX_EVENTS[:4])
-        assert multiplexer.groups[1] == list(SIX_EVENTS[4:])
+        groups = multiplexer.plan.groups
+        assert len(groups) == 2
+        assert groups[0].names == SIX_EVENTS[:4]
+        assert groups[1].names == SIX_EVENTS[4:]
 
     def test_first_group_programmed_initially(self):
         kernel, _, _, _ = build()
@@ -56,8 +59,8 @@ class TestRotation:
         kernel, victim, gate, multiplexer = build()
         kernel.run(deadline=seconds(0.01))
         multiplexer.tick()
-        assert multiplexer.enabled_cpu[0] > 0
-        assert multiplexer.enabled_cpu[1] == 0
+        assert multiplexer.running_cpu[0] > 0
+        assert multiplexer.running_cpu[1] == 0
 
 
 class TestFinalize:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ToolError
 from repro.experiments.runner import run_monitored
-from repro.sim.clock import ms
+from repro.sim.clock import ms, seconds
 from repro.tools.perf import PerfRecordTool
 from repro.workloads.base import ListProgram, RateBlock
 from repro.workloads.synthetic import UniformComputeWorkload
@@ -25,6 +25,32 @@ class TestConstruction:
         task = kernel.spawn(UniformComputeWorkload(1e6), start=False)
         with pytest.raises(ToolError):
             PerfRecordTool(mode="event").attach(kernel, task, (), ms(10))
+
+    def test_fixed_sampled_event_rejected(self, kernel):
+        """A fixed counter raises no PMI in this PMU model."""
+        task = kernel.spawn(UniformComputeWorkload(1e6), start=False)
+        with pytest.raises(ToolError, match="INST_RETIRED"):
+            PerfRecordTool(mode="event").attach(
+                kernel, task, ("INST_RETIRED", "LOADS"), ms(10))
+
+
+class TestSampledSlot:
+    def test_sampled_event_armed_on_its_assigned_counter(self, kernel):
+        """UOPS_EXEC_PORT3 may use only counters 2 and 3: it is armed
+        on the counter the assignment gave it, and LOADS keeps 0."""
+        program = ListProgram("ports", [
+            RateBlock(instructions=1e8,
+                      rates={"UOPS_EXEC_PORT3": 0.2, "LOADS": 0.3}),
+        ])
+        victim = kernel.spawn(program, start=False)
+        session = PerfRecordTool(mode="event", event_period=1_000_000) \
+            .attach(kernel, victim, ("UOPS_EXEC_PORT3", "LOADS"), ms(10))
+        assert kernel.pmu.counter_event(0) == "LOADS"
+        assert kernel.pmu.counter_event(2) == "UOPS_EXEC_PORT3"
+        kernel.run_until_exit(victim, deadline=seconds(5))
+        report = session.finalize()
+        assert report.metadata["pmi_count"] == pytest.approx(20, abs=1)
+        assert report.totals["LOADS"] == pytest.approx(3e7, rel=0.05)
 
 
 class TestEventPeriodSampling:

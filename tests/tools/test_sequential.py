@@ -35,22 +35,35 @@ class TestGrouping:
         assert result.run_count == 1
         assert result.events == ["LOADS", "STORES"]
 
-    def test_custom_group_size(self):
+    def test_runs_follow_the_counter_masks(self):
+        """PORT0..2 may use only counters 0 and 1: two runs, not one."""
+        ports = ("UOPS_EXEC_PORT0", "UOPS_EXEC_PORT1", "UOPS_EXEC_PORT2")
+        result = profile_sequentially(
+            UniformComputeWorkload(1e6), KLebTool, ports, period_ns=ms(10),
+        )
+        assert result.groups == [list(ports[:2]), list(ports[2:])]
+
+    def test_fixed_events_ride_with_the_first_run(self):
         result = profile_sequentially(
             UniformComputeWorkload(1e6), KLebTool,
-            ("LOADS", "STORES", "BRANCHES"), group_size=2,
+            ("LOADS", "STORES", "BRANCHES", "ARITH_MUL", "INST_RETIRED"),
             period_ns=ms(10),
         )
-        assert result.run_count == 2
+        assert result.run_count == 1
+        assert result.groups == [["INST_RETIRED", "LOADS", "STORES",
+                                  "BRANCHES", "ARITH_MUL"]]
+
+    def test_fixed_events_alone_take_one_run(self):
+        result = profile_sequentially(
+            UniformComputeWorkload(1e6), KLebTool,
+            ("INST_RETIRED", "CORE_CYCLES"), period_ns=ms(10),
+        )
+        assert result.run_count == 1
+        assert result.totals["INST_RETIRED"] == pytest.approx(1e6, rel=1e-6)
 
     def test_empty_events_rejected(self):
         with pytest.raises(ToolError):
             profile_sequentially(UniformComputeWorkload(1e6), KLebTool, ())
-
-    def test_invalid_group_size_rejected(self):
-        with pytest.raises(ToolError):
-            profile_sequentially(UniformComputeWorkload(1e6), KLebTool,
-                                 ("LOADS",), group_size=9)
 
 
 class TestPrecision:
