@@ -475,6 +475,47 @@ def bench_ringbuffer_merge_drain(rows: int) -> Dict[str, float]:
     return result
 
 
+def bench_kleb_mux_fire(fires: int) -> Dict[str, float]:
+    """One multiplexed K-LEB HRTimer fire: harvest, row and push.
+
+    The eight multiplex crosscheck events rotate in two groups every
+    five fires at the paper's 100 us rate.  ``count_kernel`` lets the
+    handler's own charged time move the counters, so every harvest
+    folds real deltas.  The ring is drained at half capacity, matching
+    the controller cadence.
+    """
+    from repro.experiments.multiplex import EVENTS
+    from repro.tools.kleb.module import KLebModule, KLebModuleConfig
+    from repro.workloads.synthetic import UniformComputeWorkload
+
+    machine = Machine(i7_920())
+    kernel = Kernel(machine, config=KernelConfig(), rng=RngStreams(1234))
+    module = kernel.load_module(KLebModule())
+    victim = kernel.spawn(UniformComputeWorkload(1e9))
+    capacity = 1024
+    module.ioctl("config", KLebModuleConfig(
+        events=EVENTS, period_ns=us(100), buffer_capacity=capacity,
+        count_kernel=True, multiplex_period_ns=us(500)))
+    module.ioctl("start", victim.pid)
+    kernel.pmu.global_enable()
+    drained = 0
+
+    def loop() -> int:
+        nonlocal drained
+        fire = module._timer_fire
+        drain = module.buffer.drain
+        for index in range(fires):
+            fire(kernel.now, cpu=0)
+            if index % (capacity // 2) == capacity // 2 - 1:
+                drained += len(drain())
+        drained += len(drain())
+        return fires
+
+    result = _timed(loop)
+    result["checksum"] = float(drained + module.mux.rotations)
+    return result
+
+
 def bench_end_to_end(quick: bool) -> Dict[str, float]:
     """The acceptance benchmark: a table2 population plus the fig7 pair.
 
@@ -704,6 +745,7 @@ _QUICK_SCALE = {
     "machine_build": 2_000,
     "ringbuffer_drain_columnar": 100_000,
     "ringbuffer_merge_drain": 60_000,
+    "kleb_mux_fire": 20_000,
 }
 _FULL_SCALE = {
     "pmu_accumulate": 100_000,
@@ -717,6 +759,7 @@ _FULL_SCALE = {
     "machine_build": 10_000,
     "ringbuffer_drain_columnar": 500_000,
     "ringbuffer_merge_drain": 300_000,
+    "kleb_mux_fire": 100_000,
 }
 
 
@@ -773,6 +816,8 @@ def run_suite(quick: bool = False,
     results["ringbuffer_merge_drain"] = _best_of(
         lambda: bench_ringbuffer_merge_drain(
             scale["ringbuffer_merge_drain"]), repeats)
+    results["kleb_mux_fire"] = _best_of(
+        lambda: bench_kleb_mux_fire(scale["kleb_mux_fire"]), repeats)
     results["end_to_end_table2_fig7"] = _best_of(
         lambda: bench_end_to_end(quick), repeats)
     results["obs_overhead"] = bench_obs_overhead(quick, repeats)

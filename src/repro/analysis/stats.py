@@ -64,6 +64,14 @@ def box_stats(values: Sequence[float]) -> BoxStats:
     )
 
 
+def mean_or_nan(values: Sequence[float]) -> float:
+    """Mean of a population, or NaN when it is empty (every trial was
+    quarantined) — numpy returns the same NaN but warns."""
+    if len(values) == 0:
+        return float("nan")
+    return float(np.mean(values))
+
+
 def normalize(values: Sequence[float], reference: float) -> np.ndarray:
     """Normalize run times to a reference (the baseline mean)."""
     if reference <= 0:

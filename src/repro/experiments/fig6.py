@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.analysis.metrics import report_mpki
+from repro.analysis.stats import mean_or_nan
 from repro.experiments import report
 from repro.experiments.runner import run_trials
 from repro.faults import FaultPlan, RunLedger
@@ -57,15 +56,15 @@ def run(rounds: int = 20, period_ns: int = us(100), seed: int = 0,
         )
         totals = [result.report.totals for result in results]
         means = {
-            event: float(np.mean([t[event] for t in totals]))
+            event: mean_or_nan([t[event] for t in totals])
             for event in list(EVENTS) + ["INST_RETIRED"]
         }
         populations[key] = {
             "means": means,
-            "mpki": float(np.mean([report_mpki(t) for t in totals])),
-            "samples": float(np.mean([
+            "mpki": mean_or_nan([report_mpki(t) for t in totals]),
+            "samples": mean_or_nan([
                 result.report.sample_count for result in results
-            ])),
+            ]),
         }
     return Fig6Result(
         clean_means=populations["clean"]["means"],

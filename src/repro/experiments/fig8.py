@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
-from repro.analysis.stats import BoxStats, box_stats, normalize
+from repro.analysis.stats import BoxStats, box_stats, mean_or_nan, normalize
 from repro.experiments import report
 from repro.experiments.overhead_common import OVERHEAD_EVENTS, collect_tool_runs
 from repro.faults import FaultPlan, RunLedger
@@ -51,7 +49,7 @@ def run(runs: int = 30, n: int = 1024, period_ns: int = ms(10),
         machine_config=machine_config, jobs=jobs,
         faults=faults, fault_ledger=fault_ledger,
     )
-    baseline_mean = float(np.mean(runs_data["none"].wall_ns))
+    baseline_mean = mean_or_nan(runs_data["none"].wall_ns)
     boxes = {
         name: box_stats(normalize(record.wall_ns, baseline_mean))
         for name, record in runs_data.items()

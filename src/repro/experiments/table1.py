@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from repro.analysis.stats import mean_or_nan
 from repro.experiments import report
 from repro.experiments.runner import run_trials
 from repro.faults import FaultPlan, RunLedger
@@ -56,9 +55,9 @@ def run(trials: int = 10, problem_size: int = 5000,
             machine_config=machine_config, jobs=jobs,
             faults=faults, fault_ledger=fault_ledger,
         )
-        gflops[name] = float(np.mean([
+        gflops[name] = mean_or_nan([
             measured_gflops(result) for result in results
-        ]))
+        ])
     baseline = gflops["none"]
     loss = {
         name: 100.0 * (baseline - value) / baseline

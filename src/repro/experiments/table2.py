@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.analysis.overhead import (
     OverheadStats,
     relative_reduction_percent,
     summarize_overhead,
 )
+from repro.analysis.stats import mean_or_nan
 from repro.experiments import report
 from repro.experiments.overhead_common import (
     OVERHEAD_EVENTS,
@@ -93,7 +92,7 @@ def run(runs: int = 30, n: int = 1024, period_ns: int = ms(10),
 
 def render(result: OverheadTableResult) -> str:
     rows = []
-    baseline_mean = float(np.mean(result.runs_data["none"].wall_ns))
+    baseline_mean = mean_or_nan(result.runs_data["none"].wall_ns)
     rows.append(["no profiling", f"{baseline_mean / 1e9:.4f}", "-", "-"])
     for name, record in result.runs_data.items():
         if name == "none":

@@ -59,6 +59,7 @@ _EVTSEL_MSRS = (
     MSR.IA32_PERFEVTSEL3,
 )
 _FIXED_MSRS = (MSR.IA32_FIXED_CTR0, MSR.IA32_FIXED_CTR1, MSR.IA32_FIXED_CTR2)
+_GLOBAL_STATUS = MSR.IA32_PERF_GLOBAL_STATUS
 
 # (plan_user, plan_kernel, counter_names, pmi_counters, counting,
 #  epoch_user, epoch_kernel).  The epoch tables memoize, per event-name
@@ -264,19 +265,35 @@ class Pmu:
                 if pending != index
             ]
 
-    def consume_overflow(self, index: int) -> bool:
-        """Read-and-clear the overflow status bit of one programmable
-        counter (the RMW a driver does on IA32_PERF_GLOBAL_STATUS /
-        OVF_CTRL).  Returns whether the bit was set, and clears it so
-        the same wrap can never be accounted twice across rotations."""
-        if not 0 <= index < NUM_PROGRAMMABLE:
-            raise PMUError(f"no programmable counter {index}")
-        status = self.msrs.read(MSR.IA32_PERF_GLOBAL_STATUS)
-        bit = 1 << index
-        if not status & bit:
-            return False
-        self.msrs.write(MSR.IA32_PERF_GLOBAL_STATUS, status & ~bit)
-        return True
+    def read_counters(self, slots: Tuple[int, ...],
+                      ) -> Tuple[List[int], List[int], int]:
+        """One interrupt-handler read of the counters a sample needs.
+
+        Returns ``(fixed, values, overflow)``: the three fixed counter
+        values, the values of programmable counters ``slots`` (in that
+        order), and the IA32_PERF_GLOBAL_STATUS overflow bits of those
+        slots.  The status register is read once and the returned bits
+        are cleared with at most one write (the RMW a driver does on
+        GLOBAL_STATUS / OVF_CTRL), so the same wrap can never be
+        accounted twice across rotations; status bits of other counters
+        are left as they were.
+        """
+        pmc = self._pmc
+        values: List[int] = []
+        mask = 0
+        for slot in slots:
+            if not 0 <= slot < NUM_PROGRAMMABLE:
+                raise PMUError(f"no programmable counter {slot}")
+            values.append(int(pmc[slot]))
+            mask |= 1 << slot
+        fixed = self._fixed
+        msrs = self.msrs
+        status = msrs.read(_GLOBAL_STATUS)
+        overflow = status & mask
+        if overflow:
+            msrs.write(_GLOBAL_STATUS, status & ~overflow)
+        return ([int(fixed[0]), int(fixed[1]), int(fixed[2])], values,
+                overflow)
 
     def reset_counters(self) -> None:
         """Zero all counter values (config registers untouched)."""

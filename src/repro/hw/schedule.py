@@ -25,6 +25,7 @@ exactly what ``perf stat`` reports as a percentage-scaled count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -201,8 +202,9 @@ class GroupPlan:
     def multiplexed(self) -> bool:
         return len(self.groups) > 1
 
-    @property
+    @cached_property
     def rotated_names(self) -> Tuple[str, ...]:
+        """Every rotated event, group by group (computed once)."""
         return tuple(name for group in self.groups
                      for name, _ in group.programmable)
 

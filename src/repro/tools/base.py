@@ -185,6 +185,12 @@ class CounterGate:
             self.final_snapshot = dict(
                 self.kernel.pmu.snapshot(self.kernel.now).by_event
             )
+            # The kernel fires this probe before the exit's switch-out,
+            # which no longer matches once the root is dropped: stop
+            # counting here, or the PMU counts whatever runs next.
+            if self.counting:
+                self.kernel.pmu.global_disable()
+                self.counting = False
         self.traced_pids.discard(task.pid)
 
     # -- API ---------------------------------------------------------------

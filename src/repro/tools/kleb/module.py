@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ModuleError, ToolError, TransientModuleError
 from repro.kernel.kprobes import ProbePoint
@@ -153,17 +153,23 @@ class _MuxState:
     extrapolation base matches what the group could actually observe —
     wall-clock accounting (what perf's task-clock uses) charges
     interrupt-handler time to whichever group is active and skews the
-    scaled estimates.  ``start`` maps programmable slot -> counter
-    value at the last harvest so each window contributes a delta, with
-    48-bit wraps folded in exactly once via the PMU's read-and-clear
-    overflow status.
+    scaled estimates.
+
+    ``raw`` is a list in ``plan.rotated_names`` order — the column
+    order of the session's rows.  ``layouts`` holds, per group, its
+    programmable slots and the ``raw`` positions of the events on them,
+    computed once at config.  ``start`` holds the active group's counter
+    values at the last harvest, aligned with its slots, so each window
+    contributes a delta, with 48-bit wraps folded in exactly once via
+    the PMU's read-and-clear overflow status.
     """
 
     plan: schedule.GroupPlan
     rotate_fires: int
-    raw: Dict[str, float]
+    raw: List[float]
     running_cycles: List[int]
-    start: Dict[int, int] = field(default_factory=dict)
+    layouts: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    start: List[int] = field(default_factory=list)
     active: int = 0
     fires_in_window: int = 0
     rotations: int = 0
@@ -313,12 +319,18 @@ class KLebModule(KernelModule):
         pmu.reset_counters()
         if argument.multiplex_period_ns is not None:
             plan = schedule.plan_groups(argument.resolved_events())
+            position = {name: index
+                        for index, name in enumerate(plan.rotated_names)}
             self.mux = _MuxState(
                 plan=plan,
                 rotate_fires=max(1, round(argument.multiplex_period_ns
                                           / argument.period_ns)),
-                raw={name: 0.0 for name in plan.rotated_names},
+                raw=[0.0] * len(plan.rotated_names),
                 running_cycles=[0] * len(plan.groups),
+                layouts=[(tuple(slot for _, slot in group.programmable),
+                          tuple(position[name]
+                                for name, _ in group.programmable))
+                         for group in plan.groups],
             )
             self._mux_program_active(preload_faults=True)
         else:
@@ -346,7 +358,7 @@ class KLebModule(KernelModule):
         # plus the cumulative raw count of every rotated event, so
         # rotation never changes its schema.
         if self.mux is not None:
-            row_names = ev.FIXED_EVENTS + tuple(self.mux.plan.rotated_names)
+            row_names = ev.FIXED_EVENTS + self.mux.plan.rotated_names
         else:
             row_names, _ = pmu.counter_row()
         if self.smp is not None:
@@ -573,36 +585,41 @@ class KLebModule(KernelModule):
         if preload_faults:
             self._preload_faults(group)
         # Fresh window: deltas restart from the just-written values.
-        mux.start = {slot: pmu.rdpmc(slot) for _, slot in group.programmable}
+        slots, _ = mux.layouts[mux.active]
+        mux.start = [pmu.rdpmc(slot) for slot in slots]
 
-    def _mux_harvest(self) -> None:
-        """Fold the active group's counter deltas into the raw tallies.
+    def _mux_harvest(self) -> List[int]:
+        """Fold the active group's counter deltas into the raw tallies
+        and return the fixed counter values read with them.
 
-        Each 48-bit wrap is folded in exactly once: the PMU's overflow
-        status bit is read-and-cleared here, and counter *writes* (the
-        re-arm on rotation, fault preloads) cancel any undelivered
-        overflow for the slot — so a wrap preload landing in a group
-        that rotates out before its PMI drains cannot double-deliver.
+        One :meth:`~repro.hw.pmu.Pmu.read_counters` call reads the fixed
+        counters, the active group's slots and their overflow bits.
+        Each 48-bit wrap is folded in exactly once: that read clears
+        the status bits it returns, and counter *writes* (the re-arm on
+        rotation, fault preloads) cancel any undelivered overflow for
+        the slot — so a wrap preload landing in a group that rotates
+        out before its PMI drains cannot double-deliver.
         """
         assert self.mux is not None
         mux = self.mux
-        pmu = self.kernel.pmu
-        cycles = pmu.rdpmc(1 | RDPMC_FIXED_FLAG)  # fixed CORE_CYCLES
+        slots, positions = mux.layouts[mux.active]
+        fixed, values, overflow = self.kernel.pmu.read_counters(slots)
+        cycles = fixed[1]  # CORE_CYCLES
         elapsed = cycles - mux.cycles_mark
         if elapsed > 0:
             mux.enabled_cycles += elapsed
             mux.running_cycles[mux.active] += elapsed
         mux.cycles_mark = cycles
-        for name, slot in mux.plan.groups[mux.active].programmable:
-            value = pmu.rdpmc(slot)
-            start = mux.start.get(slot, 0)
-            wrapped = pmu.consume_overflow(slot)
+        raw = mux.raw
+        for slot, position, value, start in zip(slots, positions, values,
+                                                mux.start):
             delta = value - start
-            if wrapped and value < start:
+            if delta < 0 and overflow >> slot & 1:
                 delta += _COUNTER_WRAP
             if delta:
-                mux.raw[name] += delta
-            mux.start[slot] = value
+                raw[position] += delta
+        mux.start = values
+        return fixed
 
     def _mux_window_done(self) -> bool:
         """Count one fire toward the active group's window; True once
@@ -631,18 +648,6 @@ class KLebModule(KernelModule):
         self.stats.rotate_ns += costs.KLEB_ROTATE_NS
         self._mux_program_active()
 
-    def _mux_sample_row(self) -> List[int]:
-        """Fixed counters, then the cumulative raw count of every
-        rotated event (counts observed so far; descheduled events hold
-        still) — the column order of a multiplexed session's ring."""
-        assert self.mux is not None
-        mux = self.mux
-        pmu = self.kernel.pmu
-        row = [pmu.rdpmc(index | RDPMC_FIXED_FLAG)
-               for index in range(len(ev.FIXED_EVENTS))]
-        row.extend(int(mux.raw[name]) for name in mux.plan.rotated_names)
-        return row
-
     def _mux_totals(self) -> Dict[str, int]:
         """Final totals: exact fixed counts, scaled rotated estimates."""
         assert self.mux is not None
@@ -651,11 +656,11 @@ class KLebModule(KernelModule):
         totals: Dict[str, int] = {}
         for index, event_name in enumerate(ev.FIXED_EVENTS):
             totals[event_name] = pmu.rdpmc(index | RDPMC_FIXED_FLAG)
-        for group_index, group in enumerate(mux.plan.groups):
-            running = mux.running_cycles[group_index]
-            for name, _ in group.programmable:
+        for group, (_, positions), running in zip(
+                mux.plan.groups, mux.layouts, mux.running_cycles):
+            for (name, _), position in zip(group.programmable, positions):
                 totals[name] = int(round(schedule.scaled_estimate(
-                    mux.raw[name], mux.enabled_cycles, running)))
+                    mux.raw[position], mux.enabled_cycles, running)))
         return totals
 
     # ------------------------------------------------------------------
@@ -703,8 +708,11 @@ class KLebModule(KernelModule):
             else:
                 buffer.unsqueeze()
         if mux is not None:
-            self._mux_harvest()
-            row = self._mux_sample_row()
+            # Fixed counters, then the cumulative raw count of every
+            # rotated event (descheduled events hold still) — the
+            # column order of a multiplexed session's ring.
+            row = self._mux_harvest()
+            row.extend(map(int, mux.raw))
         else:
             # One typed row straight into the ring's preallocated
             # columns — no snapshot dict, no Sample object.

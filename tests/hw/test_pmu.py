@@ -191,19 +191,40 @@ class TestOverflowRearm:
         pmu.accumulate({"LOADS": 1}, "user")
         assert delivered == [[1]]
 
-    def test_consume_overflow_reads_and_clears(self, pmu):
+    def test_read_counters_reports_a_wrap_once(self, pmu):
         _arm(pmu)
         pmu.wrmsr(MSR.IA32_PMC0, (1 << COUNTER_WIDTH_BITS) - 1)
         pmu.accumulate({"LOADS": 2}, "user")
-        assert pmu.consume_overflow(0) is True
+        _, values, overflow = pmu.read_counters((0,))
+        assert values == [1]
+        assert overflow == 1
         # The wrap is accounted exactly once.
-        assert pmu.consume_overflow(0) is False
+        assert pmu.read_counters((0,))[2] == 0
         assert not pmu.rdmsr(MSR.IA32_PERF_GLOBAL_STATUS) & 1
 
-    def test_consume_overflow_false_when_no_wrap(self, pmu):
-        _arm(pmu)
-        pmu.accumulate({"LOADS": 2}, "user")
-        assert pmu.consume_overflow(0) is False
+    def test_read_counters_reports_nothing_without_a_wrap(self, pmu):
+        _arm(pmu, index=0)
+        _arm(pmu, index=1, event="STORES")
+        pmu.wrmsr(MSR.IA32_PMC0, (1 << COUNTER_WIDTH_BITS) - 1)
+        pmu.accumulate({"LOADS": 2, "STORES": 3}, "user")
+        _, values, overflow = pmu.read_counters((1,))
+        assert values == [3]
+        assert overflow == 0
+
+    def test_read_counters_leaves_other_status_bits(self, pmu):
+        _arm(pmu, index=0)
+        _arm(pmu, index=1, event="STORES")
+        pmu.wrmsr(MSR.IA32_PMC0, (1 << COUNTER_WIDTH_BITS) - 1)
+        pmu.wrmsr(MSR.IA32_PMC1, (1 << COUNTER_WIDTH_BITS) - 1)
+        pmu.accumulate({"LOADS": 2, "STORES": 2}, "user")
+        assert pmu.read_counters((1,))[2] == 0b10
+        # Counter 0's wrap is still latched for whoever reads it.
+        assert pmu.rdmsr(MSR.IA32_PERF_GLOBAL_STATUS) & 0b11 == 0b01
+        assert pmu.read_counters((0, 1))[2] == 0b01
+
+    def test_read_counters_rejects_an_invalid_slot(self, pmu):
+        with pytest.raises(PMUError):
+            pmu.read_counters((NUM_PROGRAMMABLE,))
 
 
 class TestDisableCounter:

@@ -2,7 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.pmu import COUNTER_WIDTH_BITS, Pmu, RDPMC_FIXED_FLAG
+from repro.hw.msr import MSR
+from repro.hw.pmu import (COUNTER_WIDTH_BITS, NUM_FIXED, NUM_PROGRAMMABLE,
+                          Pmu, RDPMC_FIXED_FLAG)
 
 
 def armed_pmu():
@@ -87,3 +89,39 @@ class TestCountingProperties:
         pmu = armed_pmu()
         pmu.accumulate({"LOADS": amount}, "user")
         assert 0 <= pmu.rdpmc(0) < (1 << COUNTER_WIDTH_BITS)
+
+
+counter_values = st.integers(min_value=0,
+                             max_value=(1 << COUNTER_WIDTH_BITS) - 1)
+
+
+class TestReadCountersProperties:
+    @given(fixed=st.lists(counter_values, min_size=NUM_FIXED,
+                          max_size=NUM_FIXED),
+           programmable=st.lists(counter_values, min_size=NUM_PROGRAMMABLE,
+                                 max_size=NUM_PROGRAMMABLE),
+           status=st.integers(min_value=0, max_value=(1 << 64) - 1),
+           slots=st.lists(st.integers(0, NUM_PROGRAMMABLE - 1), unique=True,
+                          max_size=NUM_PROGRAMMABLE).map(tuple))
+    @settings(max_examples=100, deadline=None)
+    def test_one_read_equals_per_slot_reads(self, fixed, programmable,
+                                            status, slots):
+        """One ``read_counters`` call returns what ``rdpmc`` per counter
+        and ``rdmsr(IA32_PERF_GLOBAL_STATUS)`` return, then clears
+        exactly the returned status bits."""
+        pmu = Pmu()
+        for address, value in zip((MSR.IA32_FIXED_CTR0, MSR.IA32_FIXED_CTR1,
+                                   MSR.IA32_FIXED_CTR2), fixed):
+            pmu.wrmsr(address, value)
+        for index, value in enumerate(programmable):
+            pmu.write_counter(index, value)
+        pmu.wrmsr(MSR.IA32_PERF_GLOBAL_STATUS, status)
+        mask = sum(1 << slot for slot in slots)
+
+        got_fixed, values, overflow = pmu.read_counters(slots)
+
+        assert got_fixed == [pmu.rdpmc(RDPMC_FIXED_FLAG | index)
+                             for index in range(NUM_FIXED)]
+        assert values == [pmu.rdpmc(slot) for slot in slots]
+        assert overflow == status & mask
+        assert pmu.rdmsr(MSR.IA32_PERF_GLOBAL_STATUS) == status & ~mask

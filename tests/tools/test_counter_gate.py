@@ -3,8 +3,11 @@
 import pytest
 
 from repro.errors import ToolError
-from repro.sim.clock import seconds
+from repro.experiments.runner import run_monitored
+from repro.hw.pmu import RDPMC_FIXED_FLAG
+from repro.sim.clock import ms, seconds
 from repro.tools.base import CounterGate
+from repro.tools.registry import available_tools, create_tool
 from repro.workloads.base import ListProgram, RateBlock, user_probe
 from repro.workloads.synthetic import UniformComputeWorkload
 
@@ -116,3 +119,31 @@ class TestValidation:
             CounterGate(kernel, victim,
                         ["LOADS", "STORES", "BRANCHES", "ARITH_MUL",
                          "LLC_MISSES"])
+
+
+class TestSessionEnd:
+    """Counting stops with the monitored process: after any registered
+    tool's session, fixed counter 0 holds the victim's instructions and
+    nothing that runs later adds to it."""
+
+    # Tools whose report total is the counter value itself; perf
+    # record's totals are sample estimates, and none/dbi never program
+    # the PMU.
+    EXACT = ("k-leb", "perf-stat", "papi", "limit")
+
+    @pytest.mark.parametrize("name", available_tools())
+    def test_fixed_counter_stops_at_root_exit(self, name):
+        result = run_monitored(UniformComputeWorkload(5e7),
+                               create_tool(name), events=("LOADS",),
+                               period_ns=ms(10), seed=0)
+        kernel = result.kernel
+        counted = kernel.pmu.rdpmc(RDPMC_FIXED_FLAG)
+        if name in self.EXACT:
+            assert counted == result.report.totals["INST_RETIRED"]
+        elif name == "perf-record":
+            assert counted == int(result.victim.instructions_retired)
+        else:
+            assert counted == 0
+        other = kernel.spawn(UniformComputeWorkload(1e6))
+        kernel.run_until_exit(other, deadline=kernel.now + seconds(1))
+        assert kernel.pmu.rdpmc(RDPMC_FIXED_FLAG) == counted

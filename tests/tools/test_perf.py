@@ -111,9 +111,9 @@ class TestPerfStatMultiplexing:
             assert ((values >= 0) & (values < 2 ** 47)).all(), name
         # The row schema does not touch the scaled estimates.
         assert report.totals == {
-            "INST_RETIRED": 672573544.0,
-            "CORE_CYCLES": 672573544.0,
-            "REF_CYCLES": 672573544.0,
+            "INST_RETIRED": 671088639.0,
+            "CORE_CYCLES": 671088639.0,
+            "REF_CYCLES": 671088639.0,
             "LOADS": 268435452.87397733,
             "STORES": 134217724.52408732,
             "BRANCHES": 134217724.52408732,
