@@ -14,18 +14,23 @@ After the victim exits, the runner calls :meth:`Session.finalize`,
 which may continue running the kernel (draining controller buffers)
 and then produces a :class:`ToolReport`.
 
-:class:`CounterGate` is the shared context-switch isolation machinery:
-place the requested events on the PMU, enable counting only while a
-traced task runs, and follow forks/exits.  K-LEB implements this with
-its own kprobes inside the module; perf gets it from the kernel
-perf-events subsystem — mechanically the same hooks, so they share the
-implementation here.
+:class:`IsolationGate` is the one per-PID isolation mechanism every
+tool counts through — the context-switch kprobes of the paper's
+Fig. 3, which K-LEB's module and the kernel perf-events subsystem both
+use.  It owns the traced process tree and calls three tool callbacks:
+``begin(cpu)`` when a traced task is switched in, ``pause(cpu)`` when
+it is switched out, and ``stop()`` when the root exits.  The kernel
+fires the exit probe before the exit's switch-out, so an exiting
+traced task pauses its CPU at exit.  :class:`CounterGate` is the gate
+perf stat, PAPI and LiMiT use: it places the requested events on the
+PMU, enables counting on ``begin`` and snapshots totals on ``stop``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ToolError, ToolUnsupportedError
 from repro.hw import schedule
@@ -114,101 +119,180 @@ class MonitoringTool:
         raise NotImplementedError
 
 
-class CounterGate:
-    """Per-task counter isolation via context-switch hooks.
+def program_counters(kernel: Kernel,
+                     events: Sequence[str]) -> schedule.CounterAssignment:
+    """Place ``events`` and load them, with the fixed counters, onto
+    ``kernel``'s PMU: user mode only, and globally disabled until a gate
+    begins counting."""
+    programmable = schedule.programmable_count(events)
+    if programmable > NUM_PROGRAMMABLE:
+        raise ToolError(
+            f"{programmable} events exceed the {NUM_PROGRAMMABLE} "
+            "programmable counters; use multiplexing"
+        )
+    # Raises ScheduleError, naming the violating events, when the
+    # counter masks cannot host the request.
+    assignment = schedule.assign_counters(events)
+    pmu = kernel.pmu
+    pmu.reset_counters()
+    pmu.load_assignment(assignment, user=True, kernel=False)
+    pmu.enable_fixed(user=True, kernel=False)
+    pmu.global_disable()
+    return assignment
 
-    Places ``events`` with :func:`~repro.hw.schedule.assign_counters`,
-    loads that placement onto the PMU, and enables counting only while
-    one of the traced tasks is on the CPU.  Forked children of traced
-    tasks are traced too; the gate snapshots final totals when the root
-    task exits.
+
+def _live_descendants(kernels: Sequence[Kernel], root: Task) -> Set[int]:
+    """The root's pid plus every live descendant's, by ppid walk."""
+    tasks: Dict[int, Task] = {}
+    for kernel in kernels:
+        tasks.update(kernel.tasks)
+    traced = {root.pid}
+    frontier = [root]
+    while frontier:
+        for child_pid in frontier.pop().children:
+            child = tasks.get(child_pid)
+            if child is not None and child.alive and child_pid not in traced:
+                traced.add(child_pid)
+                frontier.append(child)
+    return traced
+
+
+class IsolationGate:
+    """Per-PID isolation via context-switch kprobes (paper Fig. 3).
+
+    Traces ``root``, its live descendants (e.g. a container shim's
+    children) and everything they fork later, on each of ``kernels``
+    (cpu ``i`` is ``kernels[i]``).  ``begin(cpu)`` runs when a traced
+    task is switched in while armed (or is on the cpu at arming);
+    ``pause(cpu)`` when it is switched out, migrated away or exits —
+    the exit probe fires before the exit's switch-out, which no longer
+    matches once the pid is dropped; ``stop()`` after the root's exit.
+
+    Disarmed gates track the tree but do not count — used by
+    instrumentation tools whose start/stop calls live inside the
+    program (PAPI_start / PAPI_stop), so library initialization is not
+    counted.  :attr:`migrations` counts traced tasks' cpu migrations.
     """
 
-    def __init__(self, kernel: Kernel, root: Task, events: Sequence[str],
-                 *, count_kernel: bool = False, armed: bool = True) -> None:
-        programmable = schedule.programmable_count(events)
-        if programmable > NUM_PROGRAMMABLE:
-            raise ToolError(
-                f"{programmable} events exceed the {NUM_PROGRAMMABLE} "
-                "programmable counters; use multiplexing"
-            )
-        # Raises ScheduleError, naming the violating events, when the
-        # counter masks cannot host the request.
-        self.assignment = schedule.assign_counters(events)
-        self.kernel = kernel
+    def __init__(self, kernels: Sequence[Kernel], root: Task, *,
+                 begin: Callable[[int], None],
+                 pause: Callable[[int], None],
+                 stop: Optional[Callable[[], None]] = None,
+                 armed: bool = True) -> None:
+        self.kernels = tuple(kernels)
         self.root = root
-        self.count_kernel = count_kernel
-        self.traced_pids: Set[int] = {root.pid}
-        self.counting = False
-        # Disarmed gates track the task but do not count — used by
-        # instrumentation tools whose start/stop calls live inside the
-        # program (PAPI_start / PAPI_stop), so library initialization
-        # is not counted.
-        self.armed = armed
-        self.final_snapshot: Optional[Dict[str, int]] = None
+        self.traced = _live_descendants(self.kernels, root)
+        # Per cpu: is a traced task on it with begin() called?
+        self.counting = [False] * len(self.kernels)
+        self.migrations = 0
+        self.armed = False
+        self._begin = begin
+        self._pause = pause
+        self._stop = stop
         self._handles = []
-        pmu = kernel.pmu
-        pmu.reset_counters()
-        pmu.load_assignment(self.assignment, user=True, kernel=count_kernel)
-        pmu.enable_fixed(user=True, kernel=count_kernel)
-        pmu.global_disable()
-        # The sample row schema: the fixed counters plus the programmed
-        # events, in ``snapshot()`` order.
-        self.names = pmu.counter_row()[0]
-        probes = kernel.kprobes
-        self._handles = [
-            probes.register(ProbePoint.SCHED_SWITCH_IN, self._switch_in),
-            probes.register(ProbePoint.SCHED_SWITCH_OUT, self._switch_out),
-            probes.register(ProbePoint.PROCESS_FORK, self._fork),
-            probes.register(ProbePoint.PROCESS_EXIT, self._exit),
-        ]
+        for cpu, kernel in enumerate(self.kernels):
+            probes = kernel.kprobes
+            for point, handler in (
+                (ProbePoint.SCHED_SWITCH_IN, partial(self._switch_in, cpu)),
+                (ProbePoint.SCHED_SWITCH_OUT, partial(self._switch_out, cpu)),
+                (ProbePoint.SCHED_MIGRATE, self._migrated),
+                (ProbePoint.PROCESS_FORK, self._fork),
+                (ProbePoint.PROCESS_EXIT, partial(self._exit, cpu)),
+            ):
+                self._handles.append((probes, probes.register(point,
+                                                              handler)))
+        if armed:
+            self.arm()
 
     # -- probe handlers --------------------------------------------------
-    def _switch_in(self, task: Task) -> None:
-        if self.armed and task.pid in self.traced_pids:
-            self.kernel.pmu.global_enable()
-            self.counting = True
+    def _switch_in(self, cpu: int, task: Task) -> None:
+        if self.armed and task.pid in self.traced:
+            self.counting[cpu] = True
+            self._begin(cpu)
 
-    def _switch_out(self, task: Task) -> None:
-        if task.pid in self.traced_pids and self.counting:
-            self.kernel.pmu.global_disable()
-            self.counting = False
+    def _switch_out(self, cpu: int, task: Task) -> None:
+        # Only a traced task sets ``counting[cpu]``, and it is the one
+        # on the cpu until this switch-out.
+        if self.counting[cpu]:
+            self.counting[cpu] = False
+            self._pause(cpu)
+
+    def _migrated(self, task: Task, src_cpu: int, dst_cpu: int) -> None:
+        # Fires on the destination core; counting resumes there on the
+        # task's next switch-in.
+        if task.pid in self.traced:
+            self.migrations += 1
 
     def _fork(self, parent: Task, child: Task) -> None:
-        if parent.pid in self.traced_pids:
-            self.traced_pids.add(child.pid)
+        if parent.pid in self.traced:
+            self.traced.add(child.pid)
 
-    def _exit(self, task: Task) -> None:
-        if task.pid not in self.traced_pids:
+    def _exit(self, cpu: int, task: Task) -> None:
+        if task.pid not in self.traced:
             return
-        if task.pid == self.root.pid:
-            self.final_snapshot = dict(
-                self.kernel.pmu.snapshot(self.kernel.now).by_event
-            )
-            # The kernel fires this probe before the exit's switch-out,
-            # which no longer matches once the root is dropped: stop
-            # counting here, or the PMU counts whatever runs next.
-            if self.counting:
-                self.kernel.pmu.global_disable()
-                self.counting = False
-        self.traced_pids.discard(task.pid)
+        self._switch_out(cpu, task)
+        self.traced.discard(task.pid)
+        if task is self.root and self._stop is not None:
+            self._stop()
 
     # -- API ---------------------------------------------------------------
     def arm(self) -> None:
-        """Start counting (PAPI_start): enables now if a traced task runs."""
+        """Start counting: begins every cpu a traced task is on now."""
         self.armed = True
-        current = self.kernel.scheduler.current
-        if current is not None and current.pid in self.traced_pids:
-            self.kernel.pmu.global_enable()
-            self.counting = True
+        for cpu, kernel in enumerate(self.kernels):
+            current = kernel.scheduler.current
+            if (not self.counting[cpu] and current is not None
+                    and current.pid in self.traced):
+                self._switch_in(cpu, current)
+
+    def disarm(self) -> None:
+        """Stop counting: pauses every counting cpu."""
+        self.armed = False
+        self._pause_all()
+
+    def detach(self) -> None:
+        """Pause every counting cpu and unregister every probe."""
+        self._pause_all()
+        for probes, handle in self._handles:
+            probes.unregister(handle)
+        self._handles = []
+
+    def _pause_all(self) -> None:
+        for cpu, counting in enumerate(self.counting):
+            if counting:
+                self.counting[cpu] = False
+                self._pause(cpu)
+
+
+class CounterGate(IsolationGate):
+    """The isolation gate on one kernel's PMU.
+
+    Places ``events`` with :func:`program_counters`, enables the PMU on
+    ``begin`` and disables it on ``pause``, and snapshots final totals
+    when the root task exits.
+    """
+
+    def __init__(self, kernel: Kernel, root: Task, events: Sequence[str],
+                 *, armed: bool = True) -> None:
+        self.assignment = program_counters(kernel, events)
+        self.kernel = kernel
+        self.final_snapshot: Optional[Dict[str, int]] = None
+        pmu = kernel.pmu
+        # The sample row schema: the fixed counters plus the programmed
+        # events, in ``snapshot()`` order.
+        self.names = pmu.counter_row()[0]
+        super().__init__((kernel,), root,
+                         begin=lambda cpu: pmu.global_enable(),
+                         pause=lambda cpu: pmu.global_disable(),
+                         stop=self._root_exited, armed=armed)
+
+    def _root_exited(self) -> None:
+        self.final_snapshot = self.snapshot()
 
     def disarm(self) -> None:
         """Stop counting (PAPI_stop) and record the final snapshot."""
         self.final_snapshot = self.snapshot()
-        self.armed = False
-        if self.counting:
-            self.kernel.pmu.global_disable()
-            self.counting = False
+        super().disarm()
 
     def snapshot(self) -> Dict[str, int]:
         """Current cumulative counts for the traced task set."""
@@ -223,10 +307,3 @@ class CounterGate:
         if self.final_snapshot is not None:
             return dict(self.final_snapshot)
         return self.snapshot()
-
-    def detach(self) -> None:
-        """Unregister every probe and stop counting."""
-        for handle in self._handles:
-            self.kernel.kprobes.unregister(handle)
-        self._handles = []
-        self.kernel.pmu.global_disable()

@@ -8,8 +8,8 @@ Implements the paper's process flow (Fig. 2):
    hardware interrupt whose handler reads the PMU and appends a sample
    row to the kernel buffer.
 3. When the monitored process is scheduled out, kprobes on the context
-   switch path stop the HRTimer and disable the counters (isolation);
-   scheduling back in restarts both.
+   switch path (:class:`~repro.tools.base.IsolationGate`) stop the
+   HRTimer and disable the counters; scheduling back in restarts both.
 4. A stop ``ioctl`` (or the process exiting) ends collection.
 5. The controller drains pooled samples via batched ``read`` calls.
 
@@ -24,9 +24,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ModuleError, ToolError, TransientModuleError
-from repro.kernel.kprobes import ProbePoint
 from repro.kernel.module import KernelModule
-from repro.kernel.process import Task
 from repro.kernel.ringbuffer import ColumnarRing, PerCpuRing
 from repro.kernel.hrtimer import HrTimer
 from repro.hw import events as ev
@@ -35,6 +33,7 @@ from repro.hw.pmu import (COUNTER_WIDTH_BITS, NUM_PROGRAMMABLE,
                           RDPMC_FIXED_FLAG)
 from repro.sim.clock import us
 from repro.tools import costs
+from repro.tools.base import IsolationGate
 
 _COUNTER_WRAP = 1 << COUNTER_WIDTH_BITS
 
@@ -113,9 +112,9 @@ class KLebStats:
 
     timer_fires: int = 0
     handler_time_ns: int = 0
-    # SMP accounting: CPU migrations of traced tasks observed via the
-    # sched:migrate kprobe (the re-arm on the destination core rides
-    # the ordinary switch-in probe).
+    # SMP accounting: CPU migrations of traced tasks, as counted by the
+    # isolation gate's sched:migrate kprobe (the re-arm on the
+    # destination core rides the ordinary switch-in probe).
     migrations: int = 0
     # Adaptive-control accounting: fires skipped on the sample-dropping
     # rung (gap accounting), and the drain-copy / rotation kernel time
@@ -186,7 +185,7 @@ class SmpContext:
     ``home`` is the cpu hosting the controller (the module itself is
     loaded into the home kernel).  The module always programs every
     session kernel's PMU identically, arms one HRTimer per kernel and
-    registers its kprobes on every kernel (including
+    gates counting over every kernel (its isolation gate counts
     ``sched:migrate``); a classic session is the one-kernel case.
     With a context the samples pool in a
     :class:`~repro.kernel.ringbuffer.PerCpuRing` — one tool instance
@@ -196,21 +195,6 @@ class SmpContext:
 
     kernels: Sequence[object]
     home: int = 0
-
-
-def _live_descendants(kernel, root_pid: int) -> set:
-    """The root plus every live descendant, by ppid walk."""
-    traced = {root_pid}
-    frontier = [root_pid]
-    while frontier:
-        parent_pid = frontier.pop()
-        parent = kernel.task(parent_pid)
-        for child_pid in parent.children:
-            child = kernel.tasks.get(child_pid)
-            if child is not None and child.alive and child_pid not in traced:
-                traced.add(child_pid)
-                frontier.append(child_pid)
-    return traced
 
 
 class KLebModule(KernelModule):
@@ -228,13 +212,12 @@ class KLebModule(KernelModule):
         self._kernels: Sequence[object] = ()
         self.timers: Optional[List[HrTimer]] = None
         self.final_totals_by_cpu: Optional[List[Dict[str, int]]] = None
-        self.traced_pids: set = set()
-        self.root_pid: Optional[int] = None
+        # Per-PID isolation of the current (or last) collection.
+        self.gate: Optional[IsolationGate] = None
         self.collecting = False
         self.stats = KLebStats()
         self.final_totals: Optional[Dict[str, int]] = None
         self.mux: Optional[_MuxState] = None
-        self._probe_handles: List = []
         # Adaptive-control knobs (the adapt ioctl retunes these; the
         # defaults make non-adaptive runs bit-identical to the classic
         # module).
@@ -293,6 +276,8 @@ class KLebModule(KernelModule):
         if command == "stats":
             # A copy: handing out the live mutable stats object would
             # let user space race the interrupt handler's updates.
+            if self.gate is not None:
+                self.stats.migrations = self.gate.migrations
             return replace(self.stats)
         raise ModuleError(f"K-LEB: unknown ioctl {command!r}")
 
@@ -379,35 +364,17 @@ class KLebModule(KernelModule):
         target = self.kernel.task(pid)  # validate the PID exists
         if not target.alive:
             raise ModuleError(f"K-LEB: pid {pid} is not alive")
-        self.root_pid = pid
-        # Trace the whole existing process tree (the paper's pid/ppid/
-        # name bookkeeping): children forked before the start ioctl —
-        # e.g. a container already spawned by its shim — are included.
-        self.traced_pids = _live_descendants(self.kernel, pid)
         self.final_totals = None
         self.final_totals_by_cpu = None
         self.stats = KLebStats()
-        # Probes on *every* core: the traced task may run (and exit)
-        # anywhere, and sched:migrate fires on the destination core so
-        # counting follows the task.
-        self._probe_handles = []
-        for cpu, cpu_kernel in enumerate(self._kernels):
-            probes = cpu_kernel.kprobes
-            for point, handler in (
-                (ProbePoint.SCHED_SWITCH_IN, self._switch_in(cpu)),
-                (ProbePoint.SCHED_SWITCH_OUT, self._switch_out(cpu)),
-                (ProbePoint.SCHED_MIGRATE, self._migrated),
-                (ProbePoint.PROCESS_FORK, self._fork),
-                (ProbePoint.PROCESS_EXIT, self._exit),
-            ):
-                self._probe_handles.append(
-                    (probes, probes.register(point, handler)))
         self.collecting = True
-        # If the monitored task is already on a CPU, begin right away.
-        for cpu, cpu_kernel in enumerate(self._kernels):
-            current = cpu_kernel.scheduler.current
-            if current is not None and current.pid in self.traced_pids:
-                self._begin_counting(cpu)
+        # Gate *every* core: the traced tree may run (and exit)
+        # anywhere.  It begins right away on any core already running a
+        # traced task, and the root's exit stops collection.
+        self.gate = IsolationGate(self._kernels, target,
+                                  begin=self._begin_counting,
+                                  pause=self._pause_counting,
+                                  stop=self._stop_collection)
         return True
 
     def _ioctl_stop(self) -> Dict[str, int]:
@@ -481,42 +448,7 @@ class KLebModule(KernelModule):
         return len(self.buffer) if self.buffer is not None else 0
 
     # ------------------------------------------------------------------
-    # kprobe handlers: per-PID isolation (paper Fig. 3)
-    # ------------------------------------------------------------------
-    def _switch_in(self, cpu: int):
-        def handler(task: Task) -> None:
-            if self.collecting and task.pid in self.traced_pids:
-                self._begin_counting(cpu)
-        return handler
-
-    def _switch_out(self, cpu: int):
-        def handler(task: Task) -> None:
-            if self.collecting and task.pid in self.traced_pids:
-                self._pause_counting(cpu)
-        return handler
-
-    def _migrated(self, task: Task, src_cpu: int, dst_cpu: int) -> None:
-        # Fires on the destination core; the actual re-arm (timer +
-        # counter enable on dst) rides that core's switch-in probe when
-        # the task is next dispatched.
-        if self.collecting and task.pid in self.traced_pids:
-            self.stats.migrations += 1
-
-    def _fork(self, parent: Task, child: Task) -> None:
-        # Trace the whole process tree: name/pid/ppid bookkeeping.
-        if self.collecting and parent.pid in self.traced_pids:
-            self.traced_pids.add(child.pid)
-
-    def _exit(self, task: Task) -> None:
-        if not self.collecting or task.pid not in self.traced_pids:
-            return
-        if task.pid == self.root_pid:
-            self._stop_collection()
-        else:
-            self.traced_pids.discard(task.pid)
-
-    # ------------------------------------------------------------------
-    # Counting control
+    # Counting control: the isolation gate's callbacks (paper Fig. 3)
     # ------------------------------------------------------------------
     def _begin_counting(self, cpu: int) -> None:
         assert self.config is not None and self.timers is not None
@@ -535,12 +467,12 @@ class KLebModule(KernelModule):
         self._kernels[cpu].pmu.global_disable()
 
     def _stop_collection(self) -> None:
-        for timer in self.timers or ():
-            timer.cancel()
+        # Detaching pauses every counting cpu: its timer is cancelled,
+        # a multiplexed window harvested and its PMU frozen.
+        self.gate.detach()
+        self.stats.migrations = self.gate.migrations
         if self.mux is not None:
-            self._mux_harvest()
             self.final_totals = self._mux_totals()
-            self.kernel.pmu.global_disable()
         else:
             # Per-cpu snapshots, summed in cpu order: over one kernel
             # the sum is that kernel's snapshot, in the same order.
@@ -549,15 +481,11 @@ class KLebModule(KernelModule):
             for cpu_kernel in self._kernels:
                 snapshot = dict(
                     cpu_kernel.pmu.snapshot(cpu_kernel.now).by_event)
-                cpu_kernel.pmu.global_disable()
                 totals_by_cpu.append(snapshot)
                 for name, value in snapshot.items():
                     merged[name] = merged.get(name, 0) + value
             self.final_totals_by_cpu = totals_by_cpu
             self.final_totals = merged
-        for probes, handle in self._probe_handles:
-            probes.unregister(handle)
-        self._probe_handles = []
         self.collecting = False
 
     def _preload_faults(self, assignment: schedule.CounterAssignment) -> None:

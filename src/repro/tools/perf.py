@@ -27,16 +27,17 @@ from repro.hw import events as ev
 from repro.hw import schedule
 from repro.kernel.hrtimer import HrTimer
 from repro.kernel.kernel import Kernel
-from repro.kernel.kprobes import ProbePoint
 from repro.kernel.process import Task, TaskState
 from repro.sim.clock import seconds
 from repro.tools import costs
 from repro.tools.base import (
     CounterGate,
+    IsolationGate,
     MonitoringTool,
     SampleColumns,
     Session,
     ToolReport,
+    program_counters,
 )
 from repro.workloads.base import Block, Program, RateBlock, SyscallBlock
 
@@ -203,8 +204,7 @@ class _Multiplexer:
         self._group_start_cpu = cpu_now
         # Loading the next group zeroes its counters for the new window.
         self.active = (self.active + 1) % len(self.plan.groups)
-        pmu.load_assignment(self.plan.groups[self.active], user=True,
-                            kernel=self.gate.count_kernel)
+        pmu.load_assignment(self.plan.groups[self.active], user=True)
         return ([snapshot[name] for name in ev.FIXED_EVENTS]
                 + [int(count) for count in self.raw.values()])
 
@@ -275,10 +275,8 @@ class PerfStatTool(MonitoringTool):
         period_ns = self.effective_period(period_ns)
         plan = schedule.plan_groups(events)
         multiplexed = plan.multiplexed
-        gate = CounterGate(
-            kernel, task,
-            plan.groups[0].names if multiplexed else events,
-            count_kernel=False)
+        gate = CounterGate(kernel, task,
+                           plan.groups[0].names if multiplexed else events)
         cost_rng = kernel.rng.stream("tool-cost:perf-stat")
         cost_factor = float(cost_rng.lognormal(0.0,
                                                costs.COST_SIGMA["perf-stat"]))
@@ -329,45 +327,37 @@ class PerfRecordSession(Session):
         self.mode = mode
         self.event_period = event_period
         self.pmi_count = 0
-        self.gate = CounterGate(kernel, victim, self.events,
-                                count_kernel=False)
-        self.samples = SampleColumns(self.gate.names)
+        assignment = program_counters(kernel, self.events)
+        self.samples = SampleColumns(kernel.pmu.counter_row()[0])
         self.timer = HrTimer(kernel, self._sample_fire, label="perf-record")
         if mode == "event":
             # Re-program the sampled event's counter with overflow
             # interrupts and preset it one period below the wrap.
-            self.slot = self.gate.assignment.slot_of(self.events[0])
+            self.slot = assignment.slot_of(self.events[0])
             kernel.pmu.program_counter(self.slot, self.events[0], user=True,
                                        kernel=False,
                                        interrupt_on_overflow=True)
             kernel.pmu.write_counter(self.slot,
                                      self._WRAP - self.event_period)
             kernel.pmu.set_overflow_handler(self._pmi)
-        probes = kernel.kprobes
-        self._handles = [
-            probes.register(ProbePoint.SCHED_SWITCH_IN, self._switch_in),
-            probes.register(ProbePoint.SCHED_SWITCH_OUT, self._switch_out),
-            probes.register(ProbePoint.PROCESS_EXIT, self._exit),
-        ]
+        self.gate = IsolationGate((kernel,), victim, begin=self._begin,
+                                  pause=self._pause)
 
-    # -- probe handlers ------------------------------------------------
-    def _switch_in(self, task: Task) -> None:
-        if self.mode == "timer" and task.pid in self.gate.traced_pids:
+    # -- isolation gate callbacks ----------------------------------------
+    def _begin(self, cpu: int) -> None:
+        self.kernel.pmu.global_enable()
+        if self.mode == "timer":
             self.timer.start(self.period_ns)
 
-    def _switch_out(self, task: Task) -> None:
-        if self.mode == "timer" and task.pid in self.gate.traced_pids:
-            self.timer.cancel()
-
-    def _exit(self, task: Task) -> None:
-        if task.pid == self.victim.pid:
-            self.timer.cancel()
+    def _pause(self, cpu: int) -> None:
+        self.kernel.pmu.global_disable()
+        self.timer.cancel()
 
     def _record_sample(self) -> None:
         self.kernel.charge_kernel_time(int(
             costs.PERF_RECORD_SAMPLE_NS * self.cost_factor
         ))
-        self.samples.append(self.kernel.now, self.gate.row())
+        self.samples.append(self.kernel.now, self.kernel.pmu.counter_row()[1])
 
     def _sample_fire(self, when: int) -> None:
         self._record_sample()
@@ -393,9 +383,7 @@ class PerfRecordSession(Session):
         )
 
     def finalize(self) -> ToolReport:
-        for handle in self._handles:
-            self.kernel.kprobes.unregister(handle)
-        self.timer.cancel()
+        self.gate.detach()
         if self.mode == "event":
             self.kernel.pmu.set_overflow_handler(None)
         # perf record reconstructs totals from its sample file: the
@@ -410,7 +398,6 @@ class PerfRecordSession(Session):
             # The sampled event's raw counter cycles through presets;
             # its total is the period-based estimate.
             totals[self.events[0]] = float(self.pmi_count * self.event_period)
-        self.gate.detach()
         return ToolReport(
             tool="perf-record",
             events=self.events,

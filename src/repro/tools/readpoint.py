@@ -168,8 +168,7 @@ class ReadPointTool(MonitoringTool):
             )
         self.check_compatible(kernel, program)
         runtime = program.runtime
-        runtime.gate = CounterGate(kernel, task, runtime.events,
-                                   count_kernel=False, armed=False)
+        runtime.gate = CounterGate(kernel, task, runtime.events, armed=False)
         runtime.samples = SampleColumns(runtime.gate.names)
         cost_rng = kernel.rng.stream(f"tool-cost:{self.name}")
         runtime.cost_factor = float(

@@ -148,6 +148,23 @@ class TestPerCoreMonitoring:
         assert report.totals["LLC_MISSES"] > \
             1.5 * solo_report.totals["LLC_MISSES"]
 
+    def test_cluster_session_stop_unregisters_every_core_probe(self):
+        """One K-LEB gates every core; stopping it leaves no probe on
+        any of them."""
+        from repro.kernel.kprobes import ProbePoint
+        from repro.tools.kleb import KLebTool
+
+        cluster = SmpCluster(cores=2, seed=2, migrate=True)
+        victim = cluster.spawn(0, compute(), start=False)
+        session = KLebTool().attach_cluster(cluster, victim, ("LOADS",),
+                                            us(100))
+        cluster.run_until_tasks_exit([victim], deadline_ns=seconds(10))
+        report = session.finalize()
+        assert report.metadata["smp_migrations"] > 0
+        for kernel in cluster.kernels:
+            for point in ProbePoint:
+                assert kernel.kprobes.count(point) == 0
+
 
 class TestClusterValidation:
     """Geometry and window validation: diagnostics, not desyncs."""

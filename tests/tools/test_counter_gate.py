@@ -1,14 +1,24 @@
 """CounterGate: per-task isolation via context-switch hooks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ToolError
 from repro.experiments.runner import run_monitored
+from repro.hw.machine import Machine
 from repro.hw.pmu import RDPMC_FIXED_FLAG
-from repro.sim.clock import ms, seconds
+from repro.hw.presets import i7_920
+from repro.kernel.config import KernelConfig
+from repro.kernel.kernel import Kernel
+from repro.kernel.kprobes import ProbePoint
+from repro.kernel.process import TaskState
+from repro.sim.clock import ms, seconds, us
+from repro.sim.rng import RngStreams
 from repro.tools.base import CounterGate
 from repro.tools.registry import available_tools, create_tool
-from repro.workloads.base import ListProgram, RateBlock, user_probe
+from repro.workloads.base import (ListProgram, Program, RateBlock,
+                                  SyscallBlock, user_probe)
 from repro.workloads.synthetic import UniformComputeWorkload
 
 
@@ -65,7 +75,7 @@ class TestIsolation:
             RateBlock(instructions=1e5, rates={"LOADS": 0.5}),
         ])
         victim = kernel.spawn(program)
-        gate = CounterGate(kernel, victim, ["LOADS"], count_kernel=False)
+        gate = CounterGate(kernel, victim, ["LOADS"])
         kernel.run(deadline=seconds(1))
         # Exactly the user-mode loads; the write syscall's kernel loads
         # must not leak in.
@@ -105,11 +115,10 @@ class TestArming:
 
     def test_detach_unregisters_probes(self, kernel):
         victim = kernel.spawn(compute(1e5))
-        before = kernel.kprobes.count.__self__  # just exercise the API
         gate = CounterGate(kernel, victim, ["LOADS"])
         gate.detach()
-        from repro.kernel.kprobes import ProbePoint
-        assert kernel.kprobes.count(ProbePoint.SCHED_SWITCH_IN) == 0
+        for point in ProbePoint:
+            assert kernel.kprobes.count(point) == 0
 
 
 class TestValidation:
@@ -147,3 +156,79 @@ class TestSessionEnd:
         other = kernel.spawn(UniformComputeWorkload(1e6))
         kernel.run_until_exit(other, deadline=kernel.now + seconds(1))
         assert kernel.pmu.rdpmc(RDPMC_FIXED_FLAG) == counted
+
+    # none and dbi never program the PMU.
+    PMU_TOOLS = tuple(name for name in available_tools()
+                      if name not in ("none", "dbi"))
+
+    @pytest.mark.parametrize("name", PMU_TOOLS)
+    def test_child_exit_stops_counting(self, name):
+        """The kernel fires the exit probe before the exit's switch-out:
+        a traced child's exit must stop counting, or the PMU (and any
+        sampling timer) keeps running for whatever is scheduled next."""
+        tool = create_tool(name)
+        config = KernelConfig()
+        if tool.kernel_version is not None:
+            config = replace(config, kernel_version=tool.kernel_version)
+        kernel = Kernel(Machine(i7_920()), config=config, rng=RngStreams(0),
+                        patches=list(tool.required_patches))
+        program = _ForkingVictim()
+        victim = kernel.spawn(
+            tool.prepare_program(program, ("LOADS",), us(100)), start=False)
+        # Each tool samples at its floor: 100 us for K-LEB.
+        session = tool.attach(kernel, victim, ("LOADS",), us(100))
+        bystander = kernel.spawn(UniformComputeWorkload(3e7))
+        bystander_runs = []
+
+        def switch_in(task):
+            if task is bystander:
+                bystander_runs.append([kernel.now, None])
+
+        def switch_out(task):
+            if task is bystander:
+                bystander_runs[-1][1] = kernel.now
+
+        kernel.kprobes.register(ProbePoint.SCHED_SWITCH_IN, switch_in)
+        kernel.kprobes.register(ProbePoint.SCHED_SWITCH_OUT, switch_out)
+        kernel.run_until_exit(victim, deadline=seconds(10))
+        report = session.finalize()
+        kernel.run_until_exit(bystander, deadline=kernel.now + seconds(10))
+        assert bystander_runs
+        tree = int(victim.instructions_retired
+                   + program.child.instructions_retired)
+        counted = kernel.pmu.rdpmc(RDPMC_FIXED_FLAG)
+        if tool.requires_source:
+            # Counting spans the instrumented start..stop calls, which
+            # leave the library initialization before start uncounted.
+            assert counted == report.totals["INST_RETIRED"]
+            assert counted <= tree
+        else:
+            assert counted == tree
+        for when in report.samples.timestamps:
+            assert not any(start < when < end
+                           for start, end in bystander_runs)
+
+
+class _ForkingVictim(Program):
+    """Runs 1e5 instructions, forks a 2e6-instruction child, then waits
+    for the child in 1 ms sleeps."""
+
+    name = "forker"
+
+    def __init__(self):
+        self.child = None
+
+    @property
+    def metadata(self):
+        return {"instructions": 1e5}
+
+    def _fork(self, kernel, task):
+        self.child = kernel.spawn(compute(2e6), ppid=task.pid)
+
+    def blocks(self):
+        yield RateBlock(instructions=1e5)
+        yield SyscallBlock("fork", handler=self._fork)
+        while self.child.state is not TaskState.EXITED:
+            yield SyscallBlock("nanosleep",
+                               handler=lambda kernel, task:
+                               kernel.sleep_current(ms(1)))
