@@ -172,6 +172,8 @@ def main(argv=None) -> int:
     print(f"  fresh-trace plans retained after replay: {retained:.0f}")
     allocated = results["machine_build"]["allocated_sets"]
     print(f"  cache sets held by a fresh machine: {allocated:.0f}")
+    period = results["trace_replay_batch"]["period"]
+    print(f"  Flush+Reload round found in the attack tile: {period:.0f} ops")
 
     baseline = _load_baseline(args.quick)
     document = {

@@ -276,9 +276,13 @@ def _attack_trace_program(rounds: int) -> Program:
 def bench_trace_replay_batch(rounds: int) -> Dict[str, float]:
     """Core.execute over the attack-shaped trace (batch replay path).
 
-    The op tuple is reused across iterations, so the planner compiles
-    once and every replay runs the segment-collapsed fast path — the
-    regime the end-to-end Fig. 7 run lives in.
+    The trace is reused across iterations, so the planner compiles once
+    and every replay runs the segment-collapsed fast path, counting
+    each round whose predecessor ran in the same chain of slices
+    instead of replaying it — the regime the end-to-end Fig. 7 run
+    lives in.  ``period`` is the round length the plan found: 513 ops
+    (256 flushes, the transient load and 256 reloads), or 0 if the
+    tile lost its period.
     """
     from repro.workloads.base import BlockCursor
 
@@ -296,6 +300,9 @@ def bench_trace_replay_batch(rounds: int) -> Dict[str, float]:
     loop()  # compile the trace plan off the clock (once per process)
     result = _timed(loop)
     result["checksum"] = float(machine.cache.stats.accesses)
+    (block,) = program.blocks()
+    (plan,) = block.ops.plans.values()
+    result["period"] = float(plan.period)
     return result
 
 

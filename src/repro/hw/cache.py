@@ -77,6 +77,11 @@ class CacheLevel:
         self._tag_shift = self._set_mask.bit_length()
         self.hits = 0
         self.misses = 0
+        # Write generation of the sets (as ``MsrFile.version`` is for the
+        # PMU): every path that can change which lines a set holds, or
+        # their LRU order, bumps it, so an unchanged version witnesses
+        # that nothing touched this level in between.
+        self.version = 0
 
     def allocate(self) -> None:
         """Fill the set storage in place, if this level is still cold."""
@@ -96,6 +101,7 @@ class CacheLevel:
         if tag in entries:
             entries.move_to_end(tag)
             self.hits += 1
+            self.version += 1
             return True
         self.misses += 1
         return False
@@ -110,6 +116,7 @@ class CacheLevel:
             evicted, _ = entries.popitem(last=False)
         entries[tag] = True
         entries.move_to_end(tag)
+        self.version += 1
         return evicted
 
     def invalidate(self, address: int) -> bool:
@@ -117,6 +124,7 @@ class CacheLevel:
         if not self._sets:
             return False
         set_index, tag = self._locate(address)
+        self.version += 1
         return self._sets[set_index].pop(tag, None) is not None
 
     def contains(self, address: int) -> bool:
@@ -130,6 +138,12 @@ class CacheLevel:
         """Empty the cache (e.g. at task teardown in tests)."""
         for entries in self._sets:
             entries.clear()
+        self.version += 1
+
+    def release(self) -> None:
+        """Free the set storage; the next touch allocates it afresh."""
+        self._sets.clear()
+        self.version += 1
 
     @property
     def occupancy(self) -> int:
@@ -198,6 +212,10 @@ class CacheHierarchy:
         # True until the first access, clflush or trace replay allocates
         # every level's sets (see :meth:`warm`).
         self.cold = True
+        # The last batch replay slice, as (weakref to its plan, end op
+        # index, chain start, the three level versions after it); None
+        # when there is none.  See ``repro.hw.core.Core._run_trace_batch``.
+        self.chain: Optional[tuple] = None
 
     def warm(self) -> None:
         """Allocate every level's set storage (a shared LLC once)."""
@@ -213,7 +231,8 @@ class CacheHierarchy:
         it, so release it only once they are all done.
         """
         for level in self.levels:
-            level._sets.clear()
+            level.release()
+        self.chain = None
         self.cold = True
 
     def _prefetch(self, address: int) -> None:
@@ -300,6 +319,7 @@ class CacheHierarchy:
             if tag in entries:
                 entries.move_to_end(tag)
                 level.hits += 1
+                level.version += 1
                 hit_index = index
                 break
             level.misses += 1
@@ -309,7 +329,7 @@ class CacheHierarchy:
             stats.hits[descriptors[hit_index][6]] += 1
         else:
             misses["memory"] += 1
-        for _level, line_shift, set_mask, tag_shift, sets, ways, name in \
+        for level, line_shift, set_mask, tag_shift, sets, ways, name in \
                 descriptors[:hit_index]:
             line = address >> line_shift
             entries = sets[line & set_mask]
@@ -319,6 +339,7 @@ class CacheHierarchy:
             if len(entries) >= ways:
                 entries.popitem(last=False)
             entries[line >> tag_shift] = True
+            level.version += 1
             misses[name] += 1
         if hit_index == num_levels and self.prefetch_next_line:
             self._prefetch(address + self._line_bytes)
@@ -329,10 +350,11 @@ class CacheHierarchy:
         if self.cold:
             self.warm()
         self.stats.flushes += 1
-        for _level, line_shift, set_mask, tag_shift, sets, _ways, _name in \
+        for level, line_shift, set_mask, tag_shift, sets, _ways, _name in \
                 self._descriptors:
             line = address >> line_shift
             sets[line & set_mask].pop(line >> tag_shift, None)
+            level.version += 1
 
     def contains(self, address: int) -> Optional[str]:
         """Name of the first level holding ``address`` (non-perturbing)."""

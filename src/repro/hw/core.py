@@ -21,6 +21,7 @@ resumes mid-block after preemption.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import defaultdict
 from itertools import chain, repeat
 from dataclasses import dataclass
@@ -73,12 +74,20 @@ class _TracePlan:
     serves every cache instance with the same geometry (each trial
     builds a fresh hierarchy).  Plans live on their trace
     (``Trace.plans``), so a plan is freed with its trace.
+
+    ``period`` is the trace's round length when the trace is a tile of
+    a *flush-first* round, else 0.  ``round_counts`` is filled in at
+    replay, from the first round that runs whole inside one slice:
+    ``(flushes, l1 hits, l2 hits, l3 hits, l3 misses)`` of one round,
+    the same from any starting cache state (see
+    :meth:`Core._run_trace_batch`).
     """
 
     __slots__ = (
         "kindcat", "seg_end", "flush_start", "flush_collapsed",
         "se1", "tg1", "se2", "tg2", "se3", "tg3",
-        "pre_store", "pre_flush", "guard_min", "__weakref__",
+        "pre_store", "pre_flush", "guard_min", "period", "round_counts",
+        "__weakref__",
     )
 
 
@@ -103,7 +112,8 @@ def _trace_plan(trace: Trace, descriptors: tuple) -> _TracePlan:
     s1, m1, t1 = _d1[1], _d1[2], _d1[3]
     s2, m2, t2 = _d2[1], _d2[2], _d2[3]
     s3, m3, t3 = _d3[1], _d3[2], _d3[3]
-    key = (s1, m1, t1, s2, m2, t2, s3, m3, t3)
+    # Ways are in the key because a plan's round counts depend on them.
+    key = (s1, m1, t1, _d1[5], s2, m2, t2, _d2[5], s3, m3, t3, _d3[5])
     plan = trace.plans.get(key)
     if plan is not None:
         return plan
@@ -206,6 +216,23 @@ def _trace_plan(trace: Trace, descriptors: tuple) -> _TracePlan:
             levels.append(list(wipes.items()))
         collapsed[run] = levels
     plan.flush_collapsed = collapsed
+
+    # A tile's round is *flush-first* when every flush comes before its
+    # first access and, at every level's line size, each line it
+    # accesses is one it flushed.  (Python sets: ``np.isin`` costs more
+    # memory than the whole check is worth.)
+    period = trace.period
+    plan.period = 0
+    plan.round_counts = None
+    if period:
+        round_flushes = flushes[:period]
+        first_access = (int(_np.argmin(round_flushes))
+                        if not round_flushes.all() else period)
+        if not round_flushes[first_access:].any() and all(
+                set(line[first_access:period].tolist())
+                <= set(line[:first_access].tolist())
+                for line in (line1, line2, line3)):
+            plan.period = period
 
     trace.plans[key] = plan
     return plan
@@ -350,6 +377,25 @@ class Core:
         order within a flush run cannot affect dict state; MRU shortcuts
         mutate nothing), and all counter sums are exact integer
         arithmetic below 2^53.
+
+        Consecutive slices of one plan form a *chain*: a slice that
+        starts where the hierarchy's last batch slice (``cache.chain``)
+        stopped, of the same plan, with every level's ``version``
+        unchanged since, continues that slice's chain, so the ops from
+        ``chain_start`` on ran back to back on exactly this cache state.
+        A guaranteed miss then only needs its flush at or after the
+        chain start, and a resumed MRU run stays MRU.
+
+        A tile of a flush-first round (``plan.period``) adds a round's
+        counts instead of replaying it when the round before it ran
+        inside the chain and the budget admits all of it.  A round flushes
+        every line it accesses before its first access, so its hit/miss
+        counts are the same from any starting state (lines older than
+        the round are evicted before any line it inserted), and a round
+        replayed on the state the same round left behind evicts nothing
+        older and leaves that state exactly as it was, LRU order
+        included.  The counts come from the first round that runs whole
+        inside one slice; cycles are rebuilt from this block's costs.
         """
         budget_cycles = self.ns_to_cycles(budget_ns)
         event_scale = int(block.event_scale)
@@ -379,26 +425,40 @@ class Core:
         se1, tg1 = plan.se1, plan.tg1
         se2, tg2 = plan.se2, plan.tg2
         se3, tg3 = plan.se3, plan.tg3
+        pre_flush = plan.pre_flush
+        period = plan.period
+        round_counts = plan.round_counts
+        # Round boundary at which this slice started recording a round's
+        # counts (None until it reaches one), and the counters there.
+        round_mark = None
+        mark = (0, 0, 0, 0)
 
         cycles = 0
         l1h = l1m = l2h = l2m = l3h = l3m = 0
         start = cursor.op_index
+        chain = cache.chain
+        if (chain is not None and chain[1] == start and chain[0]() is plan
+                and chain[3] == level1.version and chain[4] == level2.version
+                and chain[5] == level3.version):
+            chain_start = chain[2]
+        else:
+            chain_start = start
         p = start
         total = len(kindcat)
         while p < total and cycles < budget_cycles:
             cat = kindcat[p]
-            if cat == 1 and p == start:
-                # Resuming mid-run: the predecessor ran in an earlier
-                # slice, so probe exactly as the scalar loop (which
+            if cat == 1 and p == chain_start:
+                # Resuming mid-run on a cache something else may have
+                # touched: probe exactly as the scalar loop (which
                 # resets last_line per slice) would.  The line is still
                 # MRU, so the probe's move_to_end is order-neutral.
                 cat = 0
             elif cat == 3:
-                # Only ops whose covering flush executed inside *this*
-                # slice are provably absent; older guards mean another
-                # program may have re-filled the line between slices,
-                # so those ops take the full probe.
-                if guard_min[p] < start:
+                # Only ops whose covering flush executed inside the
+                # chain are provably absent; older guards mean another
+                # program may have re-filled the line since, so those
+                # ops take the full probe.
+                if guard_min[p] < chain_start:
                     cat = 0
             if cat == 3:
                 # Guaranteed-miss run: every op misses L1/L2/L3 and
@@ -482,6 +542,43 @@ class Core:
                     if p >= e or cycles >= budget_cycles:
                         break
                 continue
+            if cat == _CAT_FLUSH and period and p % period == 0:
+                # A round boundary (a flush-first round starts with a
+                # flush).  Record a round that ran whole in this slice;
+                # replay a round whose predecessor ran in the chain as
+                # a counter sum while the budget admits all of it.
+                if round_counts is None:
+                    if p - period == round_mark:
+                        round_counts = plan.round_counts = (
+                            pre_flush[p] - pre_flush[round_mark],
+                            l1h - mark[0], l2h - mark[1],
+                            l3h - mark[2], l3m - mark[3])
+                    else:
+                        round_mark = p
+                        mark = (l1h, l2h, l3h, l3m)
+                if round_counts is not None and p - period >= chain_start:
+                    flushes_r, l1h_r, l2h_r, l3h_r, l3m_r = round_counts
+                    round_cycles = (flushes_r * cost_flush
+                                    + l1h_r * cost_mru
+                                    + l2h_r * (folded_cycles + lat2)
+                                    + l3h_r * (folded_cycles + lat3)
+                                    + l3m_r * cost_miss)
+                    if cycles + round_cycles < budget_cycles:
+                        rounds = 0
+                        while True:
+                            rounds += 1
+                            cycles += round_cycles
+                            p += period
+                            if (p >= total or cycles + round_cycles
+                                    >= budget_cycles):
+                                break
+                        l1h += rounds * l1h_r
+                        l1m += rounds * (l2h_r + l3h_r + l3m_r)
+                        l2h += rounds * l2h_r
+                        l2m += rounds * (l3h_r + l3m_r)
+                        l3h += rounds * l3h_r
+                        l3m += rounds * l3m_r
+                        continue
             # Run segment: take as many ops as the budget admits.  The
             # scalar loop checks ``cycles < budget`` *before* each op,
             # so op k of the run executes iff cycles + k*cost is under
@@ -524,7 +621,11 @@ class Core:
         ops_done = p - start
         if not ops_done:
             return 0.0, 0.0
-        pre_flush = plan.pre_flush
+        level1.version += 1
+        level2.version += 1
+        level3.version += 1
+        cache.chain = (weakref.ref(plan), p, chain_start, level1.version,
+                       level2.version, level3.version)
         pre_store = plan.pre_store
         n_flush = pre_flush[p] - pre_flush[start]
         n_access = ops_done - n_flush

@@ -84,10 +84,13 @@ class Trace:
     backs any number of blocks, slices and trials.  ``plans`` holds the
     batch replay plans the core compiles for this trace, one per cache
     geometry (:func:`repro.hw.core._trace_plan`): a plan lives exactly
-    as long as its trace.
+    as long as its trace.  ``period`` is the length of the round that a
+    tile (``round * repeats``) repeats, and 0 for any other trace:
+    slicing or ``+`` drops it.  Replay uses it to count a repeated
+    Flush+Reload round instead of replaying it.
     """
 
-    __slots__ = ("addresses", "kinds", "plans")
+    __slots__ = ("addresses", "kinds", "plans", "period")
 
     def __init__(self, addresses, kinds=OpKind.LOAD) -> None:
         """``kinds`` is one :class:`OpKind` for every op, or a column of
@@ -112,6 +115,7 @@ class Trace:
         self.addresses = addresses
         self.kinds = kinds
         self.plans: Dict[tuple, object] = {}
+        self.period = 0
 
     @classmethod
     def _of_columns(cls, addresses: np.ndarray,
@@ -150,8 +154,10 @@ class Trace:
             np.concatenate((self.kinds, other.kinds)))
 
     def __mul__(self, repeats: int) -> "Trace":
-        return self._of_columns(np.tile(self.addresses, repeats),
+        tile = self._of_columns(np.tile(self.addresses, repeats),
                                 np.tile(self.kinds, repeats))
+        tile.period = self.period or len(self)
+        return tile
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):

@@ -281,3 +281,49 @@ class TestFirstTouch:
         # A later touch starts again from an empty cache.
         assert hierarchy.access(0).hit_level is None
         assert allocated(hierarchy) == [2, 4]
+
+
+class TestVersion:
+    """``CacheLevel.version`` moves on every path that can change a
+    level's sets or their LRU order, and on no read-only one."""
+
+    def versions(self, hierarchy):
+        return [level.version for level in hierarchy.levels]
+
+    def test_level_paths(self):
+        level = CacheLevel(CacheConfig("L", 8 * LINE, ways=2))
+        for touch, moves in (
+                (lambda: level.lookup(0x40), False),     # miss
+                (lambda: level.fill(0x40), True),
+                (lambda: level.lookup(0x40), True),      # hit: LRU order
+                (lambda: level.contains(0x40), False),
+                (lambda: level.occupancy, False),
+                (lambda: level.invalidate(0x40), True),
+                (lambda: level.flush_all(), True),
+                (lambda: level.release(), True)):
+            before = level.version
+            touch()
+            assert (level.version != before) == moves
+
+    def test_hierarchy_paths(self):
+        hierarchy = tiny_hierarchy()
+        hierarchy.access(0)
+        for touch, moved in (
+                (lambda: hierarchy.access(0), [True, False]),    # L1 hit
+                (lambda: hierarchy.access(LINE), [True, True]),  # miss
+                (lambda: hierarchy.access_fast(0), [True, False]),
+                (lambda: hierarchy.access_fast(8 * LINE), [True, True]),
+                (lambda: hierarchy.contains(0), [False, False]),
+                (lambda: hierarchy.clflush(0), [True, True]),
+                (lambda: hierarchy.flush_all(), [True, True]),
+                (lambda: hierarchy.release(), [True, True])):
+            before = self.versions(hierarchy)
+            touch()
+            assert [after != was for after, was in zip(
+                self.versions(hierarchy), before)] == moved
+
+    def test_release_clears_the_chain_record(self):
+        hierarchy = tiny_hierarchy()
+        hierarchy.chain = (None, 64, 0, 1, 1, 1)
+        hierarchy.release()
+        assert hierarchy.chain is None

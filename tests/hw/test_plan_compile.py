@@ -99,6 +99,25 @@ def reference_plan(trace, descriptors) -> Dict[str, object]:
                 wipes.setdefault(se[i], set()).add(tg[i])
             levels.append(list(wipes.items()))
         collapsed[run] = levels
+    # A tile's round is flush-first when no flush follows an access and
+    # every access's line, at each level's line size, was flushed
+    # earlier in the round.
+    period = trace.period
+    flushed = (set(), set(), set())
+    accessed = False
+    for i in range(period):
+        lines = (line1[i], line2[i], line3[i])
+        if kinds[i] == FLUSH:
+            if accessed:
+                period = 0
+                break
+            for seen, line in zip(flushed, lines):
+                seen.add(line)
+        else:
+            accessed = True
+            if any(line not in seen for seen, line in zip(flushed, lines)):
+                period = 0
+                break
     return {
         "kindcat": kindcat, "seg_end": seg_end, "flush_start": flush_start,
         "flush_collapsed": collapsed,
@@ -106,8 +125,24 @@ def reference_plan(trace, descriptors) -> Dict[str, object]:
         "se2": se_tg[1][0], "tg2": se_tg[1][1],
         "se3": se_tg[2][0], "tg3": se_tg[2][1],
         "pre_store": pre_store, "pre_flush": pre_flush,
-        "guard_min": guard_min,
+        "guard_min": guard_min, "period": period,
     }
+
+
+def reference_round_counts(trace, descriptors):
+    """``_TracePlan.round_counts`` of a flush-first tile: one round
+    replayed op by op through a fresh hierarchy of this geometry."""
+    levels = [descriptor[0].config for descriptor in descriptors]
+    cache = CacheHierarchy(levels, memory_latency_cycles=200)
+    for address, kind in zip(trace.addresses[:trace.period].tolist(),
+                             trace.kinds[:trace.period].tolist()):
+        if kind == FLUSH:
+            cache.clflush(address)
+        else:
+            cache.access_fast(address)
+    hits = [level.hits for level in cache.levels]
+    return (cache.stats.flushes, hits[0], hits[1], hits[2],
+            cache.levels[2].misses)
 
 
 def split_lines_geometry():
@@ -142,8 +177,12 @@ def assert_plan_matches(ops, descriptors):
     expected = reference_plan(trace, descriptors)
     assert _trace_plan(trace, descriptors) is plan  # kept on the trace
     for slot in _TracePlan.__slots__:
-        if slot != "__weakref__":
+        if slot not in ("__weakref__", "round_counts"):
             assert getattr(plan, slot) == expected[slot], slot
+    # Filled in by replay, not by the compiler (a memoized tile may
+    # already have been replayed).
+    assert plan.round_counts in (None, reference_round_counts(
+        trace, descriptors))
     return plan
 
 
@@ -265,3 +304,105 @@ def test_addresses_just_below_2_to_63_still_plan():
                  OpKind.FLUSH if index % 7 == 0 else OpKind.LOAD)
            for index in range(64)]
     assert_plan_matches(ops, GEOMETRIES["i7_920"])
+
+
+# Flush-first rounds: which tiles get a period.  Probe lines a page
+# apart, as in Flush+Reload.
+def probe(index):
+    return 0x4000_0000 + index * 4096
+
+
+def round_of(*ops):
+    return Trace.from_ops([(probe(index), kind) for index, kind in ops])
+
+
+FLUSH_FIRST = round_of(*[(index, OpKind.FLUSH) for index in range(8)],
+                       *[(index, OpKind.LOAD) for index in (3, 0, 5, 3)],
+                       (6, OpKind.STORE))
+NOT_FLUSH_FIRST = {
+    # Probe 2 is loaded before its flush.
+    "load-before-flush": round_of(
+        *[(index, OpKind.FLUSH) for index in (0, 1)], (2, OpKind.LOAD),
+        (2, OpKind.FLUSH), *[(index, OpKind.LOAD) for index in (0, 1, 2)]),
+    # Probe 9 is never flushed.
+    "never-flushed": round_of(
+        *[(index, OpKind.FLUSH) for index in range(4)],
+        *[(index, OpKind.LOAD) for index in (0, 1, 9, 3)]),
+    # Probe 3's flush follows the first access.
+    "flush-after-access": round_of(
+        *[(index, OpKind.FLUSH) for index in range(3)], (0, OpKind.LOAD),
+        (3, OpKind.FLUSH), *[(index, OpKind.LOAD) for index in (1, 2, 3)]),
+}
+
+
+def replay_matches_generic(trace):
+    program = ListProgram("tile", [TraceBlock(ops=trace,
+                                              instructions_per_op=4.0)])
+    assert observe(program, force_generic=False) == \
+        observe(program, force_generic=True)
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_flush_first_tile_gets_its_period(geometry):
+    tile = FLUSH_FIRST * 12
+    assert tile.period == len(FLUSH_FIRST)
+    assert assert_plan_matches(tile, GEOMETRIES[geometry]).period == 13
+
+
+def test_meltdown_tile_period_and_round_counts():
+    tile = _flush_reload_tile(0x4000_0000, 4096, 83, 40)
+    plan = assert_plan_matches(tile, GEOMETRIES["i7_920"])
+    assert plan.period == 513
+    replay_matches_generic(tile)
+    # The 256 probes share one 8-way L1 set and one 8-way L2 set, and
+    # sit two to a set in 128 LLC sets: every reload misses except the
+    # leaked byte's, which the transient access left in the LLC.
+    assert plan.round_counts == (256, 0, 0, 1, 256)
+    assert plan.round_counts == reference_round_counts(
+        tile, GEOMETRIES["i7_920"])
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FLUSH_FIRST))
+def test_round_that_is_not_flush_first_gets_no_period(name):
+    tile = NOT_FLUSH_FIRST[name] * 12
+    assert tile.period
+    for descriptors in GEOMETRIES.values():
+        assert assert_plan_matches(tile, descriptors).period == 0
+    replay_matches_generic(tile)
+
+
+def test_split_lines_check_every_level():
+    """Under 32-byte L1 lines, a load 32 bytes past a flushed probe is a
+    line that round never flushed; 64-byte levels see the same line."""
+    tile = (Trace([probe(0), probe(1)], OpKind.FLUSH)
+            + Trace([probe(0) + 32, probe(1)])) * 20
+    assert assert_plan_matches(tile, GEOMETRIES["split_lines"]).period == 0
+    assert assert_plan_matches(tile, GEOMETRIES["i7_920"]).period == 4
+
+
+@pytest.mark.parametrize("shape", ["sliced", "concatenated"])
+def test_sliced_or_concatenated_tile_gets_no_period(shape):
+    tile = FLUSH_FIRST * 12
+    if shape == "sliced":
+        trace = tile[len(FLUSH_FIRST):]
+    else:
+        trace = FLUSH_FIRST * 6 + FLUSH_FIRST * 6
+    assert trace.period == 0
+    assert assert_plan_matches(trace, GEOMETRIES["i7_920"]).period == 0
+    replay_matches_generic(trace)
+    assert _trace_plan(trace, GEOMETRIES["i7_920"]).round_counts is None
+
+
+@pytest.mark.parametrize("flushes", [1, 3])
+def test_all_flush_round_replays_like_generic(flushes):
+    """A round of flushes alone is flush-first; its flush run spans
+    every round boundary and several 50 us slices."""
+    tile = round_of(*[(index, OpKind.FLUSH) for index in range(flushes)])
+    tile = tile * (12_000 // flushes)
+    assert assert_plan_matches(tile, GEOMETRIES["i7_920"]).period == flushes
+    replay_matches_generic(tile)
+    replay_matches_generic(FLUSH_FIRST * 2 + tile)
+
+
+def test_tile_of_a_tile_keeps_the_round():
+    assert ((FLUSH_FIRST * 2) * 3).period == len(FLUSH_FIRST)

@@ -5,14 +5,18 @@ program is sliced by preemption must not change *what* it executes —
 total instructions, events, and CPU time are conserved.
 """
 
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.hw.cache import CacheConfig, CacheHierarchy
-from repro.hw.core import Core, ExecStop
+from repro.hw.cache import CacheConfig, CacheHierarchy, CacheLevel
+from repro.hw.core import Core, ExecStop, _trace_plan
 from repro.hw.pmu import Pmu, RDPMC_FIXED_FLAG
-from repro.workloads.base import (BlockCursor, ListProgram, MemOp, OpKind,
-                                  RateBlock, TraceBlock)
+from repro.workloads.base import (KIND_CODES, BlockCursor, ListProgram,
+                                  MemOp, OpKind, RateBlock, Trace,
+                                  TraceBlock)
 
 LINE = 64
 
@@ -206,7 +210,9 @@ def _build_trace(round_spec, repeats, ipo, event_scale):
             ops.append(MemOp(0x400_0000 + index * 4096, OpKind.FLUSH))
         else:
             ops.append(MemOp(0x400_0000 + index * 4096, OpKind.LOAD))
-    ops = tuple(ops) * repeats
+    # Tiled as a Trace, so a round that happens to be flush-first is
+    # counted instead of replayed.
+    ops = Trace.from_ops(ops) * repeats
     block = TraceBlock(ops=ops, instructions_per_op=float(ipo),
                        event_scale=float(event_scale))
     return ListProgram("prop-batch", [block])
@@ -265,3 +271,298 @@ class TestBatchReplayEquivalence:
                                10_000_000).stop is not ExecStop.PROGRAM_DONE:
                 pass
         assert calls
+
+
+# ---------------------------------------------------------------------------
+# Flush-first tiles: chained slices and counted rounds under foreign
+# activity between slices
+# ---------------------------------------------------------------------------
+
+_L1 = CacheConfig("L1D", 4 * LINE, ways=2, hit_latency_cycles=4)
+_L2 = CacheConfig("L2", 16 * LINE, ways=4, hit_latency_cycles=12)
+_L3 = CacheConfig("L3", 64 * LINE, ways=8, hit_latency_cycles=40)
+
+
+def _slot_address(slot):
+    """Slots 0-5 are consecutive lines; 6-15 are a page apart, so they
+    pile into one set at every level, as Flush+Reload probes do.  Rounds
+    use slots 0-11; 12-15 are only ever touched by foreign activity."""
+    return slot * LINE if slot < 6 else 0x400_0000 + slot * 4096
+
+
+def make_sharing_cores(force_generic):
+    """Two cores whose private L1/L2 sit on one shared L3."""
+    shared = CacheLevel(_L3)
+    cores = []
+    for _ in range(2):
+        pmu = Pmu()
+        for index, event in enumerate(("LOADS", "LLC_MISSES", "L1D_MISSES",
+                                       "CACHE_FLUSHES")):
+            pmu.program_counter(index, event, user=True, kernel=True)
+        pmu.enable_fixed(user=True, kernel=True)
+        pmu.global_enable()
+        cache = CacheHierarchy([_L1, _L2], memory_latency_cycles=100,
+                               shared_llc=shared)
+        core = Core(frequency_hz=1e9, pmu=pmu, cache=cache)
+        if force_generic:
+            core._integer_latencies = lambda: False
+            core._run_trace_batch = None  # fails loudly if it is reached
+        cores.append(core)
+    return cores
+
+
+def flush_first_tile(flushed, accesses, repeats):
+    """``repeats`` copies (at least 64 ops) of a round that flushes the
+    ``flushed`` slots, then loads or stores ``(slot, offset, is_store)``
+    accesses, if any."""
+    round_trace = (Trace([_slot_address(slot) for slot in flushed],
+                         OpKind.FLUSH)
+                   + Trace([_slot_address(slot) + offset
+                            for slot, offset, _ in accesses],
+                           np.array([KIND_CODES[OpKind.STORE if store
+                                                else OpKind.LOAD]
+                                     for _, _, store in accesses],
+                                    dtype=np.uint8)))
+    return round_trace * max(repeats, -(-64 // len(round_trace)))
+
+
+def _foreign_replay(core, trace):
+    cursor = BlockCursor(ListProgram("foreign", [TraceBlock(ops=trace)]))
+    while core.execute(cursor, 10_000_000).stop is not ExecStop.PROGRAM_DONE:
+        pass
+
+
+def _long_foreign_trace(slot):
+    """A 64-op trace (long enough for the batch path): flush one slot,
+    then load every slot in turn."""
+    return Trace.from_ops([(_slot_address(slot), OpKind.FLUSH)]
+                          + [(_slot_address((slot + step) % 16), OpKind.LOAD)
+                             for step in range(63)])
+
+
+def apply_foreign(op, cores, tile):
+    """Touch the caches between two slices of ``tile`` on core 0."""
+    core, other = cores
+    name = op[0]
+    if name == "access":
+        core.cache.access(_slot_address(op[1]), is_write=op[2])
+    elif name == "clflush":
+        core.cache.clflush(_slot_address(op[1]))
+    elif name == "invalidate":
+        core.cache.levels[op[2]].invalidate(_slot_address(op[1]))
+    elif name == "flush_all":
+        core.cache.flush_all()
+    elif name == "release":
+        # This hierarchy goes cold until its next replay; the second
+        # one, whose L3 went with it, warms straight away.
+        core.cache.release()
+        other.cache.warm()
+    elif name == "replay-short":
+        # Under 64 ops: the scalar path, through access_fast/clflush.
+        kind = OpKind.FLUSH if op[2] else OpKind.LOAD
+        _foreign_replay(core, Trace([_slot_address(op[1])], kind))
+    elif name == "replay-long":
+        _foreign_replay(core, _long_foreign_trace(op[1]))
+    elif name == "same-tile":
+        # A second program replaying the same tile from its start, for
+        # one slice of op[1] ns.
+        cursor = BlockCursor(ListProgram("twin", [TraceBlock(ops=tile)]))
+        core.execute(cursor, op[1])
+    elif name == "other-access":
+        other.cache.access(_slot_address(op[1]))
+    elif name == "other-replay":
+        _foreign_replay(other, _long_foreign_trace(op[1]))
+    elif name == "other-release":
+        # Tear the second hierarchy down, shared L3 included, and bring
+        # it back: the L3 is empty under the first core's feet.
+        other.cache.release()
+        other.cache.warm()
+
+
+def snapshot(cores):
+    """Every observable of both cores: counters, cache statistics and
+    each level's sets with their tags in LRU order."""
+    state = []
+    for core in cores:
+        cache = core.cache
+        state.append((
+            tuple(core.pmu.rdpmc(index) for index in range(4)),
+            tuple(core.pmu.rdpmc(RDPMC_FIXED_FLAG | index)
+                  for index in range(3)),
+            (cache.stats.accesses, dict(cache.stats.hits),
+             dict(cache.stats.misses), cache.stats.flushes),
+            tuple((level.hits, level.misses,
+                   tuple(tuple(entries) for entries in level._sets))
+                  for level in cache.levels),
+        ))
+    return state
+
+
+def run_with_foreign(trace, ipo, steps, force_generic):
+    """Replay ``trace`` on core 0 one budget at a time, applying each
+    step's foreign op after its slice; the observables after every
+    slice."""
+    cores = make_sharing_cores(force_generic)
+    core = cores[0]
+    cursor = BlockCursor(ListProgram("tile", [TraceBlock(
+        ops=trace, instructions_per_op=float(ipo))]))
+    log = []
+    for budget, op in steps + [(10_000_000, ("none",))] * 2:
+        result = core.execute(cursor, budget)
+        log.append((result.consumed_ns, result.instructions, result.stop))
+        apply_foreign(op, cores, trace)
+        log.append(snapshot(cores))
+    return log
+
+
+_slots = st.integers(0, 15)
+_foreign_ops = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("access"), _slots, st.booleans()),
+    st.tuples(st.just("clflush"), _slots),
+    st.tuples(st.just("invalidate"), _slots, st.integers(0, 2)),
+    st.just(("flush_all",)),
+    st.just(("release",)),
+    st.tuples(st.just("replay-short"), _slots, st.booleans()),
+    st.tuples(st.just("replay-long"), _slots),
+    st.tuples(st.just("same-tile"), st.integers(50, 8_000)),
+    st.tuples(st.just("other-access"), _slots),
+    st.tuples(st.just("other-replay"), _slots),
+    st.just(("other-release",)),
+)
+_flush_first_rounds = st.lists(st.integers(0, 11), min_size=1, max_size=8,
+                               unique=True).flatmap(
+    lambda flushed: st.tuples(st.just(flushed), st.lists(
+        st.tuples(st.sampled_from(flushed), st.sampled_from((0, 8)),
+                  st.booleans()),
+        max_size=16)))
+_steps = st.lists(st.tuples(st.integers(50, 8_000), _foreign_ops),
+                  max_size=16)
+
+class TestFlushFirstRounds:
+    @given(_flush_first_rounds, st.integers(2, 12), st.integers(0, 4),
+           _steps)
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_generic_with_foreign_activity(
+            self, round_spec, repeats, ipo, steps):
+        """Batch replay of a flush-first tile, chains and counted rounds
+        included, equals the per-op reference after every slice, while
+        foreign replays, accesses, flushes and releases (on this
+        hierarchy or on a second one sharing its L3) run between
+        slices."""
+        trace = flush_first_tile(*round_spec, repeats)
+        assert trace.period
+        generic = run_with_foreign(trace, ipo, steps, force_generic=True)
+        batch = run_with_foreign(trace, ipo, steps, force_generic=False)
+        assert batch == generic
+
+
+    # A round of one line per L1 set (flush, flush, load, load: 296
+    # cycles at ipo 4), so lines outside the round share a set with the
+    # round's own and survive it: slots 2, 4 and 12-15 share slot 0's.
+    TWO_LINES = ([0, 1], [(0, 0, False), (1, 0, False)])
+    # Foreign ops that each change the caches through one path, with
+    # the op that first makes that change pure (a hit needs the line
+    # cached, and caching it is a change of its own).
+    TOUCHES = {
+        "access-hit": (("access", 2, False), ("access", 2, False)),
+        "access-miss": (("none",), ("access", 4, False)),
+        "replay-short-hit": (("replay-short", 2, False),
+                             ("replay-short", 2, False)),
+        "replay-short-miss": (("none",), ("replay-short", 4, False)),
+        "clflush": (("none",), ("clflush", 0)),
+        "invalidate": (("none",), ("invalidate", 0, 0)),
+        "flush_all": (("none",), ("flush_all",)),
+        "release": (("none",), ("release",)),
+        "other-replay": (("none",), ("other-replay", 0)),
+        "other-release": (("none",), ("other-release",)),
+        "same-tile": (("none",), ("same-tile", 650)),
+    }
+
+    @pytest.mark.parametrize("touch", sorted(TOUCHES))
+    def test_touch_before_counted_rounds(self, touch):
+        """A foreign op lands just before the last slice, which counts
+        every remaining round if it (wrongly) continues the chain, so
+        nothing replays over the change.  The slice before the op ends
+        at every point of a round in turn.  Fails if the op's path does
+        not move a level's version, or if the last slice continues a
+        chain it should not."""
+        setup, op = self.TOUCHES[touch]
+        trace = flush_first_tile(*self.TWO_LINES, 40)
+        for budget in range(1200, 1500, 8):
+            steps = [(50, setup), (budget, op)]
+            assert (run_with_foreign(trace, 4, steps, force_generic=False)
+                    == run_with_foreign(trace, 4, steps, force_generic=True))
+
+
+class _CountingSet(OrderedDict):
+    """A cache set that counts its inserts."""
+
+    inserts = 0
+
+    def __setitem__(self, key, value):
+        type(self).inserts += 1
+        super().__setitem__(key, value)
+
+
+def _count_inserts(core):
+    core.cache.warm()
+    for level in core.cache.levels:
+        level._sets[:] = [_CountingSet() for _ in level._sets]
+    _CountingSet.inserts = 0
+
+
+class TestRoundsAreCounted:
+    """Guards against the equivalence tests going vacuous: rounds really
+    are counted, not replayed.  A counted round moves the miss counters
+    without inserting a line."""
+
+    TILE = (list(range(6, 12)),
+            [(slot, 0, False) for slot in range(6, 12)] * 2)
+    # Six probes in one set per level: each round misses all three
+    # levels on its first pass and hits only the 8-way L3 on its second.
+    # 6 flushes at 40 cycles, 6 memory reads at 100 and 6 L3 hits at 40,
+    # at 1 GHz; a replayed round inserts 12 lines into L1 and L2 and 6
+    # into L3.
+    ROUND_NS = 6 * 40 + 6 * 100 + 6 * 40
+    ROUND_INSERTS = 30
+
+    def _replay(self, trace, budget, touch=False):
+        """Replay ``trace`` in slices of ``budget``; with ``touch``, one
+        access between every two slices.  Returns the core and the
+        lines the replay itself inserted."""
+        (core, _other) = make_sharing_cores(force_generic=False)
+        _count_inserts(core)
+        foreign = 0
+        cursor = BlockCursor(ListProgram("tile", [TraceBlock(ops=trace)]))
+        while core.execute(cursor, budget).stop is not ExecStop.PROGRAM_DONE:
+            if touch:
+                before = _CountingSet.inserts
+                core.cache.access(_slot_address(14))
+                foreign += _CountingSet.inserts - before
+        return core, _CountingSet.inserts - foreign
+
+    def test_one_long_slice_counts_rounds(self):
+        trace = flush_first_tile(*self.TILE, 50)
+        core, inserts = self._replay(trace, 10_000_000)
+        plan = _trace_plan(trace, core.cache._descriptors)
+        assert plan.period == 18
+        assert plan.round_counts == (6, 0, 0, 6, 6)
+        assert core.cache.levels[0].misses == 50 * 12
+        # One round ran for real: its counts were recorded, and every
+        # later round follows it in the chain.
+        assert inserts == self.ROUND_INSERTS
+
+    def test_chain_carries_rounds_across_short_slices(self):
+        """Slices of 1.5 rounds never hold a whole round after their
+        first boundary, so a round is counted only when its predecessor
+        ran in an earlier slice of the chain.  An access between every
+        two slices breaks every chain, and all 50 rounds replay."""
+        trace = flush_first_tile(*self.TILE, 50)
+        self._replay(trace, 10_000_000)  # records the round counts
+        budget = self.ROUND_NS * 3 // 2
+        chained, inserts = self._replay(trace, budget)
+        _broken, broken_inserts = self._replay(trace, budget, touch=True)
+        assert chained.cache.levels[0].misses == 50 * 12
+        assert broken_inserts == 50 * self.ROUND_INSERTS
+        assert inserts < 50 * self.ROUND_INSERTS * 3 // 4
