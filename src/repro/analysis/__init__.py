@@ -1,7 +1,7 @@
 """Analysis of performance-counter data.
 
 Pure functions over :class:`~repro.tools.base.ToolReport` objects and
-raw sample series: derived metrics (MPKI, IPC, GFLOPS), time-series
+raw sample series: derived metrics (MPKI, GFLOPS), time-series
 manipulation, phase detection (the LINPACK load/compute/store cycles),
 workload classification, overhead statistics, box-plot statistics
 (Fig. 8), cross-tool count accuracy (Fig. 9), and the Meltdown anomaly
@@ -10,9 +10,7 @@ detector the paper sketches in §IV-C.
 
 from repro.analysis.metrics import (
     mpki,
-    ipc,
     gflops,
-    miss_ratio,
     report_mpki,
 )
 from repro.analysis.timeseries import (
@@ -26,7 +24,6 @@ from repro.analysis.phases import PhaseSegment, detect_phases, dominant_event
 from repro.analysis.classify import (
     WorkloadClass,
     classify_mpki,
-    classify_report,
     MPKI_THRESHOLD,
 )
 from repro.analysis.overhead import OverheadStats, overhead_percent, summarize_overhead
@@ -36,9 +33,7 @@ from repro.analysis.detection import AnomalyVerdict, detect_cache_anomaly
 
 __all__ = [
     "mpki",
-    "ipc",
     "gflops",
-    "miss_ratio",
     "report_mpki",
     "EventSeries",
     "samples_to_series",
@@ -50,7 +45,6 @@ __all__ = [
     "dominant_event",
     "WorkloadClass",
     "classify_mpki",
-    "classify_report",
     "MPKI_THRESHOLD",
     "OverheadStats",
     "overhead_percent",

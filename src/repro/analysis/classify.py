@@ -9,10 +9,6 @@ complementary workloads (§IV-B's scheduling discussion).
 from __future__ import annotations
 
 import enum
-from typing import Mapping
-
-from repro.analysis.metrics import report_mpki
-from repro.tools.base import ToolReport
 
 MPKI_THRESHOLD = 10.0
 
@@ -30,15 +26,3 @@ def classify_mpki(value: float,
     if value > threshold:
         return WorkloadClass.MEMORY_INTENSIVE
     return WorkloadClass.COMPUTATION_INTENSIVE
-
-
-def classify_report(report: ToolReport,
-                    threshold: float = MPKI_THRESHOLD) -> WorkloadClass:
-    """Classify a monitored run from its LLC misses and instructions."""
-    return classify_mpki(report_mpki(report.totals), threshold)
-
-
-def classify_totals(totals: Mapping[str, float],
-                    threshold: float = MPKI_THRESHOLD) -> WorkloadClass:
-    """Classify raw totals (LLC_MISSES + INST_RETIRED)."""
-    return classify_mpki(report_mpki(totals), threshold)

@@ -32,12 +32,6 @@ class AnomalyVerdict:
     peak_mpki: float
     mean_mpki: float
 
-    @property
-    def flagged_fraction(self) -> float:
-        if self.total_intervals == 0:
-            return 0.0
-        return self.flagged_intervals / self.total_intervals
-
 
 def interval_mpki(series: EventSeries) -> np.ndarray:
     """Per-interval MPKI from a *delta* series."""

@@ -1,7 +1,7 @@
 """Derived performance metrics.
 
 The quantities the paper reports: MPKI (Misses Per Kilo-Instruction,
-§IV-B/C), GFLOPS (Table I), plus the usual IPC and miss-ratio helpers.
+§IV-B/C) and GFLOPS (Table I).
 """
 
 from __future__ import annotations
@@ -18,25 +18,11 @@ def mpki(misses: float, instructions: float) -> float:
     return misses / (instructions / 1000.0)
 
 
-def ipc(instructions: float, cycles: float) -> float:
-    """Instructions per cycle."""
-    if cycles <= 0:
-        raise ExperimentError("IPC undefined for zero cycles")
-    return instructions / cycles
-
-
 def gflops(flops: float, elapsed_ns: float) -> float:
     """Billions of floating-point operations per second."""
     if elapsed_ns <= 0:
         raise ExperimentError("GFLOPS undefined for zero elapsed time")
     return flops / elapsed_ns  # FLOPs per nanosecond == GFLOPS
-
-
-def miss_ratio(misses: float, references: float) -> float:
-    """LLC miss ratio (misses / references), 0 when no references."""
-    if references <= 0:
-        return 0.0
-    return misses / references
 
 
 def report_mpki(totals: Mapping[str, float],

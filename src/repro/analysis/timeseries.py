@@ -85,10 +85,6 @@ class SampleGap:
     end_ns: int
     missing: int
 
-    @property
-    def span_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
 
 def find_gaps(series: EventSeries, period_ns: int,
               tolerance: float = 1.5) -> List[SampleGap]:

@@ -27,8 +27,6 @@ from repro.apps.verification import (
 )
 from repro.apps.colocation import (
     ColocationPlan,
-    CorunResult,
-    corun,
     plan_colocation,
 )
 
@@ -41,7 +39,5 @@ __all__ = [
     "VerificationResult",
     "signature_from_report",
     "ColocationPlan",
-    "CorunResult",
-    "corun",
     "plan_colocation",
 ]

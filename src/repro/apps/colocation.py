@@ -5,91 +5,20 @@ scheduler "colocate computation-intensive programs or containers with
 the memory-intensive ones on the same core, while scheduling the
 programs that require the same type of resources on different cores".
 
-Two pieces here:
-
-* :func:`corun` — actually co-run two programs on one simulated system
-  and measure the *contention* each suffers: the growth in a program's
-  CPU time versus running alone.  On the shared cache hierarchy two
-  memory-intensive workloads evict each other's lines, so the
-  contention factor emerges from the cache model.
-* :func:`plan_colocation` — the scheduling policy: given per-workload
-  MPKI measurements (e.g. from the Fig. 5 experiment), pair the most
-  memory-intensive workload with the most computation-intensive one.
+:func:`plan_colocation` is the scheduling policy: given per-workload
+MPKI measurements (e.g. from the Fig. 5 experiment), pair the most
+memory-intensive workload with the most computation-intensive one.
+:func:`repro.kernel.smp.corun_parallel` measures the contention such a
+pairing avoids on a shared-LLC cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.classify import MPKI_THRESHOLD
 from repro.errors import ExperimentError
-from repro.hw.machine import Machine, MachineConfig
-from repro.hw.presets import i7_920
-from repro.kernel.config import KernelConfig
-from repro.kernel.kernel import Kernel
-from repro.sim.clock import seconds
-from repro.sim.rng import RngStreams
-from repro.workloads.base import Program
-
-
-@dataclass(frozen=True)
-class CorunResult:
-    """Contention outcome for one program of a co-run pair."""
-
-    name: str
-    solo_cpu_ns: int
-    corun_cpu_ns: int
-    corun_wall_ns: int
-
-    @property
-    def contention_factor(self) -> float:
-        """CPU-time inflation caused by sharing the machine (cache
-        pollution, not time-slicing — wall time captures that)."""
-        if self.solo_cpu_ns <= 0:
-            raise ExperimentError(f"{self.name}: empty solo run")
-        return self.corun_cpu_ns / self.solo_cpu_ns
-
-
-def _run_solo(program: Program, machine_config: MachineConfig,
-              seed: int) -> int:
-    kernel = Kernel(Machine(machine_config),
-                    config=KernelConfig(noise_enabled=False),
-                    rng=RngStreams(seed))
-    task = kernel.spawn(program)
-    kernel.run_until_exit(task, deadline=seconds(120))
-    return task.cpu_time_ns
-
-
-def corun(first: Program, second: Program,
-          machine_config: Optional[MachineConfig] = None,
-          seed: int = 0) -> Tuple[CorunResult, CorunResult]:
-    """Run two programs together on one machine and quantify contention.
-
-    Returns one :class:`CorunResult` per program.  The pair shares the
-    core (round-robin) *and* the cache hierarchy, so a trace-driven
-    workload's extra misses under co-location are real evictions.
-    """
-    config = machine_config or i7_920()
-    solo = (_run_solo(first, config, seed), _run_solo(second, config, seed))
-
-    kernel = Kernel(Machine(config),
-                    config=KernelConfig(noise_enabled=False),
-                    rng=RngStreams(seed))
-    task_a = kernel.spawn(first)
-    task_b = kernel.spawn(second)
-    kernel.run(deadline=seconds(240))
-    for task in (task_a, task_b):
-        if task.alive:
-            raise ExperimentError(f"co-run of {task.name} did not finish")
-    return (
-        CorunResult(name=first.name, solo_cpu_ns=solo[0],
-                    corun_cpu_ns=task_a.cpu_time_ns,
-                    corun_wall_ns=task_a.wall_time_ns or 0),
-        CorunResult(name=second.name, solo_cpu_ns=solo[1],
-                    corun_cpu_ns=task_b.cpu_time_ns,
-                    corun_wall_ns=task_b.wall_time_ns or 0),
-    )
 
 
 @dataclass(frozen=True)

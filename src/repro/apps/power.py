@@ -64,17 +64,6 @@ class PowerModel:
     )
     static_watts: float = DEFAULT_STATIC_WATTS
 
-    def interval_power(self, counts: Dict[str, float],
-                       interval_ns: float) -> float:
-        """Watts over one interval from its event counts."""
-        if interval_ns <= 0:
-            raise ExperimentError("interval must be positive")
-        energy_nj = sum(
-            self.event_energy_nj.get(name, 0.0) * value
-            for name, value in counts.items()
-        )
-        return self.static_watts + energy_nj / interval_ns  # nJ/ns == W
-
     def power_series(self, series: EventSeries) -> np.ndarray:
         """Per-interval power (W) from a *delta* series."""
         if len(series) == 0:

@@ -230,11 +230,6 @@ class AdaptiveController:
         """Open degradations (ladder stack size)."""
         return len(self._ladder)
 
-    @property
-    def at_nominal(self) -> bool:
-        return (not self._ladder and not self.boosted
-                and self.period_ns == self.nominal_period_ns)
-
     # ------------------------------------------------------------------
     # The control law
     # ------------------------------------------------------------------

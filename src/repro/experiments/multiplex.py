@@ -18,9 +18,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments import report
 from repro.experiments.runner import run_monitored
-from repro.hw.schedule import plan_groups
 from repro.sim.clock import ms, us
 from repro.tools.kleb.tool import KLebTool
+from repro.tools.sequential import profile_sequentially
 from repro.workloads.matmul import TripleLoopMatmul
 
 # Every event the matmul workload generates: two groups of four.
@@ -49,25 +49,13 @@ class MultiplexResult:
         return sum(errors.values()) / len(errors)
 
 
-def _ground_truth(n: int, period_ns: int, seed: int,
-                  events: Sequence[str]) -> Dict[str, float]:
-    """Full-count totals: each rotation group gets a dedicated run."""
-    truth: Dict[str, float] = {}
-    for group in plan_groups(events).groups:
-        result = run_monitored(
-            TripleLoopMatmul(n), KLebTool(), events=group.names,
-            period_ns=period_ns, seed=seed,
-        )
-        for name in group.names:
-            truth[name] = result.report.totals[name]
-    return truth
-
-
 def run(n: int = 256, period_ns: int = us(100), seed: int = 0,
         rotation_periods_ns: Sequence[int] = DEFAULT_ROTATION_PERIODS_NS,
         ) -> MultiplexResult:
     """Compare multiplexed estimates against full counts per rotation."""
-    truth = _ground_truth(n, period_ns, seed, EVENTS)
+    # Full counts: each rotation group gets a dedicated run.
+    truth = profile_sequentially(TripleLoopMatmul(n), KLebTool, EVENTS,
+                                 period_ns=period_ns, seed=seed).totals
     estimates: Dict[int, Dict[str, float]] = {}
     errors: Dict[int, Dict[str, float]] = {}
     rotations: Dict[int, int] = {}

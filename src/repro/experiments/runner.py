@@ -122,11 +122,6 @@ class TrialSummary:
     def sample_count(self) -> int:
         return self.report.sample_count
 
-    @property
-    def samples_dropped(self) -> float:
-        """Buffer drops reported by the tool (0 for tools without one)."""
-        return self.report.metadata.get("samples_dropped", 0.0)
-
 
 def summarize_trial(result: RunResult, *, trial: int = 0, seed: int = 0,
                     host_seconds: float = 0.0) -> TrialSummary:

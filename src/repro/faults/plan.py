@@ -38,10 +38,6 @@ class TrialFate:
     kind: Optional[str]        # None | "crash" | "timeout" | "persistent"
     failing_attempts: int      # attempts that fail before one succeeds
 
-    @property
-    def benign(self) -> bool:
-        return self.kind is None
-
 
 BENIGN_FATE = TrialFate(kind=None, failing_attempts=0)
 

@@ -119,26 +119,12 @@ class CacheLevel:
         self.version += 1
         return evicted
 
-    def invalidate(self, address: int) -> bool:
-        """Drop the line holding ``address``; True if it was present."""
-        if not self._sets:
-            return False
-        set_index, tag = self._locate(address)
-        self.version += 1
-        return self._sets[set_index].pop(tag, None) is not None
-
     def contains(self, address: int) -> bool:
         """Non-perturbing presence check (does not update LRU or stats)."""
         if not self._sets:
             return False
         set_index, tag = self._locate(address)
         return tag in self._sets[set_index]
-
-    def flush_all(self) -> None:
-        """Empty the cache (e.g. at task teardown in tests)."""
-        for entries in self._sets:
-            entries.clear()
-        self.version += 1
 
     def release(self) -> None:
         """Free the set storage; the next touch allocates it afresh."""
@@ -200,40 +186,46 @@ class CacheHierarchy:
         self._line_bytes = self.levels[0].config.line_bytes
         # Flattened per-level geometry for the hot path: probing through
         # these tuples avoids the chain of attribute loads per access.
-        # Levels are fixed after construction, and allocation, flush_all
-        # and release all change the set lists in place, so this never
-        # goes stale.
+        # Levels are fixed after construction, and allocation and
+        # release change the set lists in place, so neither this nor
+        # the view of the set lists that :attr:`cold` reads goes stale.
         self._descriptors = tuple(
             (level, level._line_shift, level._set_mask, level._tag_shift,
              level._sets, level.config.ways, level.config.name)
             for level in self.levels
         )
+        self._set_lists = tuple(level._sets for level in self.levels)
         self._num_levels = len(self.levels)
-        # True until the first access, clflush or trace replay allocates
-        # every level's sets (see :meth:`warm`).
-        self.cold = True
         # The last batch replay slice, as (weakref to its plan, end op
         # index, chain start, the three level versions after it); None
         # when there is none.  See ``repro.hw.core.Core._run_trace_batch``.
         self.chain: Optional[tuple] = None
 
+    @property
+    def cold(self) -> bool:
+        """True while any level's set storage is unallocated.
+
+        Read off the set lists themselves, so a shared LLC that another
+        hierarchy released makes this one cold too.  The first access,
+        clflush or trace replay of a cold hierarchy calls :meth:`warm`.
+        """
+        return not all(self._set_lists)
+
     def warm(self) -> None:
         """Allocate every level's set storage (a shared LLC once)."""
         for level in self.levels:
             level.allocate()
-        self.cold = False
 
     def release(self) -> None:
         """Free every level's set storage; stats and geometry stay.
 
         For the end of a run: the next touch starts from an empty
         cache.  A shared LLC is released for every hierarchy holding
-        it, so release it only once they are all done.
+        it, and each of them turns :attr:`cold`.
         """
         for level in self.levels:
             level.release()
         self.chain = None
-        self.cold = True
 
     def _prefetch(self, address: int) -> None:
         """Fill ``address``'s line into every level (no latency charged
@@ -363,30 +355,8 @@ class CacheHierarchy:
                 return level.config.name
         return None
 
-    def flush_all(self) -> None:
-        """Empty every level."""
-        for level in self.levels:
-            level.flush_all()
-
 
 _MISS_EVENT = {
     "L1D": "L1D_MISSES",
     "L2": "L2_MISSES",
 }
-
-
-def standard_hierarchy(l1_kib: int = 32, l2_kib: int = 256, llc_kib: int = 8192,
-                       memory_latency_cycles: int = 200) -> CacheHierarchy:
-    """Build a conventional three-level hierarchy.
-
-    Defaults approximate the paper's Intel i7-920 (Nehalem): 32 KiB L1D,
-    256 KiB private L2, 8 MiB shared LLC.
-    """
-    return CacheHierarchy(
-        [
-            CacheConfig("L1D", l1_kib * 1024, ways=8, hit_latency_cycles=4),
-            CacheConfig("L2", l2_kib * 1024, ways=8, hit_latency_cycles=12),
-            CacheConfig("LLC", llc_kib * 1024, ways=16, hit_latency_cycles=40),
-        ],
-        memory_latency_cycles=memory_latency_cycles,
-    )

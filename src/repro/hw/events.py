@@ -165,15 +165,6 @@ def lookup_code(code: int) -> Event:
         raise PMUError(f"no event with select/umask code {code:#06x}") from None
 
 
-def architectural_events() -> Tuple[str, ...]:
-    """Names of all architectural (deterministic) events."""
-    return tuple(
-        name
-        for name, event in EVENT_CATALOGUE.items()
-        if event.kind is EventKind.ARCHITECTURAL
-    )
-
-
 def events_by_kind() -> Dict[EventKind, List[Event]]:
     """The catalogue grouped by kind, each group in table order."""
     groups: Dict[EventKind, List[Event]] = {kind: [] for kind in EventKind}

@@ -77,10 +77,3 @@ class MsrFile:
         self._regs[key] = int(value) & _MASK_64
         self.version += 1
 
-    def set_bits(self, address: int, mask: int) -> None:
-        """Read-modify-write OR of ``mask`` into the register."""
-        self.write(address, self.read(address) | mask)
-
-    def clear_bits(self, address: int, mask: int) -> None:
-        """Read-modify-write AND-NOT of ``mask`` into the register."""
-        self.write(address, self.read(address) & ~mask)

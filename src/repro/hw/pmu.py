@@ -7,9 +7,9 @@ programmable counters** driven by event-select registers with USR/OS
 privilege masks, enable bits, 48-bit width, and overflow interrupt
 delivery.
 
-Tools program the PMU through :meth:`Pmu.wrmsr` / :meth:`Pmu.rdmsr`
-exactly as a driver would; :meth:`Pmu.rdpmc` models the unprivileged
-fast-read instruction LiMiT uses from user space.
+Tools program the PMU through :meth:`Pmu.wrmsr` exactly as a driver
+would; :meth:`Pmu.rdpmc` models the unprivileged fast-read instruction
+LiMiT uses from user space.
 
 Counts are delivered by the simulated core and kernel via
 :meth:`accumulate_epoch`; :meth:`accumulate` is its dict-shaped
@@ -144,14 +144,6 @@ class Pmu:
             self._fixed[index] = float(int(value) % _COUNTER_WRAP)
             return
         self.msrs.write(address, value)
-
-    def rdmsr(self, address: int) -> int:
-        """Read an MSR, intercepting counter-value registers."""
-        if address in _PMC_MSRS:
-            return int(self._pmc[_PMC_MSRS.index(address)])
-        if address in _FIXED_MSRS:
-            return int(self._fixed[_FIXED_MSRS.index(address)])
-        return self.msrs.read(address)
 
     def rdpmc(self, index: int) -> int:
         """Unprivileged counter read (the LiMiT fast path).

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.hw.cache import CacheConfig
-from repro.hw.machine import Machine, MachineConfig
+from repro.hw.machine import MachineConfig
 
 
 def i7_920() -> MachineConfig:
@@ -48,13 +48,3 @@ PRESETS: Dict[str, Callable[[], MachineConfig]] = {
     "i7-920": i7_920,
     "xeon-8259cl": xeon_8259cl,
 }
-
-
-def build(name: str) -> Machine:
-    """Instantiate a preset machine by name."""
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown machine preset {name!r} (known: {known})") from None
-    return Machine(factory())

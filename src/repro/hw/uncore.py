@@ -14,14 +14,13 @@ The model here is deliberately small but structurally faithful:
   constraint scheduler (:func:`repro.hw.schedule.assign_counters`) the
   core PMU uses — uncore boxes have the same "this event only counts
   on counters 0/1" erratum class as the core.
-* 48-bit wrapping counters with a sticky overflow latch, mirroring
-  :class:`repro.hw.pmu.Pmu` semantics.
+* 48-bit wrapping counters, mirroring :class:`repro.hw.pmu.Pmu`.
 * Traffic is fed per lockstep window from the shared LLC's miss delta
   (every LLC miss is a line fill from DRAM = one CAS read); writeback
   traffic is modelled as a configurable fraction of reads, carried in
   a fractional accumulator so the count stream is deterministic.
-* Bandwidth is exposed both raw (last window) and EWMA-smoothed, the
-  shape monitoring dashboards actually consume.
+* Bandwidth is exposed EWMA-smoothed, the shape monitoring dashboards
+  actually consume.
 """
 
 from __future__ import annotations
@@ -92,9 +91,7 @@ class UncorePmu:
         self.assignment: Optional[sched.CounterAssignment] = None
         self._events_by_name: Dict[str, ev.Event] = {}
         self._counters: List[int] = [0] * NUM_UNCORE_COUNTERS
-        self._overflow: List[bool] = [False] * NUM_UNCORE_COUNTERS
         self._wb_acc = 0.0
-        self._last_bytes_per_sec = 0.0
         self._smoothed: Optional[float] = None
         self.windows_observed = 0
         self.program()
@@ -111,7 +108,6 @@ class UncorePmu:
             list(events), num_programmable=NUM_UNCORE_COUNTERS)
         self._events_by_name = {event.name: event for event in events}
         self._counters = [0] * NUM_UNCORE_COUNTERS
-        self._overflow = [False] * NUM_UNCORE_COUNTERS
 
     def slot_of(self, name: str) -> int:
         if self.assignment is None:
@@ -119,15 +115,6 @@ class UncorePmu:
         return self.assignment.slot_of(name)
 
     # -- counter readout -------------------------------------------------
-    def read_event(self, name: str) -> int:
-        return self._counters[self.slot_of(name)]
-
-    def consume_overflow(self, slot: int) -> bool:
-        """Sticky overflow latch; cleared by reading it."""
-        latched = self._overflow[slot]
-        self._overflow[slot] = False
-        return latched
-
     def totals(self) -> Dict[str, int]:
         """Current counter value per programmed event name."""
         if self.assignment is None:
@@ -142,7 +129,6 @@ class UncorePmu:
         value = self._counters[slot] + amount
         if value >= self._wrap:
             value -= self._wrap
-            self._overflow[slot] = True
         self._counters[slot] = value
 
     # -- traffic feed ----------------------------------------------------
@@ -170,20 +156,14 @@ class UncorePmu:
         self.windows_observed += 1
         if elapsed_ns > 0:
             transferred = (reads + writes) * CACHE_LINE_BYTES
-            self._last_bytes_per_sec = transferred * 1e9 / elapsed_ns
+            bytes_per_sec = transferred * 1e9 / elapsed_ns
             if self._smoothed is None:
-                self._smoothed = self._last_bytes_per_sec
+                self._smoothed = bytes_per_sec
             else:
-                alpha = self.ewma_alpha
-                self._smoothed += alpha * (self._last_bytes_per_sec
-                                           - self._smoothed)
+                self._smoothed += self.ewma_alpha * (bytes_per_sec
+                                                     - self._smoothed)
 
     # -- bandwidth readout -----------------------------------------------
-    @property
-    def raw_bytes_per_sec(self) -> float:
-        """Last window's unsmoothed bandwidth."""
-        return self._last_bytes_per_sec
-
     @property
     def bandwidth_bytes_per_sec(self) -> float:
         """EWMA-smoothed socket memory bandwidth."""

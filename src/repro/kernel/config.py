@@ -37,10 +37,6 @@ class SyscallCosts:
         "getpid": 100,
     })
 
-    def total_ns(self, name: str) -> int:
-        """Entry + service + exit cost of one call to ``name``."""
-        return self.entry_ns + self.per_call_ns.get(name, 500) + self.exit_ns
-
 
 @dataclass(frozen=True)
 class KernelConfig:

@@ -146,14 +146,6 @@ class Kernel:
         self.modules[module.name] = module
         return module
 
-    def unload_module(self, name: str) -> None:
-        """rmmod: detach a module."""
-        try:
-            module = self.modules.pop(name)
-        except KeyError:
-            raise ModuleError(f"module {name!r} not loaded") from None
-        module._detach()
-
     def get_module(self, name: str) -> KernelModule:
         try:
             return self.modules[name]

@@ -2,7 +2,7 @@
 
 K-LEB's deployment story (§I, §III): it is a *module*, so it can be
 loaded into an already-running kernel — unlike LiMiT, which requires a
-kernel patch and a reboot.  Modules get lifecycle callbacks and an
+kernel patch and a reboot.  Modules get a load callback and an
 ``ioctl`` entry point the user-space controller talks through.
 """
 
@@ -25,10 +25,6 @@ class KernelModule:
         self._kernel: Optional["Kernel"] = None
 
     @property
-    def loaded(self) -> bool:
-        return self._kernel is not None
-
-    @property
     def kernel(self) -> "Kernel":
         if self._kernel is None:
             raise ModuleError(f"module {self.name!r} is not loaded")
@@ -37,9 +33,6 @@ class KernelModule:
     # -- lifecycle ------------------------------------------------------
     def on_load(self, kernel: "Kernel") -> None:
         """Called by the kernel at insmod time.  Override to set up."""
-
-    def on_unload(self) -> None:
-        """Called at rmmod time.  Override to release resources."""
 
     # -- user-space interface -------------------------------------------
     def ioctl(self, command: str, argument: object = None) -> object:
@@ -56,9 +49,3 @@ class KernelModule:
             raise ModuleError(f"module {self.name!r} already loaded")
         self._kernel = kernel
         self.on_load(kernel)
-
-    def _detach(self) -> None:
-        if self._kernel is None:
-            raise ModuleError(f"module {self.name!r} not loaded")
-        self.on_unload()
-        self._kernel = None

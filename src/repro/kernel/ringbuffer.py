@@ -107,10 +107,6 @@ class RingBuffer(Generic[T]):
     def full(self) -> bool:
         return self._occupancy() >= self.effective_capacity
 
-    @property
-    def free_space(self) -> int:
-        return max(0, self.effective_capacity - self._occupancy())
-
     def squeeze(self, capacity: int) -> None:
         """Temporarily cap effective capacity (memory pressure).
 
@@ -352,18 +348,6 @@ class PerCpuRing:
     @property
     def dropped(self) -> int:
         return sum(ring.dropped for ring in self.rings)
-
-    @property
-    def total_pushed(self) -> int:
-        return sum(ring.total_pushed for ring in self.rings)
-
-    @property
-    def total_drained(self) -> int:
-        return sum(ring.total_drained for ring in self.rings)
-
-    @property
-    def total_cleared(self) -> int:
-        return sum(ring.total_cleared for ring in self.rings)
 
     @property
     def pause_episodes(self) -> int:

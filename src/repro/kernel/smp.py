@@ -257,8 +257,8 @@ class ParallelCorunResult:
     def slowdown(self) -> float:
         """Wall-time inflation from sharing the LLC.
 
-        Unlike the single-core co-run, there is no time-slicing here:
-        every core is dedicated, so any slowdown IS cache contention.
+        There is no time-slicing: every core is dedicated, so any
+        slowdown IS cache contention.
         """
         if self.solo_wall_ns <= 0:
             raise ExperimentError(f"{self.name}: empty solo run")

@@ -39,7 +39,7 @@ from repro.obs.metrics import (
     ObsError,
     parse_prometheus_text,
 )
-from repro.obs.trace import TRACKS, SpanHandle, Tracer
+from repro.obs.trace import TRACKS, Tracer
 
 __all__ = [
     "NULL",
@@ -57,6 +57,5 @@ __all__ = [
     "ObsError",
     "parse_prometheus_text",
     "TRACKS",
-    "SpanHandle",
     "Tracer",
 ]

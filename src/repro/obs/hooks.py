@@ -50,7 +50,7 @@ from repro.obs.metrics import (
     SIZE_BUCKETS,
     MetricsRegistry,
 )
-from repro.obs.trace import SpanHandle, Tracer
+from repro.obs.trace import Tracer
 
 #: The counter families projected from each kind of registered counts:
 #: family name, the attribute it sums, help text.
@@ -421,20 +421,6 @@ class Recorder(NullRecorder):
         publisher = self.publisher
         if publisher is not None:
             publisher.publish(0, "quarantined")
-
-    # ------------------------------------------------------------------
-    # spans for ad-hoc callers (report tool, experiments)
-    # ------------------------------------------------------------------
-    def begin_span(self, name: str, track: str, start_ns: int,
-                   args: Optional[Dict[str, object]] = None
-                   ) -> Optional[SpanHandle]:
-        if self.tracer is None:
-            return None
-        return self.tracer.begin(name, track, start_ns, args)
-
-    def end_span(self, handle: Optional[SpanHandle], end_ns: int) -> None:
-        if handle is not None and self.tracer is not None:
-            self.tracer.end(handle, end_ns)
 
     # ------------------------------------------------------------------
     # the export view

@@ -55,27 +55,6 @@ _Event = Tuple[str, str, str, int, Optional[int], int, int,
                Optional[Dict[str, object]]]
 
 
-class SpanHandle:
-    """An open span; close it with :meth:`Tracer.end`.
-
-    Holding the start time on the handle (not a tracer-level stack)
-    means overlapping spans from interleaved simulated processes nest
-    correctly — Perfetto infers nesting from containment, not from
-    emission order.
-    """
-
-    __slots__ = ("name", "category", "start_ns", "tid", "args", "closed")
-
-    def __init__(self, name: str, category: str, start_ns: int, tid: int,
-                 args: Optional[Dict[str, object]]) -> None:
-        self.name = name
-        self.category = category
-        self.start_ns = start_ns
-        self.tid = tid
-        self.args = args
-        self.closed = False
-
-
 class Tracer:
     """Append-only trace event log for one run.
 
@@ -139,24 +118,6 @@ class Tracer:
         self._record((
             "X", name, category, start_ns, dur_ns, self.pid,
             TRACKS.get(track, 0), self._wall_args(args),
-        ))
-
-    def begin(self, name: str, track: str, start_ns: int,
-              args: Optional[Dict[str, object]] = None,
-              category: str = "obs") -> SpanHandle:
-        """Open a span; nothing is recorded until :meth:`end`."""
-        return SpanHandle(name, category, start_ns,
-                          TRACKS.get(track, 0), args)
-
-    def end(self, handle: SpanHandle, end_ns: int) -> None:
-        """Close ``handle``, recording the complete span.  Idempotent."""
-        if handle.closed:
-            return
-        handle.closed = True
-        self._record((
-            "X", handle.name, handle.category, handle.start_ns,
-            max(0, end_ns - handle.start_ns), self.pid, handle.tid,
-            self._wall_args(handle.args),
         ))
 
     # ------------------------------------------------------------------

@@ -70,10 +70,6 @@ class ScheduledEvent:
         if self._queue is not None:
             self._queue._note_cancelled()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else "pending"
         return f"ScheduledEvent({self.label!r} @ {self.when}ns, {state})"

@@ -245,11 +245,6 @@ class KLebModule(KernelModule):
             for cpu, cpu_kernel in enumerate(self._kernels)
         ]
 
-    def on_unload(self) -> None:
-        if self.collecting:
-            self._stop_collection()
-        self.timers = None
-
     @property
     def timer_misses_total(self) -> int:
         """Missed-deadline count across every armed timer (all cpus)."""

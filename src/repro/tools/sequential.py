@@ -6,13 +6,15 @@ for profiling (e.g., one run measures events A, B, C and D while the
 next measures events W, X, Y and Z); however, this methodology proves
 difficult when trying to perform online or runtime analysis."
 
-This module implements that offline methodology as a first-class
-helper: split the event list into the groups the counter scheduler
-places (:func:`repro.hw.schedule.plan_groups`), run the program
-once per group under any monitoring tool, and merge the totals.  The
-result is *precise* for deterministic (architectural) events — unlike
-perf's multiplexed estimates — at the cost of N complete executions,
-which is exactly the trade-off the paper describes.
+This module implements that offline methodology: split the event list
+into the groups the counter scheduler places
+(:func:`repro.hw.schedule.plan_groups`), run the program once per
+group under any monitoring tool, and merge the totals.  Every run uses
+the campaign's one seed, so every group counts the same execution and
+the merged totals are *precise* — unlike perf's multiplexed estimates —
+at the cost of N complete executions, which is exactly the trade-off
+the paper describes.  The multiplexing crosscheck
+(:mod:`repro.experiments.multiplex`) takes its ground truth from here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.errors import ToolError
 from repro.hw import schedule
 from repro.hw.machine import MachineConfig
 from repro.experiments.runner import TrialSummary, run_monitored, summarize_trial
-from repro.tools.base import MonitoringTool, ToolReport
+from repro.tools.base import MonitoringTool
 from repro.workloads.base import Program
 
 ToolFactory = Callable[[], MonitoringTool]
@@ -40,15 +42,6 @@ class SequentialProfile:
     runs: List[TrialSummary] = field(default_factory=list)
     groups: List[List[str]] = field(default_factory=list)
 
-    @property
-    def total_wall_ns(self) -> int:
-        """Aggregate machine time spent — the cost of precision."""
-        return sum(run.wall_ns for run in self.runs)
-
-    @property
-    def run_count(self) -> int:
-        return len(self.runs)
-
 
 def profile_sequentially(program: Program, tool_factory: ToolFactory,
                          events: Sequence[str],
@@ -60,8 +53,10 @@ def profile_sequentially(program: Program, tool_factory: ToolFactory,
 
     The runs are :func:`~repro.hw.schedule.plan_groups`' groups, so
     each run's events fit the counters their masks allow.  Each run
-    uses a fresh tool from ``tool_factory`` and a fresh seeded system;
-    fixed-counter events (INST_RETIRED, cycles) ride with the first
+    uses a fresh tool from ``tool_factory`` and a fresh system seeded
+    with ``seed``: every group sees the same execution, so a stochastic
+    event's total is the one a single run of its group would count.
+    Fixed-counter events (INST_RETIRED, cycles) ride with the first
     run, and a request made only of them takes one run.  Raises
     :class:`ToolError` for an empty event list.
     """
@@ -76,9 +71,9 @@ def profile_sequentially(program: Program, tool_factory: ToolFactory,
     for index, group in enumerate(groups):
         result = run_monitored(
             program, tool_factory(), events=group, period_ns=period_ns,
-            seed=seed + index, machine_config=machine_config,
+            seed=seed, machine_config=machine_config,
         )
-        runs.append(summarize_trial(result, trial=index, seed=seed + index))
+        runs.append(summarize_trial(result, trial=index, seed=seed))
         for name, value in result.report.totals.items():
             if name in group or (index == 0 and name not in totals):
                 totals[name] = value
@@ -88,24 +83,4 @@ def profile_sequentially(program: Program, tool_factory: ToolFactory,
         totals=totals,
         runs=runs,
         groups=groups,
-    )
-
-
-def merged_report(profile: SequentialProfile,
-                  period_ns: int) -> ToolReport:
-    """Package a sequential campaign as a single ToolReport.
-
-    Samples come from the first run (they cover the first event group
-    only — the methodology's inherent gap for time series).
-    """
-    first = profile.runs[0].report
-    return ToolReport(
-        tool=f"{profile.tool}+sequential",
-        events=list(profile.events),
-        period_ns=period_ns,
-        samples=first.samples,
-        totals=dict(profile.totals),
-        victim_wall_ns=first.victim_wall_ns,
-        victim_pid=first.victim_pid,
-        metadata={"sequential_runs": float(profile.run_count)},
     )

@@ -17,7 +17,6 @@ from repro.workloads.base import (
     BlockCursor,
     Program,
     ListProgram,
-    scale_rate_block,
 )
 from repro.workloads.linpack import LinpackWorkload
 from repro.workloads.matmul import TripleLoopMatmul
@@ -48,7 +47,6 @@ __all__ = [
     "BlockCursor",
     "Program",
     "ListProgram",
-    "scale_rate_block",
     "LinpackWorkload",
     "TripleLoopMatmul",
     "MklDgemm",

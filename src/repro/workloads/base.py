@@ -281,13 +281,6 @@ def user_probe(handler: Callable, label: str = "user-probe") -> SyscallBlock:
     return SyscallBlock(name=USER_PROBE, handler=handler, label=label)
 
 
-def scale_rate_block(block: RateBlock, factor: float) -> RateBlock:
-    """A copy of ``block`` with the instruction count scaled by ``factor``."""
-    if factor < 0:
-        raise WorkloadError("scale factor must be non-negative")
-    return replace(block, instructions=block.instructions * factor)
-
-
 class Program:
     """Base class for workload programs.
 
@@ -458,10 +451,6 @@ class BlockCursor:
     @property
     def op_index(self) -> int:
         return self._op_index
-
-    def remaining_ops(self) -> int:
-        block = self._require(TraceBlock)
-        return len(block.ops) - self._op_index
 
     def consume_ops(self, count: int) -> None:
         """Record that ``count`` memory ops of the current TraceBlock ran."""

@@ -171,11 +171,3 @@ def corpus_programs(instructions: float = 0.0) -> List[CorpusWorkload]:
     """Instantiate the whole corpus (optionally length-normalized)."""
     return [CorpusWorkload(name, instructions=instructions)
             for name in sorted(CORPUS_PROFILES)]
-
-
-def memory_bound_names() -> Tuple[str, ...]:
-    """Corpus programs whose LLC MPKI class is memory-intensive."""
-    return tuple(
-        name for name, profile in sorted(CORPUS_PROFILES.items())
-        if profile.rates.get("LLC_MISSES", 0.0) * 1000 > 10
-    )

@@ -134,7 +134,3 @@ class DockerEngine:
             raise WorkloadError(
                 f"unknown docker image {image!r} (known: {known})"
             ) from None
-
-    @staticmethod
-    def available_images() -> list:
-        return sorted(DOCKER_IMAGES)

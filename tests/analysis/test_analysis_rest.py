@@ -12,9 +12,9 @@ from repro.analysis.classify import (
     MPKI_THRESHOLD,
     WorkloadClass,
     classify_mpki,
-    classify_totals,
 )
 from repro.analysis.detection import detect_cache_anomaly, interval_mpki
+from repro.analysis.metrics import report_mpki
 from repro.analysis.overhead import (
     overhead_percent,
     relative_reduction_percent,
@@ -42,7 +42,8 @@ class TestClassify:
 
     def test_classify_totals(self):
         totals = {"LLC_MISSES": 27_530.0, "INST_RETIRED": 1_000_000.0}
-        assert classify_totals(totals) is WorkloadClass.MEMORY_INTENSIVE
+        assert (classify_mpki(report_mpki(totals))
+                is WorkloadClass.MEMORY_INTENSIVE)
 
 
 class TestOverhead:
@@ -219,4 +220,5 @@ class TestDetection:
         verdict = detect_cache_anomaly(
             make_delta_series(misses, references, [10_000] * 10)
         )
-        assert verdict.flagged_fraction == pytest.approx(0.5)
+        assert verdict.flagged_intervals == 5
+        assert verdict.total_intervals == 10

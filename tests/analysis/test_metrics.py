@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import gflops, ipc, miss_ratio, mpki, report_mpki
+from repro.analysis.metrics import gflops, mpki, report_mpki
 from repro.errors import ExperimentError
 
 
@@ -19,15 +19,6 @@ class TestMpki:
         assert mpki(10_000, 1_000_000) == 10.0
 
 
-class TestIpc:
-    def test_basic(self):
-        assert ipc(instructions=200, cycles=100) == 2.0
-
-    def test_zero_cycles_rejected(self):
-        with pytest.raises(ExperimentError):
-            ipc(1, 0)
-
-
 class TestGflops:
     def test_flops_per_ns_is_gflops(self):
         # 37.24e9 FLOPs in one second -> 37.24 GFLOPS.
@@ -36,14 +27,6 @@ class TestGflops:
     def test_zero_time_rejected(self):
         with pytest.raises(ExperimentError):
             gflops(1, 0)
-
-
-class TestMissRatio:
-    def test_basic(self):
-        assert miss_ratio(25, 100) == 0.25
-
-    def test_zero_references(self):
-        assert miss_ratio(0, 0) == 0.0
 
 
 class TestReportMpki:

@@ -4,69 +4,10 @@ import pytest
 
 from repro.apps.colocation import (
     ColocationPlan,
-    corun,
     plan_colocation,
     validate_plan,
 )
 from repro.errors import ExperimentError
-from repro.workloads.synthetic import (
-    PointerChaseWorkload,
-    StridedMemoryWorkload,
-    UniformComputeWorkload,
-)
-
-
-def cache_resident_service():
-    """LLC-resident pointer chase: fast alone, slow when evicted.
-
-    Long enough (~15 ms solo) to span several scheduler quanta, so a
-    co-runner actually interleaves with it.
-    """
-    return PointerChaseWorkload(working_set_bytes=6 * 1024 * 1024,
-                                accesses=800_000, seed=3,
-                                name="cache-service",
-                                address_base=0x1000_0000)
-
-
-def streamer():
-    """LLC-thrashing stream (the memory-intensive aggressor)."""
-    return StridedMemoryWorkload(buffer_bytes=64 * 1024 * 1024,
-                                 accesses=400_000, name="streamer",
-                                 address_base=0x8000_0000)
-
-
-def compute():
-    return UniformComputeWorkload(4e7, name="compute")
-
-
-class TestCorun:
-    def test_results_carry_names(self):
-        a, b = corun(compute(), compute())
-        assert a.name == "compute"
-        assert b.name == "compute"
-
-    def test_compute_pairs_have_no_cache_contention(self):
-        a, b = corun(compute(), compute())
-        assert a.contention_factor == pytest.approx(1.0, abs=1e-6)
-        assert b.contention_factor == pytest.approx(1.0, abs=1e-6)
-
-    def test_streamer_inflates_cache_resident_service(self):
-        """The Torres effect: a memory-intensive co-runner evicts the
-        service's working set, inflating its CPU time."""
-        with_streamer, _ = corun(cache_resident_service(), streamer())
-        with_compute, _ = corun(cache_resident_service(), compute())
-        assert with_streamer.contention_factor > \
-            with_compute.contention_factor + 0.02
-        assert with_streamer.contention_factor > 1.05
-
-    def test_compute_corunner_is_nearly_harmless(self):
-        service, _ = corun(cache_resident_service(), compute())
-        assert service.contention_factor < 1.05
-
-    def test_wall_time_reflects_time_sharing(self):
-        a, b = corun(compute(), compute())
-        # Two equal programs on one core: each waits for the other.
-        assert b.corun_wall_ns > 1.5 * b.corun_cpu_ns
 
 
 class TestPlanning:

@@ -26,32 +26,41 @@ def make_series(inst_per_interval, misses_per_interval, count=10,
 
 
 class TestIntervalPower:
+    """The event-energy model, one interval at a time."""
+
     def test_static_floor(self):
-        model = PowerModel()
-        watts = model.interval_power({}, interval_ns=1_000_000)
-        assert watts == DEFAULT_STATIC_WATTS
+        watts = PowerModel().power_series(make_series(0, 0))
+        assert np.all(watts == DEFAULT_STATIC_WATTS)
 
     def test_activity_adds_power(self):
         model = PowerModel()
-        idle = model.interval_power({}, 1_000_000)
-        busy = model.interval_power({"INST_RETIRED": 2.5e6}, 1_000_000)
-        assert busy > idle
+        idle = model.power_series(make_series(0, 0))
+        busy = model.power_series(make_series(2.5e6, 0))
+        assert np.all(busy > idle)
 
     def test_known_arithmetic(self):
         model = PowerModel(event_energy_nj={"INST_RETIRED": 1.0},
                            static_watts=10.0)
         # 1e6 instructions x 1 nJ over 1 ms = 1 mJ / 1 ms = 1 W dynamic.
-        watts = model.interval_power({"INST_RETIRED": 1e6}, 1_000_000)
-        assert watts == pytest.approx(11.0)
+        watts = model.power_series(make_series(1e6, 0))
+        assert watts == pytest.approx(np.full(10, 11.0))
 
     def test_invalid_interval(self):
-        with pytest.raises(ExperimentError):
-            PowerModel().interval_power({}, 0)
+        # A repeated timestamp is a zero-length interval: it reads the
+        # static floor instead of dividing by zero.
+        series = EventSeries(
+            np.array([1_000_000, 1_000_000], dtype=np.int64),
+            {"INST_RETIRED": np.array([1e6, 1e6])})
+        model = PowerModel(event_energy_nj={"INST_RETIRED": 1.0},
+                           static_watts=10.0)
+        assert model.power_series(series)[1] == 10.0
 
     def test_unknown_events_ignored(self):
         model = PowerModel(event_energy_nj={"INST_RETIRED": 1.0})
-        watts = model.interval_power({"MYSTERY": 1e9}, 1_000_000)
-        assert watts == model.static_watts
+        series = EventSeries(
+            np.arange(1, 4, dtype=np.int64) * 1_000_000,
+            {"MYSTERY": np.full(3, 1e9)})
+        assert np.all(model.power_series(series) == model.static_watts)
 
 
 class TestPowerSeries:

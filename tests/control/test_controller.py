@@ -151,10 +151,11 @@ class TestRecovery:
         ctrl = AdaptiveController(config(), nominal_period_ns=ms(1))
         feed = Feed(ctrl)
         feed.step(count=40, overhead=10.0)
-        assert not ctrl.at_nominal
+        assert ctrl.depth > 0
         feed.step(count=60, overhead=0.1)
-        assert ctrl.at_nominal
-        assert ctrl.period_ns == ms(1)
+        assert ctrl.depth == 0
+        assert not ctrl.boosted
+        assert ctrl.period_ns == ctrl.nominal_period_ns == ms(1)
         assert ctrl.skip_factor == 1
         assert ctrl.drain_max_items is None
         assert ctrl.ledger.count("recover") == ctrl.ledger.count("degrade")

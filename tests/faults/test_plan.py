@@ -88,7 +88,7 @@ class TestValidate:
 class TestTrialFate:
     def test_inert_plan_is_benign(self):
         plan = FaultPlan(seed=1)
-        assert plan.trial_fate(0).benign
+        assert plan.trial_fate(0).kind is None
 
     def test_deterministic_across_calls(self):
         plan = FaultPlan(seed=11, trial_crash_prob=0.4,

@@ -28,7 +28,6 @@ class TestFindGaps:
         gap = gaps[0]
         assert gap.start_ns == 3000 and gap.end_ns == 7000
         assert gap.missing == 3          # fires at 4000, 5000, 6000 lost
-        assert gap.span_ns == 4000
 
     def test_clean_series_has_no_gaps(self):
         timestamps = np.arange(1, 6, dtype=np.int64) * PERIOD

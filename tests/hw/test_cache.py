@@ -3,14 +3,19 @@
 import pytest
 
 from repro.errors import CacheConfigError
-from repro.hw.cache import (
-    CacheConfig,
-    CacheHierarchy,
-    CacheLevel,
-    standard_hierarchy,
-)
+from repro.hw.cache import CacheConfig, CacheHierarchy, CacheLevel
+from repro.hw.machine import Machine
+from repro.hw.presets import i7_920
+from repro.workloads.base import BlockCursor, ListProgram, MemOp, TraceBlock
 
 LINE = 64
+
+
+def standard_hierarchy():
+    """The i7-920's three levels: 32 KiB L1D, 256 KiB L2, 8 MiB LLC."""
+    config = i7_920()
+    return CacheHierarchy(config.cache_levels,
+                          memory_latency_cycles=config.memory_latency_cycles)
 
 
 def tiny_hierarchy():
@@ -82,20 +87,13 @@ class TestLevelLru:
         assert level.contains(63)   # same 64-byte line
         assert not level.contains(64)
 
-    def test_invalidate(self):
-        level = CacheLevel(CacheConfig("L1D", 4 * LINE, ways=2))
-        level.fill(0)
-        assert level.invalidate(0)
-        assert not level.contains(0)
-        assert not level.invalidate(0)  # second time: not present
-
     def test_occupancy(self):
         level = CacheLevel(CacheConfig("L1D", 4 * LINE, ways=2))
         assert level.occupancy == 0
         level.fill(0)
         level.fill(LINE)
         assert level.occupancy == 2
-        level.flush_all()
+        level.release()
         assert level.occupancy == 0
 
 
@@ -211,7 +209,7 @@ class TestStandardHierarchy:
     def test_flush_all(self):
         hierarchy = standard_hierarchy()
         hierarchy.access(0)
-        hierarchy.flush_all()
+        hierarchy.release()
         assert hierarchy.contains(0) is None
 
 
@@ -251,15 +249,12 @@ class TestFirstTouch:
     def test_cold_level_answers_empty_without_allocating(self):
         level = CacheLevel(CacheConfig("L", 8 * LINE, ways=2))
         assert not level.contains(0x40)
-        assert not level.invalidate(0x40)
         assert level.occupancy == 0
-        level.flush_all()
         assert level._sets == []
 
     def test_cold_hierarchy_answers_empty_without_allocating(self):
         hierarchy = standard_hierarchy()
         assert hierarchy.contains(0x40) is None
-        hierarchy.flush_all()
         assert hierarchy.cold
         assert allocated(hierarchy) == [0, 0, 0]
 
@@ -282,6 +277,45 @@ class TestFirstTouch:
         assert hierarchy.access(0).hit_level is None
         assert allocated(hierarchy) == [2, 4]
 
+    @pytest.mark.parametrize("touch", [
+        lambda cache: cache.access(0x3000),
+        lambda cache: cache.access_fast(0x3000),
+        lambda cache: cache.clflush(0x3000),
+    ], ids=["access", "access_fast", "clflush"])
+    def test_shared_llc_release_turns_every_holder_cold(self, touch):
+        """Releasing one hierarchy empties the LLC it shares; another
+        hierarchy on that LLC must see itself cold, not index an empty
+        set list."""
+        first = standard_hierarchy()
+        config = i7_920()
+        second = CacheHierarchy(
+            config.cache_levels[:-1],
+            memory_latency_cycles=config.memory_latency_cycles,
+            shared_llc=first.llc)
+        first.access(0x1000)
+        second.access(0x2000)
+        first.release()
+        assert second.cold
+        touch(second)
+        assert not second.cold
+        assert first.cold  # its private levels stay released
+        assert second.contains(0x2000) == "L1D"
+
+    def test_shared_llc_release_before_batch_replay(self):
+        """The same for a batch-replayed trace on a core whose LLC
+        another core's hierarchy released."""
+        shared = Machine(i7_920()).cache.llc
+        machines = [Machine(i7_920(), shared_llc=shared) for _ in range(2)]
+        for machine in machines:
+            machine.cache.access(0x1000)
+        machines[0].cache.release()
+        trace = TraceBlock(ops=tuple(MemOp(0x4000_0000 + index * LINE)
+                                     for index in range(256)))
+        cursor = BlockCursor(ListProgram("trace", [trace]))
+        machines[1].core.execute(cursor, 1_000_000_000)
+        assert cursor.finished
+        assert machines[1].cache.stats.misses["memory"] == 256
+
 
 class TestVersion:
     """``CacheLevel.version`` moves on every path that can change a
@@ -298,8 +332,6 @@ class TestVersion:
                 (lambda: level.lookup(0x40), True),      # hit: LRU order
                 (lambda: level.contains(0x40), False),
                 (lambda: level.occupancy, False),
-                (lambda: level.invalidate(0x40), True),
-                (lambda: level.flush_all(), True),
                 (lambda: level.release(), True)):
             before = level.version
             touch()
@@ -315,7 +347,6 @@ class TestVersion:
                 (lambda: hierarchy.access_fast(8 * LINE), [True, True]),
                 (lambda: hierarchy.contains(0), [False, False]),
                 (lambda: hierarchy.clflush(0), [True, True]),
-                (lambda: hierarchy.flush_all(), [True, True]),
                 (lambda: hierarchy.release(), [True, True])):
             before = self.versions(hierarchy)
             touch()

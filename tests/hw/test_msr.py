@@ -32,14 +32,3 @@ class TestReadWrite:
         msrs.write(MSR.IA32_TSC, 1 << 70)
         assert msrs.read(MSR.IA32_TSC) == 0
 
-
-class TestBitOps:
-    def test_set_bits(self, msrs):
-        msrs.write(MSR.IA32_PERF_GLOBAL_CTRL, 0b0001)
-        msrs.set_bits(MSR.IA32_PERF_GLOBAL_CTRL, 0b0110)
-        assert msrs.read(MSR.IA32_PERF_GLOBAL_CTRL) == 0b0111
-
-    def test_clear_bits(self, msrs):
-        msrs.write(MSR.IA32_PERF_GLOBAL_CTRL, 0b0111)
-        msrs.clear_bits(MSR.IA32_PERF_GLOBAL_CTRL, 0b0010)
-        assert msrs.read(MSR.IA32_PERF_GLOBAL_CTRL) == 0b0101

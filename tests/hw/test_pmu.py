@@ -129,7 +129,7 @@ class TestOverflow:
         _arm(pmu)
         pmu.wrmsr(MSR.IA32_PMC0, (1 << COUNTER_WIDTH_BITS) - 1)
         pmu.accumulate({"LOADS": 2}, "user")
-        assert pmu.rdmsr(MSR.IA32_PERF_GLOBAL_STATUS) & 1
+        assert pmu.msrs.read(MSR.IA32_PERF_GLOBAL_STATUS) & 1
 
     def test_overflow_interrupt_delivered_when_requested(self, pmu):
         delivered = []
@@ -200,7 +200,7 @@ class TestOverflowRearm:
         assert overflow == 1
         # The wrap is accounted exactly once.
         assert pmu.read_counters((0,))[2] == 0
-        assert not pmu.rdmsr(MSR.IA32_PERF_GLOBAL_STATUS) & 1
+        assert not pmu.msrs.read(MSR.IA32_PERF_GLOBAL_STATUS) & 1
 
     def test_read_counters_reports_nothing_without_a_wrap(self, pmu):
         _arm(pmu, index=0)
@@ -219,7 +219,7 @@ class TestOverflowRearm:
         pmu.accumulate({"LOADS": 2, "STORES": 2}, "user")
         assert pmu.read_counters((1,))[2] == 0b10
         # Counter 0's wrap is still latched for whoever reads it.
-        assert pmu.rdmsr(MSR.IA32_PERF_GLOBAL_STATUS) & 0b11 == 0b01
+        assert pmu.msrs.read(MSR.IA32_PERF_GLOBAL_STATUS) & 0b11 == 0b01
         assert pmu.read_counters((0, 1))[2] == 0b01
 
     def test_read_counters_rejects_an_invalid_slot(self, pmu):

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments import smp as smp_module
 from repro.experiments.runner import run_monitored
 from repro.hw.machine import Machine
-from repro.hw.presets import PRESETS, build, i7_920, xeon_8259cl
+from repro.hw.presets import PRESETS, i7_920, xeon_8259cl
 from repro.tools.registry import create_tool
 from repro.workloads.base import (BlockCursor, ListProgram, MemOp, RateBlock,
                                   TraceBlock)
@@ -34,15 +34,6 @@ class TestPresets:
         assert aws.cache_levels[1].size_bytes != local.cache_levels[1].size_bytes
         assert aws.cache_levels[2].size_bytes != local.cache_levels[2].size_bytes
         assert aws.frequency_hz != local.frequency_hz
-
-    def test_build_by_name(self):
-        machine = build("i7-920")
-        assert isinstance(machine, Machine)
-        assert machine.name == "i7-920"
-
-    def test_build_unknown_raises(self):
-        with pytest.raises(KeyError):
-            build("pentium-iii")
 
 
 class TestMachine:

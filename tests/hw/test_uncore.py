@@ -59,10 +59,10 @@ class TestTrafficAccounting:
     def test_misses_become_cas_reads(self):
         pmu = UncorePmu(writeback_fraction=0.0)
         pmu.advance_window(US, llc_misses=100, llc_lookups=400)
-        assert pmu.read_event("UNC_IMC_CAS_READS") == 100
-        assert pmu.read_event("UNC_IMC_CAS_WRITES") == 0
-        assert pmu.read_event("UNC_LLC_LOOKUPS") == 400
-        assert pmu.read_event("UNC_LLC_MISSES") == 100
+        assert pmu.totals()["UNC_IMC_CAS_READS"] == 100
+        assert pmu.totals()["UNC_IMC_CAS_WRITES"] == 0
+        assert pmu.totals()["UNC_LLC_LOOKUPS"] == 400
+        assert pmu.totals()["UNC_LLC_MISSES"] == 100
 
     def test_writeback_fraction_accumulates_exactly(self):
         # 0.3 of 10 reads is 3 writes per window — but carried through
@@ -71,8 +71,8 @@ class TestTrafficAccounting:
         pmu = UncorePmu(writeback_fraction=0.3)
         for _ in range(7):
             pmu.advance_window(US, llc_misses=10, llc_lookups=10)
-        assert pmu.read_event("UNC_IMC_CAS_READS") == 70
-        assert pmu.read_event("UNC_IMC_CAS_WRITES") == 21
+        assert pmu.totals()["UNC_IMC_CAS_READS"] == 70
+        assert pmu.totals()["UNC_IMC_CAS_WRITES"] == 21
 
     def test_negative_inputs_rejected(self):
         pmu = UncorePmu()
@@ -89,17 +89,13 @@ class TestTrafficAccounting:
 
 
 class TestWrapAccounting:
-    def test_counter_wraps_and_latches_overflow(self):
+    def test_counter_wraps(self):
         pmu = UncorePmu(writeback_fraction=0.0, counter_width_bits=8)
-        slot = pmu.slot_of("UNC_IMC_CAS_READS")
         pmu.advance_window(US, llc_misses=250, llc_lookups=0)
-        assert not pmu.consume_overflow(slot)
+        assert pmu.totals()["UNC_IMC_CAS_READS"] == 250
         pmu.advance_window(US, llc_misses=10, llc_lookups=0)
-        # 260 mod 256: wrapped value plus a sticky latch.
-        assert pmu.read_event("UNC_IMC_CAS_READS") == 4
-        assert pmu.consume_overflow(slot)
-        # The latch is consumed by reading it.
-        assert not pmu.consume_overflow(slot)
+        # 260 mod 256.
+        assert pmu.totals()["UNC_IMC_CAS_READS"] == 4
 
     def test_wrap_preserves_modular_count(self):
         pmu = UncorePmu(writeback_fraction=0.0, counter_width_bits=8)
@@ -107,7 +103,7 @@ class TestWrapAccounting:
         for _ in range(40):
             pmu.advance_window(US, llc_misses=37, llc_lookups=0)
             fed += 37
-        assert pmu.read_event("UNC_IMC_CAS_READS") == fed % 256
+        assert pmu.totals()["UNC_IMC_CAS_READS"] == fed % 256
 
 
 class TestBandwidth:
@@ -115,13 +111,15 @@ class TestBandwidth:
         pmu = UncorePmu(writeback_fraction=0.0)
         pmu.advance_window(US, llc_misses=1000, llc_lookups=1000)
         expected = 1000 * CACHE_LINE_BYTES * 1e9 / US
-        assert pmu.raw_bytes_per_sec == pytest.approx(expected)
+        # The first window seeds the EWMA with its raw bandwidth.
+        assert pmu.bandwidth_bytes_per_sec == pytest.approx(expected)
 
     def test_first_window_seeds_the_ewma(self):
         pmu = UncorePmu(writeback_fraction=0.0)
         assert pmu.bandwidth_bytes_per_sec == 0.0
         pmu.advance_window(US, llc_misses=500, llc_lookups=500)
-        assert pmu.bandwidth_bytes_per_sec == pmu.raw_bytes_per_sec
+        assert pmu.bandwidth_bytes_per_sec == pytest.approx(
+            500 * CACHE_LINE_BYTES * 1e9 / US)
 
     def test_ewma_converges_to_steady_state(self):
         """A step input converges geometrically: after n windows the
@@ -145,7 +143,7 @@ class TestBandwidth:
             pmu.advance_window(US, llc_misses=100, llc_lookups=100)
         baseline = pmu.bandwidth_bytes_per_sec
         pmu.advance_window(US, llc_misses=10_000, llc_lookups=10_000)
-        spike_raw = pmu.raw_bytes_per_sec
+        spike_raw = 10_000 * CACHE_LINE_BYTES * 1e9 / US
         smoothed = pmu.bandwidth_bytes_per_sec
         assert baseline < smoothed < spike_raw
         # One window moves the EWMA only alpha of the way.
@@ -159,4 +157,4 @@ class TestBandwidth:
         pmu.advance_window(0, llc_misses=50, llc_lookups=50)
         assert pmu.bandwidth_bytes_per_sec == before
         # The counts still land even when no time passed.
-        assert pmu.read_event("UNC_IMC_CAS_READS") == 150
+        assert pmu.totals()["UNC_IMC_CAS_READS"] == 150

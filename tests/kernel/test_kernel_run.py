@@ -194,7 +194,9 @@ class TestSyscalls:
         ]
         task = kernel.spawn(ListProgram("sys-heavy", kernel2_task_blocks))
         kernel.run_until_exit(task, deadline=seconds(1))
-        expected_syscall_ns = 100 * kernel.config.syscalls.total_ns("write")
+        costs = kernel.config.syscalls
+        expected_syscall_ns = 100 * (costs.entry_ns + costs.per_call_ns["write"]
+                                     + costs.exit_ns)
         assert task.wall_time_ns >= plain.wall_time_ns + expected_syscall_ns * 0.9
 
     def test_syscall_counts_tracked(self, kernel):

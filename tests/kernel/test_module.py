@@ -1,4 +1,4 @@
-"""Kernel module framework: load/unload lifecycle, ioctl dispatch."""
+"""Kernel module framework: loading, ioctl dispatch."""
 
 import pytest
 
@@ -16,9 +16,6 @@ class RecordingModule(KernelModule):
     def on_load(self, kernel):
         self.events.append("load")
 
-    def on_unload(self):
-        self.events.append("unload")
-
     def ioctl(self, command, argument=None):
         self.events.append(("ioctl", command, argument))
         return command
@@ -28,26 +25,14 @@ class TestLifecycle:
     def test_load_attaches_and_calls_hook(self, kernel):
         module = RecordingModule()
         kernel.load_module(module)
-        assert module.loaded
         assert module.kernel is kernel
         assert module.events == ["load"]
         assert kernel.get_module("recorder") is module
-
-    def test_unload_detaches_and_calls_hook(self, kernel):
-        module = RecordingModule()
-        kernel.load_module(module)
-        kernel.unload_module("recorder")
-        assert not module.loaded
-        assert module.events == ["load", "unload"]
 
     def test_double_load_rejected(self, kernel):
         kernel.load_module(RecordingModule())
         with pytest.raises(ModuleError):
             kernel.load_module(RecordingModule())
-
-    def test_unload_missing_rejected(self, kernel):
-        with pytest.raises(ModuleError):
-            kernel.unload_module("ghost")
 
     def test_get_missing_rejected(self, kernel):
         with pytest.raises(ModuleError):
@@ -57,13 +42,6 @@ class TestLifecycle:
         module = RecordingModule()
         with pytest.raises(ModuleError):
             module.kernel
-
-    def test_module_reload_after_unload(self, kernel):
-        module = RecordingModule()
-        kernel.load_module(module)
-        kernel.unload_module("recorder")
-        kernel.load_module(module)
-        assert module.loaded
 
 
 class TestDefaults:

@@ -29,11 +29,6 @@ class TestBasics:
         assert buffer.drain(2) == [0, 1]
         assert buffer.drain(10) == [2, 3, 4]
 
-    def test_free_space(self):
-        buffer = RingBuffer(4)
-        buffer.push(1)
-        assert buffer.free_space == 3
-
     def test_total_pushed_counts_accepted_only(self):
         buffer = RingBuffer(2)
         buffer.push(1)

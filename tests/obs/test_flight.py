@@ -127,8 +127,7 @@ class TestDump:
     def test_span_events_carry_duration(self):
         flight = FlightRecorder()
         tracer = Tracer(flight=flight, retain=False)
-        handle = tracer.begin("span", "hrtimer", 1000)
-        tracer.end(handle, 3000)
+        tracer.complete("span", "hrtimer", 1000, 2000)
         event = flight.dump("test")["tracks"]["hrtimer"][0]
         assert event["ph"] == "X"
         assert event["dur"] == pytest.approx(2.0)  # us

@@ -118,7 +118,7 @@ _HOOK_CALLS = (
 
 def _queue_state(queue: EventQueue):
     return (
-        sorted((when, seq, event.label, event.cancelled)
+        sorted((when, seq, event.label, event._cancelled)
                for when, seq, event in queue._heap),
         queue._live,
         queue._dead,

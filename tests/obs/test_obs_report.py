@@ -155,19 +155,6 @@ class TestRareHooks:
         recorder.trial_quarantined(trial=0, attempts=3)
         assert recorder.tracer is None
 
-    def test_ad_hoc_span_roundtrip(self, recorder):
-        handle = recorder.begin_span("phase", "engine", 1_000,
-                                     {"k": "v"})
-        assert handle is not None
-        recorder.end_span(handle, 4_000)
-        assert len(recorder.tracer) == 1
-
-    def test_ad_hoc_span_without_tracer(self):
-        recorder = hooks.Recorder(trace=False)
-        handle = recorder.begin_span("phase", "engine", 1_000)
-        assert handle is None
-        recorder.end_span(handle, 4_000)   # no-op, must not raise
-
 
 # ----------------------------------------------------------------------
 # Report tool

@@ -93,6 +93,7 @@ class TestCacheInvariants:
         hierarchy = small_hierarchy()
         for address in trace:
             hierarchy.access(address)
-        hierarchy.flush_all()
+        hierarchy.release()
+        assert hierarchy.cold
         for level in hierarchy.levels:
             assert level.occupancy == 0

@@ -159,7 +159,7 @@ class TestMatchesReferenceModel:
         queue.schedule(20, fired.append)
         queue.dispatch_due(15)
         handle.cancel()  # already fired: flag flips, counters untouched
-        assert handle.cancelled
+        assert handle._cancelled
         assert len(queue) == 1
         queue.dispatch_due(25)
         assert fired == [10, 20]

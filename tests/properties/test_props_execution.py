@@ -348,15 +348,14 @@ def apply_foreign(op, cores, tile):
         core.cache.access(_slot_address(op[1]), is_write=op[2])
     elif name == "clflush":
         core.cache.clflush(_slot_address(op[1]))
-    elif name == "invalidate":
-        core.cache.levels[op[2]].invalidate(_slot_address(op[1]))
-    elif name == "flush_all":
-        core.cache.flush_all()
+    elif name == "level-release":
+        # One level's sets go: the hierarchy is cold until its next
+        # touch, which brings back an empty level under warm ones.
+        core.cache.levels[op[1]].release()
     elif name == "release":
-        # This hierarchy goes cold until its next replay; the second
-        # one, whose L3 went with it, warms straight away.
+        # This hierarchy goes cold until its next replay, and so does
+        # the second one, whose L3 went with it.
         core.cache.release()
-        other.cache.warm()
     elif name == "replay-short":
         # Under 64 ops: the scalar path, through access_fast/clflush.
         kind = OpKind.FLUSH if op[2] else OpKind.LOAD
@@ -420,8 +419,7 @@ _foreign_ops = st.one_of(
     st.just(("none",)),
     st.tuples(st.just("access"), _slots, st.booleans()),
     st.tuples(st.just("clflush"), _slots),
-    st.tuples(st.just("invalidate"), _slots, st.integers(0, 2)),
-    st.just(("flush_all",)),
+    st.tuples(st.just("level-release"), st.integers(0, 2)),
     st.just(("release",)),
     st.tuples(st.just("replay-short"), _slots, st.booleans()),
     st.tuples(st.just("replay-long"), _slots),
@@ -471,8 +469,7 @@ class TestFlushFirstRounds:
                              ("replay-short", 2, False)),
         "replay-short-miss": (("none",), ("replay-short", 4, False)),
         "clflush": (("none",), ("clflush", 0)),
-        "invalidate": (("none",), ("invalidate", 0, 0)),
-        "flush_all": (("none",), ("flush_all",)),
+        "level-release": (("none",), ("level-release", 0)),
         "release": (("none",), ("release",)),
         "other-replay": (("none",), ("other-replay", 0)),
         "other-release": (("none",), ("other-release",)),

@@ -107,7 +107,7 @@ class TestReadCountersProperties:
     def test_one_read_equals_per_slot_reads(self, fixed, programmable,
                                             status, slots):
         """One ``read_counters`` call returns what ``rdpmc`` per counter
-        and ``rdmsr(IA32_PERF_GLOBAL_STATUS)`` return, then clears
+        and ``IA32_PERF_GLOBAL_STATUS`` return, then clears
         exactly the returned status bits."""
         pmu = Pmu()
         for address, value in zip((MSR.IA32_FIXED_CTR0, MSR.IA32_FIXED_CTR1,
@@ -124,4 +124,4 @@ class TestReadCountersProperties:
                              for index in range(NUM_FIXED)]
         assert values == [pmu.rdpmc(slot) for slot in slots]
         assert overflow == status & mask
-        assert pmu.rdmsr(MSR.IA32_PERF_GLOBAL_STATUS) == status & ~mask
+        assert pmu.msrs.read(MSR.IA32_PERF_GLOBAL_STATUS) == status & ~mask

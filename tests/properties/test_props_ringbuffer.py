@@ -392,19 +392,21 @@ class PerCpuLockstepMachine(RuleBasedStateMachine):
         percpu, reference = self.percpu, self.reference
         assert len(percpu) == sum(len(ring) for ring in reference)
         assert percpu.paused == any(ring.paused for ring in reference)
-        for counter in ("dropped", "total_pushed", "total_drained",
-                        "total_cleared", "pause_episodes",
-                        "effective_capacity"):
+        for counter in ("dropped", "pause_episodes", "effective_capacity"):
             assert getattr(percpu, counter) == sum(
+                getattr(ring, counter) for ring in reference), counter
+        for counter in ("total_pushed", "total_drained", "total_cleared"):
+            assert sum(getattr(ring, counter) for ring in percpu.rings) == sum(
                 getattr(ring, counter) for ring in reference), counter
 
     @invariant()
     def conservation_holds(self):
         percpu = self.percpu
-        assert percpu.total_pushed == (
-            percpu.total_drained + percpu.total_cleared + len(percpu)
-        )
-        assert percpu.total_pushed + percpu.dropped == self.offered
+        pushed, drained, cleared = (
+            sum(getattr(ring, counter) for ring in percpu.rings)
+            for counter in ("total_pushed", "total_drained", "total_cleared"))
+        assert pushed == drained + cleared + len(percpu)
+        assert pushed + percpu.dropped == self.offered
 
     @invariant()
     def per_cpu_episode_counts_in_lockstep(self):

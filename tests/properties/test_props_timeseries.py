@@ -73,7 +73,7 @@ class TestFindGapsProperties:
             # have been coalesced into one.
             assert left.end_ns < right.start_ns
         for gap in gaps:
-            assert gap.span_ns > 0
+            assert gap.end_ns > gap.start_ns
             assert gap.missing >= 1
 
     @given(_INTERVALS)
@@ -83,7 +83,7 @@ class TestFindGapsProperties:
         for gap in gaps:
             # A hole of N periods hides about N-1 fires; coalescing
             # sums per-interval estimates, so bound rather than pin.
-            assert gap.missing <= gap.span_ns / PERIOD
+            assert gap.missing <= (gap.end_ns - gap.start_ns) / PERIOD
             assert gap.missing >= 1
 
     def test_half_up_rounding_of_missing(self):

@@ -93,7 +93,7 @@ class TestCancellation:
         handle = queue.schedule(100, lambda when: None)
         handle.cancel()
         handle.cancel()
-        assert handle.cancelled
+        assert handle._cancelled
 
     def test_peek_skips_cancelled(self, queue):
         first = queue.schedule(100, lambda when: None)
@@ -145,7 +145,7 @@ class TestLiveCounter:
         handles[3].cancel()
         queue.dispatch_due(15)            # fires 10 and 15; 5 was cancelled
         expected = sum(1 for _when, _seq, event in queue._heap
-                       if not event.cancelled)
+                       if not event._cancelled)
         assert len(queue) == expected == 1
 
 
@@ -153,7 +153,7 @@ class TestClearCancelsHandles:
     def test_clear_cancels_outstanding_handles(self, queue):
         handle = queue.schedule(100, lambda when: None)
         queue.clear()
-        assert handle.cancelled
+        assert handle._cancelled
         assert len(queue) == 0
 
     def test_cleared_handle_cancel_is_safe(self, queue):

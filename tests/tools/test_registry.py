@@ -47,4 +47,4 @@ class TestNullTool:
         pmu = result.kernel.pmu
         from repro.hw.msr import MSR
 
-        assert pmu.rdmsr(MSR.IA32_PERF_GLOBAL_CTRL) == 0
+        assert pmu.msrs.read(MSR.IA32_PERF_GLOBAL_CTRL) == 0

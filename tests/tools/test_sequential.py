@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import ToolError
+from repro.experiments import multiplex
+from repro.experiments.runner import run_monitored
 from repro.tools.kleb import KLebTool
 from repro.tools.perf import PerfStatTool
-from repro.tools.sequential import merged_report, profile_sequentially
-from repro.sim.clock import ms
+from repro.tools.sequential import profile_sequentially
+from repro.sim.clock import ms, us
+from repro.workloads.matmul import TripleLoopMatmul
 from repro.workloads.synthetic import UniformComputeWorkload
 
 MANY_EVENTS = ("LOADS", "STORES", "BRANCHES", "ARITH_MUL",
@@ -23,7 +26,7 @@ def profile():
 
 class TestGrouping:
     def test_seven_events_need_two_runs(self, profile):
-        assert profile.run_count == 2
+        assert len(profile.runs) == 2
         assert profile.groups[0] == list(MANY_EVENTS[:4])
         assert profile.groups[1] == list(MANY_EVENTS[4:])
 
@@ -32,7 +35,7 @@ class TestGrouping:
             UniformComputeWorkload(1e6), KLebTool,
             ("LOADS", "LOADS", "STORES"), period_ns=ms(10),
         )
-        assert result.run_count == 1
+        assert len(result.runs) == 1
         assert result.events == ["LOADS", "STORES"]
 
     def test_runs_follow_the_counter_masks(self):
@@ -49,7 +52,7 @@ class TestGrouping:
             ("LOADS", "STORES", "BRANCHES", "ARITH_MUL", "INST_RETIRED"),
             period_ns=ms(10),
         )
-        assert result.run_count == 1
+        assert len(result.runs) == 1
         assert result.groups == [["INST_RETIRED", "LOADS", "STORES",
                                   "BRANCHES", "ARITH_MUL"]]
 
@@ -58,7 +61,7 @@ class TestGrouping:
             UniformComputeWorkload(1e6), KLebTool,
             ("INST_RETIRED", "CORE_CYCLES"), period_ns=ms(10),
         )
-        assert result.run_count == 1
+        assert len(result.runs) == 1
         assert result.totals["INST_RETIRED"] == pytest.approx(1e6, rel=1e-6)
 
     def test_empty_events_rejected(self):
@@ -83,7 +86,7 @@ class TestPrecision:
 
     def test_cost_is_n_full_runs(self, profile):
         single = profile.runs[0].wall_ns
-        assert profile.total_wall_ns > 1.8 * single
+        assert sum(run.wall_ns for run in profile.runs) > 1.8 * single
 
     def test_works_with_perf_stat_too(self):
         result = profile_sequentially(
@@ -91,16 +94,47 @@ class TestPrecision:
             ("LOADS", "STORES", "BRANCHES", "ARITH_MUL", "LLC_MISSES"),
             period_ns=ms(10), seed=3,
         )
-        assert result.run_count == 2
+        assert len(result.runs) == 2
         assert result.totals["LLC_MISSES"] == pytest.approx(
             5e7 * 0.0002, rel=1e-6
         )
 
 
-class TestMergedReport:
-    def test_report_packaging(self, profile):
-        report = merged_report(profile, period_ns=ms(10))
-        assert report.tool == "k-leb+sequential"
-        assert report.events == list(MANY_EVENTS)
-        assert report.metadata["sequential_runs"] == 2.0
-        assert report.totals == profile.totals
+class TestOneSeed:
+    """Every run of a campaign replays the same seeded execution."""
+
+    def test_every_run_uses_the_given_seed(self, profile):
+        assert [run.seed for run in profile.runs] == [0, 0]
+
+    def test_later_group_matches_a_single_run_on_the_seed(self):
+        """The second group's totals are the ones one run of that group
+        on ``seed`` counts.  BRANCHES on matmul moves with the seed (it
+        reads 16,777,216 on seed 0 and 16,777,215 on seed 1)."""
+        profile = profile_sequentially(
+            TripleLoopMatmul(256), KLebTool, multiplex.EVENTS,
+            period_ns=us(100), seed=0)
+        group = profile.groups[1]
+        assert "LLC_MISSES" in group
+        single = run_monitored(TripleLoopMatmul(256), KLebTool(),
+                               events=group, period_ns=us(100), seed=0)
+        assert {name: profile.totals[name] for name in group} == {
+            name: single.report.totals[name] for name in group}
+
+
+class TestMultiplexCrosscheck:
+    """``experiments.multiplex`` takes its ground truth from here."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return multiplex.run(n=128, rotation_periods_ns=(us(500),))
+
+    def test_truth_covers_every_event(self, result):
+        assert set(multiplex.EVENTS) <= set(result.truth)
+
+    def test_uniform_rate_events_are_exact(self, result):
+        errors = result.errors_percent[us(500)]
+        for name in ("LOADS", "STORES", "ARITH_MUL", "FP_OPS", "BRANCHES"):
+            assert f"{errors[name]:.3f}" == "0.000", name
+
+    def test_rotations_happen(self, result):
+        assert result.rotations[us(500)] > 0

@@ -12,7 +12,6 @@ from repro.workloads.base import (
     RateBlock,
     SyscallBlock,
     TraceBlock,
-    scale_rate_block,
     user_probe,
     USER_PROBE,
 )
@@ -42,16 +41,6 @@ class TestBlockValidation:
     def test_trace_block_zero_event_scale(self):
         with pytest.raises(WorkloadError):
             TraceBlock(ops=[], event_scale=0)
-
-    def test_scale_rate_block(self):
-        block = RateBlock(instructions=100, rates={"LOADS": 0.5})
-        scaled = scale_rate_block(block, 2.0)
-        assert scaled.instructions == 200
-        assert block.instructions == 100  # original untouched
-
-    def test_scale_negative_factor(self):
-        with pytest.raises(WorkloadError):
-            scale_rate_block(RateBlock(instructions=1), -1)
 
     def test_user_probe_uses_sentinel_name(self):
         block = user_probe(lambda k, t: None)
@@ -105,7 +94,6 @@ class TestBlockCursor:
         cursor = BlockCursor(ListProgram("p", [TraceBlock(ops=ops)]))
         cursor.consume_ops(2)
         assert cursor.op_index == 2
-        assert cursor.remaining_ops() == 1
         cursor.consume_ops(1)
         assert cursor.peek() is None
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.analysis.classify import WorkloadClass, classify_mpki
 from repro.apps.verification import SignatureDatabase, signature_from_report
 from repro.errors import WorkloadError
 from repro.experiments.runner import run_monitored
@@ -13,7 +14,6 @@ from repro.workloads.corpus import (
     CORPUS_PROFILES,
     CorpusWorkload,
     corpus_programs,
-    memory_bound_names,
 )
 
 EVENTS = ("LOADS", "STORES", "BRANCHES", "ARITH_MUL")
@@ -55,7 +55,10 @@ class TestCatalogue:
         assert all(program.instructions == 1e6 for program in programs)
 
     def test_memory_bound_subset(self):
-        names = memory_bound_names()
+        names = {
+            name for name, profile in CORPUS_PROFILES.items()
+            if classify_mpki(profile.rates.get("LLC_MISSES", 0.0) * 1000)
+            is WorkloadClass.MEMORY_INTENSIVE}
         assert "mcf-like" in names
         assert "lbm-like" in names
         assert "gcc-like" not in names

@@ -45,8 +45,6 @@ class TestImageCatalogue:
         with pytest.raises(WorkloadError):
             DockerEngine.image_profile("windows-xp")
 
-    def test_available_images_sorted(self):
-        assert DockerEngine.available_images() == sorted(DOCKER_IMAGES)
 
 
 class TestContainerWorkload:
