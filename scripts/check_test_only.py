@@ -5,15 +5,21 @@ Run in CI (and locally) as::
 
     PYTHONPATH=src python scripts/check_test_only.py
 
-Scans every function, class and method defined in ``src/`` and keeps
-the ones that real code reaches.  Real code is every Python file
+Scans every function, class and method defined in ``src/``, and every
+module-level assignment there, and keeps the ones that real code
+reaches.  Real code is every Python file
 outside ``tests/``: ``src/``, ``scripts/``, ``examples/`` and
 ``benchmarks/``.  A reference is a name or attribute read in one of
 those files, matched by its bare name, so a call through any object
 with a same-named method counts.  Reachability starts from module-level
 code and follows the references made inside each kept definition's
-body, so code that only a test-only definition calls is test-only too.
-An import, or a name listed in ``__all__``, is not a reference.
+body (or, for an assignment, in its value), so code that only a
+test-only definition calls is test-only too.  An import, or a name
+listed in ``__all__``, is not a reference.
+
+A ``src/`` module that imports a name it never reads fails as well
+(outside package ``__init__`` files, whose imports are re-exports).  A
+name read only in a string annotation counts as read.
 
 A definition nothing reaches fails the check unless the allowlist
 below names it with one of four reasons.  An allowlist entry fails the
@@ -61,7 +67,8 @@ ALLOWLIST: Dict[str, str] = {
 
 @dataclass
 class Definition:
-    """One function, class or method defined in ``src/``."""
+    """One function, class, method or module-level assignment defined
+    in ``src/``."""
 
     key: str
     name: str
@@ -81,6 +88,24 @@ def _reads(node: ast.AST) -> Iterable[str]:
 def _is_def(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef))
+
+
+def _assigned_names(node: ast.AST) -> List[str]:
+    """Names a module-level ``=`` or annotated assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        for element in ast.walk(target):
+            if (isinstance(element, ast.Name)
+                    and isinstance(element.ctx, ast.Store)):
+                names.append(element.id)
+    return [name for name in names
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def _module_name(path: Path, src: Path) -> str:
@@ -114,12 +139,57 @@ def _scan_file(path: Path, module: Optional[str],
                     current = Definition(key=".".join((module,) + child_scope),
                                          name=name, path=path)
                     definitions.append(current)
+            elif module is not None and not scope:
+                # A module-level assignment: every name it binds has
+                # the reads of its value.
+                refs: Set[str] = set()
+                for name in _assigned_names(child):
+                    current = Definition(key=f"{module}.{name}", name=name,
+                                         path=path, refs=refs)
+                    definitions.append(current)
             for read in _reads(child):
                 (current.refs if current is not None else roots).add(read)
             visit(child, current, child_scope,
                   recorded and isinstance(child, ast.ClassDef))
 
     visit(tree, None, (), False)
+
+
+def _annotation_reads(tree: ast.AST) -> Iterable[str]:
+    """Names read inside string annotations (``x: "CacheLevel"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                for inner in ast.walk(parsed):
+                    yield from _reads(inner)
+
+
+def unused_imports(path: Path) -> List[str]:
+    """Names ``path`` imports (in any scope) but never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: List[str] = []
+    read: Set[str] = set(_annotation_reads(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.extend(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names if alias.name != "*")
+        else:
+            read.update(_reads(node))
+    return [name for name in imported if name not in read]
 
 
 @dataclass
@@ -193,6 +263,12 @@ def check(root: Path = ROOT,
         what = ("only tests reach it" if definition.name in result.test_refs
                 else "nothing references it")
         problems.append(f"{definition.key} ({where}): {what}")
+    for path in sorted((root / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        where = path.relative_to(root)
+        for name in unused_imports(path):
+            problems.append(f"{where}: imports {name} but never reads it")
     return problems
 
 

@@ -13,7 +13,7 @@ and finds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.accuracy import accuracy_matrix, worst_difference
 from repro.errors import ToolUnsupportedError

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.overhead import OverheadStats, summarize_overhead
+from repro.analysis.overhead import summarize_overhead
 from repro.experiments.overhead_common import OVERHEAD_EVENTS, collect_tool_runs
 from repro.experiments.table2 import OverheadTableResult, render as _render
 from repro.faults import FaultPlan, RunLedger

@@ -15,7 +15,7 @@ from repro.hw.pmu import Pmu, CounterSnapshot, NUM_PROGRAMMABLE, NUM_FIXED
 from repro.hw.cache import CacheConfig, CacheLevel, CacheHierarchy, AccessResult
 from repro.hw.core import Core, ExecResult, ExecStop
 from repro.hw.machine import Machine, MachineConfig
-from repro.hw.presets import i7_920, xeon_8259cl, PRESETS
+from repro.hw.presets import i7_920, xeon_8259cl
 
 __all__ = [
     "Event",
@@ -44,5 +44,4 @@ __all__ = [
     "MachineConfig",
     "i7_920",
     "xeon_8259cl",
-    "PRESETS",
 ]

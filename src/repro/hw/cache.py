@@ -20,6 +20,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import CacheConfigError
 
 
+# Hit level of a flush op in a round profile (see
+# :meth:`CacheHierarchy.settle`); an access's is its level index, or
+# the number of levels for memory.
+FLUSHED = -1
+
+
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
@@ -82,6 +88,13 @@ class CacheLevel:
         # their LRU order, bumps it, so an unchanged version witnesses
         # that nothing touched this level in between.
         self.version = 0
+        # True once a second hierarchy holds this level (``shared_llc``);
+        # a shared level never carries a deferred round prefix.
+        self.shared = False
+        # The hierarchy whose deferred round prefix (see
+        # :meth:`CacheHierarchy.settle`) is not yet applied to these
+        # sets, or None.  Every read or write of the sets settles first.
+        self.pending: Optional["CacheHierarchy"] = None
 
     def allocate(self) -> None:
         """Fill the set storage in place, if this level is still cold."""
@@ -95,6 +108,8 @@ class CacheLevel:
 
     def lookup(self, address: int) -> bool:
         """Probe for ``address``; on hit, refresh LRU position."""
+        if self.pending is not None:
+            self.pending.settle()
         self.allocate()
         set_index, tag = self._locate(address)
         entries = self._sets[set_index]
@@ -108,6 +123,8 @@ class CacheLevel:
 
     def fill(self, address: int) -> Optional[int]:
         """Install the line for ``address``; return the evicted tag, if any."""
+        if self.pending is not None:
+            self.pending.settle()
         self.allocate()
         set_index, tag = self._locate(address)
         entries = self._sets[set_index]
@@ -121,6 +138,8 @@ class CacheLevel:
 
     def contains(self, address: int) -> bool:
         """Non-perturbing presence check (does not update LRU or stats)."""
+        if self.pending is not None:
+            self.pending.settle()
         if not self._sets:
             return False
         set_index, tag = self._locate(address)
@@ -128,12 +147,16 @@ class CacheLevel:
 
     def release(self) -> None:
         """Free the set storage; the next touch allocates it afresh."""
+        if self.pending is not None:
+            self.pending.settle()
         self._sets.clear()
         self.version += 1
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines currently cached (0 while cold)."""
+        if self.pending is not None:
+            self.pending.settle()
         return sum(len(entries) for entries in self._sets)
 
 
@@ -172,6 +195,9 @@ class CacheHierarchy:
             raise CacheConfigError("hierarchy needs at least one level")
         self.levels = [CacheLevel(config) for config in levels]
         if shared_llc is not None:
+            if shared_llc.pending is not None:
+                shared_llc.pending.settle()
+            shared_llc.shared = True
             self.levels.append(shared_llc)
         self.memory_latency_cycles = memory_latency_cycles
         self.prefetch_next_line = prefetch_next_line
@@ -200,6 +226,9 @@ class CacheHierarchy:
         # index, chain start, the three level versions after it); None
         # when there is none.  See ``repro.hw.core.Core._run_trace_batch``.
         self.chain: Optional[tuple] = None
+        # The round prefix that chain's last slice counted but did not
+        # write to the sets (see :meth:`settle`); None when there is none.
+        self.deferred: Optional[tuple] = None
 
     @property
     def cold(self) -> bool:
@@ -227,6 +256,56 @@ class CacheHierarchy:
             level.release()
         self.chain = None
 
+    def defer(self, record: Optional[tuple]) -> None:
+        """Set :attr:`deferred` to ``record`` (None drops it) and point
+        every level's ``pending`` at this hierarchy while it is set.
+
+        Only for the batch replay, and only on a hierarchy whose levels
+        no other hierarchy holds (no level is ``shared``).
+        """
+        self.deferred = record
+        owner = None if record is None else self
+        for level in self.levels:
+            level.pending = owner
+
+    def settle(self) -> None:
+        """Write the deferred round prefix to the sets, if there is one.
+
+        A batch slice that stops inside a repeated flush-first round
+        (``repro.hw.core.Core._run_trace_batch``) counts the round's
+        first ops but does not write them: the next slice of its chain
+        usually finishes the round, and a whole round leaves the sets as
+        it found them.  :attr:`deferred` is then (per-level set-index
+        and tag columns of the round, each op's hit level, op count);
+        which level an op of such a round hits is the same from any
+        starting state, so the hit levels say what each op writes.
+        Every other read or write of the sets settles first.  Settling
+        adds no statistics (the slice counted them), and it brings the
+        sets to the state the chain records, so :attr:`chain` stays
+        valid and the versions do not move.
+        """
+        deferred = self.deferred
+        if deferred is None:
+            return
+        self.defer(None)
+        columns, hit_levels, count = deferred
+        hit_levels = hit_levels[:count]
+        for index, (descriptor, (set_column, tag_column)) in enumerate(
+                zip(self._descriptors, columns)):
+            sets, ways = descriptor[4], descriptor[5]
+            for set_index, tag, hit in zip(set_column[:count],
+                                           tag_column[:count], hit_levels):
+                entries = sets[set_index]
+                if hit == FLUSHED:
+                    entries.pop(tag, None)
+                elif hit > index:
+                    # Missed this level: the line fills it, as MRU.
+                    if len(entries) >= ways:
+                        entries.popitem(last=False)
+                    entries[tag] = True
+                elif hit == index:
+                    entries.move_to_end(tag)
+
     def _prefetch(self, address: int) -> None:
         """Fill ``address``'s line into every level (no latency charged
         to the demand access — prefetches overlap with it)."""
@@ -251,6 +330,8 @@ class CacheHierarchy:
         every earlier level); ``LLC_MISSES`` counts those that also miss
         the LLC.  ``L1D_MISSES``/``L2_MISSES`` count per-level misses.
         """
+        if self.deferred is not None:
+            self.settle()
         if self.cold:
             self.warm()
         self.stats.accesses += 1
@@ -295,6 +376,8 @@ class CacheHierarchy:
         accumulate event counts themselves.  Used by the core's trace
         executor where per-access object construction dominates.
         """
+        if self.deferred is not None:
+            self.settle()
         if self.cold:
             self.warm()
         stats = self.stats
@@ -339,6 +422,8 @@ class CacheHierarchy:
 
     def clflush(self, address: int) -> None:
         """Flush one line from every level (the Flush+Reload primitive)."""
+        if self.deferred is not None:
+            self.settle()
         if self.cold:
             self.warm()
         self.stats.flushes += 1

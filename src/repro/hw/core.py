@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import weakref
-from collections import defaultdict
+from bisect import bisect_left
+from collections import OrderedDict, defaultdict
 from itertools import chain, repeat
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -30,7 +31,7 @@ from typing import Dict, Optional
 import numpy as _np
 
 from repro.errors import SimulationError
-from repro.hw.cache import CacheHierarchy
+from repro.hw.cache import FLUSHED, CacheHierarchy
 from repro.hw.pmu import Pmu
 from repro.workloads.base import (
     KIND_CODES,
@@ -76,17 +77,23 @@ class _TracePlan:
     (``Trace.plans``), so a plan is freed with its trace.
 
     ``period`` is the trace's round length when the trace is a tile of
-    a *flush-first* round, else 0.  ``round_counts`` is filled in at
-    replay, from the first round that runs whole inside one slice:
-    ``(flushes, l1 hits, l2 hits, l3 hits, l3 misses)`` of one round,
-    the same from any starting cache state (see
-    :meth:`Core._run_trace_batch`).
+    a *flush-first* round, else 0.  Such a plan carries the round's
+    *profile*, the same from any starting cache state (see
+    :meth:`Core._run_trace_batch`): ``round_levels``, each op's hit
+    level (``FLUSHED`` for a flush, else the level index, 3 for
+    memory), and ``round_prefix``, five prefix-sum columns over the
+    round's ops (flushes, l1 hits, l2 hits, l3 hits, l3 misses), each
+    ``period + 1`` long.  ``round_counts`` is their last row, one whole
+    round's counts.  ``cycle_prefixes`` caches the round's cycle prefix
+    per cost tuple (:func:`_round_cycle_prefix`).  All four are None
+    when ``period`` is 0.
     """
 
     __slots__ = (
         "kindcat", "seg_end", "flush_start", "flush_collapsed",
         "se1", "tg1", "se2", "tg2", "se3", "tg3",
-        "pre_store", "pre_flush", "guard_min", "period", "round_counts",
+        "pre_store", "pre_flush", "guard_min", "period",
+        "round_levels", "round_prefix", "round_counts", "cycle_prefixes",
         "__weakref__",
     )
 
@@ -223,7 +230,8 @@ def _trace_plan(trace: Trace, descriptors: tuple) -> _TracePlan:
     # memory than the whole check is worth.)
     period = trace.period
     plan.period = 0
-    plan.round_counts = None
+    plan.round_levels = plan.round_prefix = None
+    plan.round_counts = plan.cycle_prefixes = None
     if period:
         round_flushes = flushes[:period]
         first_access = (int(_np.argmin(round_flushes))
@@ -233,9 +241,79 @@ def _trace_plan(trace: Trace, descriptors: tuple) -> _TracePlan:
                 <= set(line[:first_access].tolist())
                 for line in (line1, line2, line3)):
             plan.period = period
+            _round_profile(plan, (_d1[5], _d2[5], _d3[5]))
 
     trace.plans[key] = plan
     return plan
+
+
+def _round_profile(plan: _TracePlan, ways: tuple) -> None:
+    """Fill the round profile of a flush-first ``plan``: replay its
+    first round on scratch sets (only those the round touches) that
+    start empty, recording each op's hit level and the prefix counts."""
+    columns = ((plan.se1, plan.tg1), (plan.se2, plan.tg2),
+               (plan.se3, plan.tg3))
+    scratch = ({}, {}, {})
+    hit_levels = []
+    row = [0, 0, 0, 0, 0]
+    rows = [tuple(row)]
+    for op in range(plan.period):
+        if plan.kindcat[op] == _CAT_FLUSH:
+            for (se, tg), sets in zip(columns, scratch):
+                sets.get(se[op], {}).pop(tg[op], None)
+            hit = FLUSHED
+            row[0] += 1
+        else:
+            hit = 3
+            for index, (se, tg) in enumerate(columns):
+                entries = scratch[index].setdefault(se[op], OrderedDict())
+                if tg[op] in entries:
+                    entries.move_to_end(tg[op])
+                    hit = index
+                    break
+            for index in range(hit):
+                se, tg = columns[index]
+                entries = scratch[index][se[op]]
+                if len(entries) >= ways[index]:
+                    entries.popitem(last=False)
+                entries[tg[op]] = True
+            row[1 + hit] += 1
+        hit_levels.append(hit)
+        rows.append(tuple(row))
+    plan.round_levels = hit_levels
+    plan.round_prefix = tuple(map(list, zip(*rows)))
+    plan.round_counts = rows[-1]
+    plan.cycle_prefixes = {}
+
+
+def _round_cycle_prefix(plan: _TracePlan, costs: tuple) -> list:
+    """Cycles before each op of ``plan``'s round (``period + 1``
+    entries), for ``costs`` = the cycles of a flush, an L1, L2 and L3
+    hit and a memory access; cached on the plan, because one plan
+    serves blocks of different ``cpi`` or ``instructions_per_op``."""
+    prefix = plan.cycle_prefixes.get(costs)
+    if prefix is None:
+        prefix = plan.cycle_prefixes[costs] = [
+            sum(count * cost for count, cost in zip(row, costs))
+            for row in zip(*plan.round_prefix)]
+    return prefix
+
+
+def _round_cut(cycle_prefix: list, first: int, period: int, base: int,
+               budget: float) -> int:
+    """The first op ``j >= first`` of a round that a slice at ``base +
+    cycle_prefix[first]`` cycles does not run, or ``period``.
+
+    The scalar loop runs an op iff the cycles before it are under
+    budget, so op ``j`` runs iff ``base + cycle_prefix[j] < budget``;
+    the bisection's float threshold is corrected to that exact test.
+    """
+    cut = bisect_left(cycle_prefix, budget - base, first, period)
+    while cut > first and base + cycle_prefix[cut - 1] >= budget:
+        cut -= 1
+    while cut < period and base + cycle_prefix[cut] < budget:
+        cut += 1
+    return cut
 
 
 class ExecStop(enum.Enum):
@@ -386,16 +464,27 @@ class Core:
         A guaranteed miss then only needs its flush at or after the
         chain start, and a resumed MRU run stays MRU.
 
-        A tile of a flush-first round (``plan.period``) adds a round's
-        counts instead of replaying it when the round before it ran
-        inside the chain and the budget admits all of it.  A round flushes
-        every line it accesses before its first access, so its hit/miss
-        counts are the same from any starting state (lines older than
-        the round are evicted before any line it inserted), and a round
-        replayed on the state the same round left behind evicts nothing
-        older and leaves that state exactly as it was, LRU order
-        included.  The counts come from the first round that runs whole
-        inside one slice; cycles are rebuilt from this block's costs.
+        A tile of a flush-first round (``plan.period``) counts a round
+        instead of replaying it when the round before it ran inside the
+        chain.  A round flushes every line it accesses before its first
+        access, so which level each of its ops hits is the same from any
+        starting state (lines older than the round are evicted before
+        any line it inserted): the plan's round profile holds those hit
+        levels and their prefix counts.  And a round replayed on the
+        state the same round left behind evicts nothing older and leaves
+        that state exactly as it was, LRU order included.  So at such a
+        boundary, whole rounds add the profile's last row while their
+        last op starts under budget, and op ``j`` of the round after
+        them runs iff ``cycles + C[j] < budget``, where ``C`` is the
+        round's cycle prefix for this block's costs; a bisection finds
+        the cut.  On a hierarchy that shares no level, the partial
+        round's prefix is counted but not written: the sets stay at the
+        boundary state and ``cache.deferred`` records the prefix.  A
+        slice that continues the chain takes the rest of the round from
+        the profile (the sets are then the boundary state again) or
+        extends the prefix; anything else that reads or writes the sets
+        applies the prefix's writes first (:meth:`CacheHierarchy.settle`).
+        A shared L3 replays the partial round op by op.
         """
         budget_cycles = self.ns_to_cycles(budget_ns)
         event_scale = int(block.event_scale)
@@ -427,11 +516,20 @@ class Core:
         se3, tg3 = plan.se3, plan.tg3
         pre_flush = plan.pre_flush
         period = plan.period
-        round_counts = plan.round_counts
-        # Round boundary at which this slice started recording a round's
-        # counts (None until it reaches one), and the counters there.
-        round_mark = None
-        mark = (0, 0, 0, 0)
+        if period:
+            pre_l1, pre_l2, pre_l3, pre_mem = plan.round_prefix[1:]
+            l1h_r, l2h_r, l3h_r, l3m_r = plan.round_counts[1:]
+            cycle_prefix = _round_cycle_prefix(plan, (
+                cost_flush, cost_mru, folded_cycles + lat2,
+                folded_cycles + lat3, cost_miss))
+            # A whole round runs iff its last op starts under budget.
+            last_op = cycle_prefix[period - 1]
+            round_cycles = cycle_prefix[period]
+        # Only a hierarchy whose L3 no other hierarchy holds defers.
+        defers = period and not level3.shared
+        # Ops of the round at p - deferred that this slice counted but
+        # did not write to the sets (see CacheHierarchy.settle).
+        deferred = 0
 
         cycles = 0
         l1h = l1m = l2h = l2m = l3h = l3m = 0
@@ -443,7 +541,27 @@ class Core:
             chain_start = chain[2]
         else:
             chain_start = start
+            cache.settle()
+        # Still set only when this slice continues its chain.
+        resumed = cache.deferred
         p = start
+        if resumed is not None:
+            # The sets hold the state at the round boundary start -
+            # offset: finish the round from the profile, or go on
+            # deferring if the budget ends inside it again.
+            offset = resumed[2]
+            cut = _round_cut(cycle_prefix, offset, period,
+                             -cycle_prefix[offset], budget_cycles)
+            cycles = cycle_prefix[cut] - cycle_prefix[offset]
+            l1h = pre_l1[cut] - pre_l1[offset]
+            l2h = pre_l2[cut] - pre_l2[offset]
+            l3h = pre_l3[cut] - pre_l3[offset]
+            l3m = pre_mem[cut] - pre_mem[offset]
+            l1m = l2h + l3h + l3m
+            l2m = l3h + l3m
+            p = start - offset + cut
+            if cut < period:
+                deferred = cut
         total = len(kindcat)
         while p < total and cycles < budget_cycles:
             cat = kindcat[p]
@@ -542,43 +660,41 @@ class Core:
                     if p >= e or cycles >= budget_cycles:
                         break
                 continue
-            if cat == _CAT_FLUSH and period and p % period == 0:
-                # A round boundary (a flush-first round starts with a
-                # flush).  Record a round that ran whole in this slice;
-                # replay a round whose predecessor ran in the chain as
-                # a counter sum while the budget admits all of it.
-                if round_counts is None:
-                    if p - period == round_mark:
-                        round_counts = plan.round_counts = (
-                            pre_flush[p] - pre_flush[round_mark],
-                            l1h - mark[0], l2h - mark[1],
-                            l3h - mark[2], l3m - mark[3])
-                    else:
-                        round_mark = p
-                        mark = (l1h, l2h, l3h, l3m)
-                if round_counts is not None and p - period >= chain_start:
-                    flushes_r, l1h_r, l2h_r, l3h_r, l3m_r = round_counts
-                    round_cycles = (flushes_r * cost_flush
-                                    + l1h_r * cost_mru
-                                    + l2h_r * (folded_cycles + lat2)
-                                    + l3h_r * (folded_cycles + lat3)
-                                    + l3m_r * cost_miss)
-                    if cycles + round_cycles < budget_cycles:
-                        rounds = 0
-                        while True:
-                            rounds += 1
-                            cycles += round_cycles
-                            p += period
-                            if (p >= total or cycles + round_cycles
-                                    >= budget_cycles):
-                                break
-                        l1h += rounds * l1h_r
-                        l1m += rounds * (l2h_r + l3h_r + l3m_r)
-                        l2h += rounds * l2h_r
-                        l2m += rounds * (l3h_r + l3m_r)
-                        l3h += rounds * l3h_r
-                        l3m += rounds * l3m_r
-                        continue
+            if (cat == _CAT_FLUSH and period and p % period == 0
+                    and p - period >= chain_start):
+                # A round boundary whose previous round ran in the chain
+                # (a flush-first round starts with a flush): add whole
+                # rounds as counts, then the partial round's prefix.
+                if cycles + last_op < budget_cycles:
+                    rounds = 0
+                    while True:
+                        rounds += 1
+                        cycles += round_cycles
+                        p += period
+                        if p >= total or cycles + last_op >= budget_cycles:
+                            break
+                    l1h += rounds * l1h_r
+                    l1m += rounds * (l2h_r + l3h_r + l3m_r)
+                    l2h += rounds * l2h_r
+                    l2m += rounds * (l3h_r + l3m_r)
+                    l3h += rounds * l3h_r
+                    l3m += rounds * l3m_r
+                if p >= total or cycles >= budget_cycles:
+                    continue
+                if defers:
+                    cut = _round_cut(cycle_prefix, 0, period, cycles,
+                                     budget_cycles)
+                    cycles += cycle_prefix[cut]
+                    l1h += pre_l1[cut]
+                    l1m += pre_l2[cut] + pre_l3[cut] + pre_mem[cut]
+                    l2h += pre_l2[cut]
+                    l2m += pre_l3[cut] + pre_mem[cut]
+                    l3h += pre_l3[cut]
+                    l3m += pre_mem[cut]
+                    p += cut
+                    deferred = cut
+                    continue
+                # A shared L3 replays the partial round op by op.
             # Run segment: take as many ops as the budget admits.  The
             # scalar loop checks ``cycles < budget`` *before* each op,
             # so op k of the run executes iff cycles + k*cost is under
@@ -626,6 +742,11 @@ class Core:
         level3.version += 1
         cache.chain = (weakref.ref(plan), p, chain_start, level1.version,
                        level2.version, level3.version)
+        if deferred:
+            cache.defer((((se1, tg1), (se2, tg2), (se3, tg3)),
+                         plan.round_levels, deferred))
+        elif resumed is not None:
+            cache.defer(None)
         pre_store = plan.pre_store
         n_flush = pre_flush[p] - pre_flush[start]
         n_access = ops_done - n_flush

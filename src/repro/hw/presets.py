@@ -9,8 +9,6 @@ reproduce exactly that: same core model, different cache geometry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 from repro.hw.cache import CacheConfig
 from repro.hw.machine import MachineConfig
 
@@ -42,9 +40,3 @@ def xeon_8259cl() -> MachineConfig:
         ],
         memory_latency_cycles=220,
     )
-
-
-PRESETS: Dict[str, Callable[[], MachineConfig]] = {
-    "i7-920": i7_920,
-    "xeon-8259cl": xeon_8259cl,
-}

@@ -6,10 +6,10 @@ the same simulated machine/kernel substrate and is charged for every
 action it takes, so overhead comparisons are mechanism-driven.
 """
 
+from repro.samples import Sample
 from repro.tools.base import (
     CounterGate,
     MonitoringTool,
-    Sample,
     SampleColumns,
     Session,
     ToolReport,

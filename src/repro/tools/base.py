@@ -38,7 +38,7 @@ from repro.hw.pmu import NUM_PROGRAMMABLE
 from repro.kernel.kernel import Kernel
 from repro.kernel.kprobes import ProbePoint
 from repro.kernel.process import Task
-from repro.samples import Sample, SampleColumns  # noqa: F401 (re-exported)
+from repro.samples import SampleColumns
 from repro.workloads.base import Program
 
 

@@ -22,7 +22,7 @@ counter-based tools exist at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.errors import ToolError
 from repro.kernel.kernel import Kernel
@@ -32,7 +32,6 @@ from repro.workloads.base import (
     Block,
     Program,
     RateBlock,
-    SyscallBlock,
     TraceBlock,
     user_probe,
 )

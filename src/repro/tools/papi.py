@@ -24,7 +24,6 @@ from repro.tools.readpoint import (
     DEFAULT_FREQUENCY_HZ,
     ReadPointRuntime,
     ReadPointTool,
-    instrumentation_interval,  # noqa: F401 (re-exported)
 )
 from repro.workloads.base import Block, RateBlock, SyscallBlock
 

@@ -129,20 +129,42 @@ def reference_plan(trace, descriptors) -> Dict[str, object]:
     }
 
 
-def reference_round_counts(trace, descriptors):
-    """``_TracePlan.round_counts`` of a flush-first tile: one round
-    replayed op by op through a fresh hierarchy of this geometry."""
-    levels = [descriptor[0].config for descriptor in descriptors]
-    cache = CacheHierarchy(levels, memory_latency_cycles=200)
-    for address, kind in zip(trace.addresses[:trace.period].tolist(),
-                             trace.kinds[:trace.period].tolist()):
+def reference_round_profile(trace, descriptors, prefill=False):
+    """``(round_levels, round_prefix)`` of a flush-first tile: one round
+    replayed op by op through a hierarchy of this geometry, from empty
+    or (``prefill``) with every set the round touches full, of the
+    round's own lines and of others in the same sets."""
+    configs = [descriptor[0].config for descriptor in descriptors]
+    cache = CacheHierarchy(configs, memory_latency_cycles=200)
+    addresses = trace.addresses[:trace.period].tolist()
+    kinds = trace.kinds[:trace.period].tolist()
+    if prefill:
+        # A multiple of every level's set span: the same set everywhere.
+        span = max(config.num_sets * config.line_bytes for config in configs)
+        ways = max(config.ways for config in configs)
+        for copy in range(ways, -1, -1):
+            for address in addresses:
+                cache.access(address + copy * span)
+    hit_levels = []
+    rows = [(0, 0, 0, 0, 0)]
+    for address, kind in zip(addresses, kinds):
+        row = list(rows[-1])
         if kind == FLUSH:
             cache.clflush(address)
+            hit_levels.append(-1)
+            row[0] += 1
         else:
-            cache.access_fast(address)
-    hits = [level.hits for level in cache.levels]
-    return (cache.stats.flushes, hits[0], hits[1], hits[2],
-            cache.levels[2].misses)
+            hit = cache.access_fast(address)
+            hit_levels.append(hit)
+            row[1 + hit] += 1
+        rows.append(tuple(row))
+    return hit_levels, [list(column) for column in zip(*rows)]
+
+
+def reference_round_counts(trace, descriptors):
+    """``_TracePlan.round_counts``: one round's counts."""
+    _levels, prefix = reference_round_profile(trace, descriptors)
+    return tuple(column[-1] for column in prefix)
 
 
 def split_lines_geometry():
@@ -177,13 +199,24 @@ def assert_plan_matches(ops, descriptors):
     expected = reference_plan(trace, descriptors)
     assert _trace_plan(trace, descriptors) is plan  # kept on the trace
     for slot in _TracePlan.__slots__:
-        if slot not in ("__weakref__", "round_counts"):
+        if slot not in ("__weakref__",) + ROUND_PROFILE:
             assert getattr(plan, slot) == expected[slot], slot
-    # Filled in by replay, not by the compiler (a memoized tile may
-    # already have been replayed).
-    assert plan.round_counts in (None, reference_round_counts(
-        trace, descriptors))
+    if not plan.period:
+        assert all(getattr(plan, slot) is None for slot in ROUND_PROFILE)
+        return plan
+    # The profile is the same from any start state: an empty cache, and
+    # one whose sets the round touches are full.
+    for prefill in (False, True):
+        hit_levels, prefix = reference_round_profile(trace, descriptors,
+                                                     prefill)
+        assert plan.round_levels == hit_levels
+        assert list(plan.round_prefix) == prefix
+    assert plan.round_counts == reference_round_counts(trace, descriptors)
     return plan
+
+
+ROUND_PROFILE = ("round_levels", "round_prefix", "round_counts",
+                 "cycle_prefixes")
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
@@ -347,6 +380,33 @@ def test_flush_first_tile_gets_its_period(geometry):
     tile = FLUSH_FIRST * 12
     assert tile.period == len(FLUSH_FIRST)
     assert assert_plan_matches(tile, GEOMETRIES[geometry]).period == 13
+
+
+flush_first_rounds = st.lists(st.integers(0, 9), min_size=1, max_size=6,
+                              unique=True).flatmap(
+    lambda flushed: st.tuples(st.just(flushed), st.lists(
+        st.tuples(st.sampled_from(flushed), st.sampled_from((0, 8, 40)),
+                  st.booleans()),
+        max_size=24)))
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@settings(max_examples=40, deadline=None)
+@given(round_spec=flush_first_rounds)
+def test_round_profile_equals_reference(geometry, round_spec):
+    """Probes a page apart and 64 bytes apart, so rounds hit every
+    level and evict within a round; ``assert_plan_matches`` checks the
+    profile from an empty and from a full start state."""
+    flushed, accesses = round_spec
+    address = (lambda slot: 0x4000_0000 + (slot % 5) * 4096
+               + (slot // 5) * LINE)
+    tile = (Trace([address(slot) for slot in flushed], OpKind.FLUSH)
+            + Trace.from_ops([(address(slot) + offset,
+                               OpKind.STORE if store else OpKind.LOAD)
+                              for slot, offset, store in accesses])) * 4
+    plan = assert_plan_matches(tile, GEOMETRIES[geometry])
+    assert plan.period == (0 if geometry == "split_lines" and any(
+        offset == 40 for _, offset, _ in accesses) else len(tile) // 4)
 
 
 def test_meltdown_tile_period_and_round_counts():

@@ -13,10 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.cache import CacheConfig, CacheHierarchy, CacheLevel
 from repro.hw.core import Core, ExecStop, _trace_plan
+from repro.hw.machine import Machine
 from repro.hw.pmu import Pmu, RDPMC_FIXED_FLAG
+from repro.hw.presets import i7_920
 from repro.workloads.base import (KIND_CODES, BlockCursor, ListProgram,
                                   MemOp, OpKind, RateBlock, Trace,
                                   TraceBlock)
+from repro.workloads.meltdown import _flush_reload_tile
 
 LINE = 64
 
@@ -290,25 +293,38 @@ def _slot_address(slot):
     return slot * LINE if slot < 6 else 0x400_0000 + slot * 4096
 
 
+def make_counting_core(cache, force_generic):
+    """A 1 GHz core on ``cache`` whose PMU counts loads, LLC and L1
+    misses and flushes; with ``force_generic``, only the scalar path."""
+    pmu = Pmu()
+    for index, event in enumerate(("LOADS", "LLC_MISSES", "L1D_MISSES",
+                                   "CACHE_FLUSHES")):
+        pmu.program_counter(index, event, user=True, kernel=True)
+    pmu.enable_fixed(user=True, kernel=True)
+    pmu.global_enable()
+    core = Core(frequency_hz=1e9, pmu=pmu, cache=cache)
+    if force_generic:
+        core._integer_latencies = lambda: False
+        core._run_trace_batch = None  # fails loudly if it is reached
+    return core
+
+
 def make_sharing_cores(force_generic):
     """Two cores whose private L1/L2 sit on one shared L3."""
     shared = CacheLevel(_L3)
-    cores = []
-    for _ in range(2):
-        pmu = Pmu()
-        for index, event in enumerate(("LOADS", "LLC_MISSES", "L1D_MISSES",
-                                       "CACHE_FLUSHES")):
-            pmu.program_counter(index, event, user=True, kernel=True)
-        pmu.enable_fixed(user=True, kernel=True)
-        pmu.global_enable()
-        cache = CacheHierarchy([_L1, _L2], memory_latency_cycles=100,
-                               shared_llc=shared)
-        core = Core(frequency_hz=1e9, pmu=pmu, cache=cache)
-        if force_generic:
-            core._integer_latencies = lambda: False
-            core._run_trace_batch = None  # fails loudly if it is reached
-        cores.append(core)
-    return cores
+    return [make_counting_core(CacheHierarchy([_L1, _L2],
+                                              memory_latency_cycles=100,
+                                              shared_llc=shared),
+                               force_generic)
+            for _ in range(2)]
+
+
+def make_private_core(force_generic):
+    """One core on a hierarchy that shares no level: the batch path may
+    defer a partial round's writes."""
+    return make_counting_core(CacheHierarchy([_L1, _L2, _L3],
+                                             memory_latency_cycles=100),
+                              force_generic)
 
 
 def flush_first_tile(flushed, accesses, repeats):
@@ -348,6 +364,8 @@ def apply_foreign(op, cores, tile):
         core.cache.access(_slot_address(op[1]), is_write=op[2])
     elif name == "clflush":
         core.cache.clflush(_slot_address(op[1]))
+    elif name == "contains":
+        core.cache.contains(_slot_address(op[1]))
     elif name == "level-release":
         # One level's sets go: the hierarchy is cold until its next
         # touch, which brings back an empty level under warm ones.
@@ -378,23 +396,29 @@ def apply_foreign(op, cores, tile):
         other.cache.warm()
 
 
+def counters(core):
+    """The core's counters and its cache statistics (reads no set)."""
+    cache = core.cache
+    return (
+        tuple(core.pmu.rdpmc(index) for index in range(4)),
+        tuple(core.pmu.rdpmc(RDPMC_FIXED_FLAG | index) for index in range(3)),
+        (cache.stats.accesses, dict(cache.stats.hits),
+         dict(cache.stats.misses), cache.stats.flushes),
+        tuple((level.hits, level.misses) for level in cache.levels),
+    )
+
+
+def set_contents(core):
+    """Each level's sets with their tags in LRU order, read directly (a
+    deferred round prefix stays unapplied)."""
+    return tuple(tuple(tuple(entries) for entries in level._sets)
+                 for level in core.cache.levels)
+
+
 def snapshot(cores):
     """Every observable of both cores: counters, cache statistics and
     each level's sets with their tags in LRU order."""
-    state = []
-    for core in cores:
-        cache = core.cache
-        state.append((
-            tuple(core.pmu.rdpmc(index) for index in range(4)),
-            tuple(core.pmu.rdpmc(RDPMC_FIXED_FLAG | index)
-                  for index in range(3)),
-            (cache.stats.accesses, dict(cache.stats.hits),
-             dict(cache.stats.misses), cache.stats.flushes),
-            tuple((level.hits, level.misses,
-                   tuple(tuple(entries) for entries in level._sets))
-                  for level in cache.levels),
-        ))
-    return state
+    return [(counters(core), set_contents(core)) for core in cores]
 
 
 def run_with_foreign(trace, ipo, steps, force_generic):
@@ -563,3 +587,149 @@ class TestRoundsAreCounted:
         assert chained.cache.levels[0].misses == 50 * 12
         assert broken_inserts == 50 * self.ROUND_INSERTS
         assert inserts < 50 * self.ROUND_INSERTS * 3 // 4
+
+
+# ---------------------------------------------------------------------------
+# A private hierarchy: partial rounds at slice edges are deferred
+# ---------------------------------------------------------------------------
+
+def run_private(trace, ipo, steps, force_generic):
+    """Replay ``trace`` on a private hierarchy one budget at a time, with
+    each step's foreign op after its slice.  Logs the counters after
+    every slice without settling, the set contents after every foreign
+    op (which must have settled) and at program end."""
+    core = make_private_core(force_generic)
+    cursor = BlockCursor(ListProgram("tile", [TraceBlock(
+        ops=trace, instructions_per_op=float(ipo))]))
+    log = []
+    for budget, op in steps + [(10_000_000, ("none",))] * 2:
+        result = core.execute(cursor, budget)
+        log.append((result.consumed_ns, result.instructions, result.stop,
+                    counters(core)))
+        if op[0] != "none":
+            apply_foreign(op, (core, None), trace)
+            if op[0] == "same-tile":
+                # The twin's slice may defer a prefix of its own.
+                core.cache.settle()
+            assert core.cache.deferred is None
+            log.append((op, counters(core), set_contents(core)))
+    core.cache.settle()
+    log.append(set_contents(core))
+    return log
+
+
+_private_foreign_ops = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("access"), _slots, st.booleans()),
+    st.tuples(st.just("clflush"), _slots),
+    st.tuples(st.just("contains"), _slots),
+    st.tuples(st.just("level-release"), st.integers(0, 2)),
+    st.just(("release",)),
+    st.tuples(st.just("replay-short"), _slots, st.booleans()),
+    st.tuples(st.just("replay-long"), _slots),
+    st.tuples(st.just("same-tile"), st.integers(50, 8_000)),
+)
+_private_steps = st.lists(
+    st.tuples(st.integers(50, 8_000), _private_foreign_ops), max_size=16)
+
+
+class TestDeferredRoundPrefix:
+    @given(_flush_first_rounds, st.integers(2, 12), st.integers(0, 4),
+           _private_steps)
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_generic_with_foreign_activity(
+            self, round_spec, repeats, ipo, steps):
+        """On a private hierarchy, batch replay (counted rounds and
+        deferred round prefixes included) equals the per-op reference:
+        counters and statistics after every slice, and the sets after
+        every foreign op and at program end."""
+        trace = flush_first_tile(*round_spec, repeats)
+        assert (run_private(trace, ipo, steps, force_generic=False)
+                == run_private(trace, ipo, steps, force_generic=True))
+
+    # Slots 0, 2 and 4 share one L1 set (2 ways): the third load hits
+    # and makes slot 0 MRU again, so the fourth evicts slot 2.  A round
+    # costs 3 flushes at 44 cycles, 3 memory reads at 104 and one L1
+    # hit at 8 (ipo 4, 1 GHz).
+    REORDER = ([0, 2, 4], [(0, 0, False), (2, 0, False), (0, 8, False),
+                           (4, 0, False)])
+    ROUND_NS = 3 * 44 + 3 * 104 + 8
+    # Foreign ops that read or write the sets, each landing after a
+    # slice that stops at every point of the third round in turn.
+    TOUCHES = {
+        "access": ("access", 2, False),
+        "clflush": ("clflush", 0),
+        "contains": ("contains", 1),
+        "level-release": ("level-release", 1),
+        "release": ("release",),
+        "replay-short": ("replay-short", 4, False),
+        "replay-long": ("replay-long", 0),
+        "same-tile": ("same-tile", 650),
+    }
+
+    @pytest.mark.parametrize("touch", sorted(TOUCHES))
+    def test_touch_after_a_deferred_prefix(self, touch):
+        """The first slice runs two rounds (the second is counted) and
+        stops inside the third, so its prefix is deferred; the touch
+        must settle it before it reads or writes the sets."""
+        trace = flush_first_tile(*self.REORDER, 40)
+        op = self.TOUCHES[touch]
+        for budget in range(2 * self.ROUND_NS + 1, 3 * self.ROUND_NS, 4):
+            steps = [(budget, op), (self.ROUND_NS + 100, op)]
+            assert (run_private(trace, 4, steps, force_generic=False)
+                    == run_private(trace, 4, steps, force_generic=True))
+
+
+class TestPartialRoundsAreDeferred:
+    """Guards against the private-hierarchy tests going vacuous: on the
+    Meltdown tile at 100 us slices, only the first round writes the
+    sets."""
+
+    @staticmethod
+    def _machine_core(force_generic):
+        machine = Machine(i7_920())
+        if force_generic:
+            machine.core._integer_latencies = lambda: False
+        return machine.core
+
+    def test_only_the_first_round_inserts(self):
+        tile = _flush_reload_tile(0x4000_0000, 4096, 83, 40)
+        core = self._machine_core(force_generic=False)
+        _count_inserts(core)
+        cursor = BlockCursor(ListProgram("tile", [TraceBlock(ops=tile)]))
+        slice_inserts, deferred = [], 0
+        while True:
+            before = _CountingSet.inserts
+            result = core.execute(cursor, 100_000)
+            slice_inserts.append(_CountingSet.inserts - before)
+            deferred += core.cache.deferred is not None
+            if result.stop is ExecStop.PROGRAM_DONE:
+                break
+        plan = _trace_plan(tile, core.cache._descriptors)
+        assert len(slice_inserts) > 5 and deferred >= len(slice_inserts) - 2
+        # The first slice replays round 0 (three levels' fills, bar the
+        # transient line's L3 hit) and counts the rest.
+        assert slice_inserts[0] == 3 * 256 + 2 * 1
+        assert slice_inserts[1:] == [0] * (len(slice_inserts) - 1)
+        assert core.cache.levels[2].misses == 40 * plan.round_counts[4]
+
+    def test_contains_after_a_deferred_slice_matches_generic(self):
+        tile = _flush_reload_tile(0x4000_0000, 4096, 83, 40)
+        probes = [0x4000_0000 + index * 4096 for index in range(256)]
+
+        def observe(force_generic):
+            core = self._machine_core(force_generic)
+            cursor = BlockCursor(ListProgram("tile", [TraceBlock(ops=tile)]))
+            seen = []
+            while core.execute(cursor,
+                               100_000).stop is not ExecStop.PROGRAM_DONE:
+                deferred = core.cache.deferred is not None
+                seen.append((deferred, [core.cache.contains(address)
+                                        for address in probes]))
+                assert core.cache.deferred is None
+            return seen
+
+        batch = observe(force_generic=False)
+        assert any(deferred for deferred, _ in batch)
+        assert [lines for _, lines in batch] == [
+            lines for _, lines in observe(force_generic=True)]

@@ -126,3 +126,69 @@ class TestStaleAllowlist:
                      "pkg.mod.gone": check_test_only.DOCUMENTED}
         problems = check_test_only.check(tree(tmp_path), allowlist)
         assert problems == ["pkg.mod.gone: allowlisted but no longer defined"]
+
+
+class TestModuleAssignments:
+    CONSTANTS = '''
+        from pkg.mod import helper, inner
+
+        LIMIT = 3
+        TABLE = {"inner": inner}
+        USED, SPARE = helper(), 0
+        __version__ = "1"
+    '''
+
+    def test_assignment_only_tests_read_is_flagged(self, tmp_path):
+        root = tree(tmp_path, **{
+            "src/pkg/consts.py": self.CONSTANTS,
+            "scripts/run.py": "from pkg.consts import LIMIT, USED\n"
+                              "print(LIMIT, USED)\n",
+            "tests/test_consts.py": "from pkg.consts import TABLE\n"
+                                    "assert TABLE\n"})
+        problems = check_test_only.check(root, allowlist={})
+        flagged = {line.split(" ")[0]: line for line in problems}
+        assert "only tests reach it" in flagged["pkg.consts.TABLE"]
+        assert "nothing references it" in flagged["pkg.consts.SPARE"]
+        for kept in ("pkg.consts.LIMIT", "pkg.consts.USED",
+                     "pkg.consts.__version__"):
+            assert kept not in flagged
+        # A test-only table keeps nothing alive: inner stays test-only.
+        assert "pkg.mod.inner" in flagged
+
+    def test_reexport_is_not_a_read(self, tmp_path):
+        root = tree(tmp_path, **{
+            "src/pkg/consts.py": "LIMIT = 3\n",
+            "src/pkg/__init__.py": '''
+                from pkg.consts import LIMIT
+                __all__ = ["LIMIT"]
+            ''',
+            "tests/test_consts.py": "from pkg import LIMIT\n"})
+        problems = check_test_only.check(root, allowlist={})
+        assert any(line.startswith("pkg.consts.LIMIT ") for line in problems)
+
+
+class TestUnusedImports:
+    def test_import_never_read_is_flagged(self, tmp_path):
+        root = tree(tmp_path, **{"src/pkg/user.py": '''
+            from __future__ import annotations
+
+            import os.path
+            from typing import List, Optional
+            from pkg.mod import helper as assist, used
+
+            def run(values: "Optional[int]") -> int:
+                import json
+                return used() + len(os.path.sep)
+        '''})
+        problems = check_test_only.check(root, allowlist={})
+        unused = sorted(line.split("imports ")[1].split(" ")[0]
+                        for line in problems if "imports" in line)
+        assert unused == ["List", "assist", "json"]
+        assert all(line.startswith("src/pkg/user.py: ")
+                   for line in problems if "imports" in line)
+
+    def test_package_init_imports_are_reexports(self, tmp_path):
+        root = tree(tmp_path, **{"src/pkg/__init__.py":
+                                 "from pkg.mod import used, Box\n"})
+        assert not [line for line in check_test_only.check(root, {})
+                    if "imports" in line]

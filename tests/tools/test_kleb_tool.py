@@ -6,6 +6,7 @@ from repro.experiments.runner import run_monitored
 from repro.sim.clock import ms, us
 from repro.tools.kleb import KLebTool
 from repro.tools.registry import create_tool
+from repro.workloads.matmul import TripleLoopMatmul
 from repro.workloads.synthetic import UniformComputeWorkload
 
 EVENTS = ("LOADS", "STORES", "BRANCHES")
@@ -44,6 +45,19 @@ class TestEndToEnd:
     def test_controller_logged_all_samples(self, kleb_run):
         report = kleb_run.report
         assert report.metadata["log_bytes"] == report.sample_count * 64
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the PMU accumulates rate events as floats (rate * instructions "
+        "per slice, 0.2 for BRANCHES is inexact) and reads floor them: on "
+        "seed 1 the sum ends 7e-9 below 2**24 and reads one short"))
+    def test_deterministic_event_is_exact_on_every_seed(self):
+        """An event with an exact per-instruction rate counts exactly,
+        whatever the OS noise does to the slice boundaries."""
+        for seed in range(4):
+            run = run_monitored(TripleLoopMatmul(256), KLebTool(),
+                                events=["BRANCHES"], period_ns=us(100),
+                                seed=seed)
+            assert run.report.totals["BRANCHES"] == 256 ** 3, seed
 
     def test_samples_timestamps_within_run(self, kleb_run):
         report = kleb_run.report

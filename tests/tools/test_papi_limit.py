@@ -8,7 +8,8 @@ from repro.kernel.kernel import Kernel
 from repro.sim.clock import ms
 from repro.sim.rng import RngStreams
 from repro.tools.limit import LIMIT_PATCH, LimitTool
-from repro.tools.papi import PapiTool, instrumentation_interval
+from repro.tools.papi import PapiTool
+from repro.tools.readpoint import instrumentation_interval
 from repro.workloads.base import RateBlock
 from repro.workloads.dgemm import MklDgemm
 from repro.workloads.matmul import TripleLoopMatmul
