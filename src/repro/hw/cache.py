@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import CacheConfigError
 
 
-# Hit level of a flush op in a round profile (see
+# Hit level of a flush op in a round profile or a replay memo (see
 # :meth:`CacheHierarchy.settle`); an access's is its level index, or
 # the number of levels for memory.
 FLUSHED = -1
@@ -89,10 +89,10 @@ class CacheLevel:
         # that nothing touched this level in between.
         self.version = 0
         # True once a second hierarchy holds this level (``shared_llc``);
-        # a shared level never carries a deferred round prefix.
+        # a shared level never carries deferred writes.
         self.shared = False
-        # The hierarchy whose deferred round prefix (see
-        # :meth:`CacheHierarchy.settle`) is not yet applied to these
+        # The hierarchy whose deferred writes (see
+        # :meth:`CacheHierarchy.settle`) are not yet applied to these
         # sets, or None.  Every read or write of the sets settles first.
         self.pending: Optional["CacheHierarchy"] = None
 
@@ -226,9 +226,16 @@ class CacheHierarchy:
         # index, chain start, the three level versions after it); None
         # when there is none.  See ``repro.hw.core.Core._run_trace_batch``.
         self.chain: Optional[tuple] = None
-        # The round prefix that chain's last slice counted but did not
-        # write to the sets (see :meth:`settle`); None when there is none.
-        self.deferred: Optional[tuple] = None
+        # The lag: ops that replay counted but did not write to the sets,
+        # as ``[plan, codes, start, end]`` segments in op order (see
+        # :meth:`settle`); None when there are none.
+        self.deferred: Optional[List[list]] = None
+        # The replay memo's position while this hierarchy is in memo
+        # mode, else None; kept by ``repro.hw.core``, dropped by
+        # :meth:`release`.
+        self.memo: Optional[list] = None
+        # Trace slices the replay memo served (counted, never replayed).
+        self.served_slices = 0
 
     @property
     def cold(self) -> bool:
@@ -250,61 +257,92 @@ class CacheHierarchy:
 
         For the end of a run: the next touch starts from an empty
         cache.  A shared LLC is released for every hierarchy holding
-        it, and each of them turns :attr:`cold`.
+        it, and each of them turns :attr:`cold`.  The lag is dropped
+        unwritten, and memo mode ends.
         """
+        self.defer(None)
         for level in self.levels:
             level.release()
         self.chain = None
+        self.memo = None
 
-    def defer(self, record: Optional[tuple]) -> None:
-        """Set :attr:`deferred` to ``record`` (None drops it) and point
-        every level's ``pending`` at this hierarchy while it is set.
+    def defer(self, segment: Optional[list]) -> None:
+        """Append ``segment`` to the lag (:attr:`deferred`), or with
+        None drop the lag unwritten; every level's ``pending`` points
+        at this hierarchy while the lag is not empty.
 
-        Only for the batch replay, and only on a hierarchy whose levels
-        no other hierarchy holds (no level is ``shared``).
+        A segment ``[plan, codes, start, end]`` that goes on where the
+        last one ends, in the same ``codes``, extends it.  Only for
+        trace replay (``repro.hw.core``), and only on a hierarchy whose
+        levels no other hierarchy holds (no level is ``shared``).
         """
-        self.deferred = record
-        owner = None if record is None else self
-        for level in self.levels:
-            level.pending = owner
+        lag = self.deferred
+        if segment is None:
+            if lag is not None:
+                self.deferred = None
+                for level in self.levels:
+                    level.pending = None
+        elif lag is None:
+            self.deferred = [segment]
+            for level in self.levels:
+                level.pending = self
+        else:
+            last = lag[-1]
+            if last[1] is segment[1] and last[3] == segment[2]:
+                last[3] = segment[3]
+            else:
+                lag.append(segment)
 
     def settle(self) -> None:
-        """Write the deferred round prefix to the sets, if there is one.
+        """Write the lag to the sets, allocating them if they are cold.
 
-        A batch slice that stops inside a repeated flush-first round
-        (``repro.hw.core.Core._run_trace_batch``) counts the round's
-        first ops but does not write them: the next slice of its chain
-        usually finishes the round, and a whole round leaves the sets as
-        it found them.  :attr:`deferred` is then (per-level set-index
-        and tag columns of the round, each op's hit level, op count);
-        which level an op of such a round hits is the same from any
-        starting state, so the hit levels say what each op writes.
-        Every other read or write of the sets settles first.  Settling
-        adds no statistics (the slice counted them), and it brings the
-        sets to the state the chain records, so :attr:`chain` stays
-        valid and the versions do not move.
+        Trace replay (``repro.hw.core.Core._run_trace``) counts some
+        ops without writing them, and records them here instead, each
+        segment ``[plan, codes, start, end]`` being ops ``[start, end)``
+        of the plan's set-index and tag columns with their hit levels
+        ``codes[start:end]`` (``FLUSHED`` for a flush, 3 for memory):
+
+        * the prefix of a repeated flush-first round that a batch slice
+          stopped inside (``codes`` is the round profile): the next
+          slice of its chain usually finishes the round, and a whole
+          round leaves the sets as it found them, so that slice drops
+          the segment unwritten;
+        * the slices the replay memo served, which write nothing.
+
+        The hit levels say what each op writes: a flush pops its line,
+        each level before the hit level fills it (evicting its LRU
+        line), and the hit level refreshes it.  Given the hit levels, one
+        level's writes do not depend on another's, so each segment is
+        applied level by level.  Every other read or write of the sets
+        settles first.  Settling adds no statistics (the slices counted
+        them), and it brings the sets to the state the replay already
+        accounts for, so :attr:`chain` and the memo stay valid and the
+        versions do not move.
         """
-        deferred = self.deferred
-        if deferred is None:
+        lag = self.deferred
+        if lag is None:
             return
         self.defer(None)
-        columns, hit_levels, count = deferred
-        hit_levels = hit_levels[:count]
-        for index, (descriptor, (set_column, tag_column)) in enumerate(
-                zip(self._descriptors, columns)):
-            sets, ways = descriptor[4], descriptor[5]
-            for set_index, tag, hit in zip(set_column[:count],
-                                           tag_column[:count], hit_levels):
-                entries = sets[set_index]
-                if hit == FLUSHED:
-                    entries.pop(tag, None)
-                elif hit > index:
-                    # Missed this level: the line fills it, as MRU.
-                    if len(entries) >= ways:
-                        entries.popitem(last=False)
-                    entries[tag] = True
-                elif hit == index:
-                    entries.move_to_end(tag)
+        self.warm()
+        for plan, codes, start, end in lag:
+            hit_levels = codes[start:end]
+            for index, (descriptor, set_column, tag_column) in enumerate(zip(
+                    self._descriptors, (plan.se1, plan.se2, plan.se3),
+                    (plan.tg1, plan.tg2, plan.tg3))):
+                sets, ways = descriptor[4], descriptor[5]
+                for set_index, tag, hit in zip(set_column[start:end],
+                                               tag_column[start:end],
+                                               hit_levels):
+                    entries = sets[set_index]
+                    if hit == FLUSHED:
+                        entries.pop(tag, None)
+                    elif hit > index:
+                        # Missed this level: the line fills it, as MRU.
+                        if len(entries) >= ways:
+                            entries.popitem(last=False)
+                        entries[tag] = True
+                    elif hit == index:
+                        entries.move_to_end(tag)
 
     def _prefetch(self, address: int) -> None:
         """Fill ``address``'s line into every level (no latency charged

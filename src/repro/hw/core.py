@@ -21,7 +21,9 @@ resumes mid-block after preemption.
 from __future__ import annotations
 
 import enum
+import math
 import weakref
+from array import array
 from bisect import bisect_left
 from collections import OrderedDict, defaultdict
 from itertools import chain, repeat
@@ -61,8 +63,15 @@ _BATCH_MIN_OPS = 64
 # Plan category of a flush op (categories: 0 probe, 1 MRU repeat,
 # 2 flush, 3 guaranteed miss).
 _CAT_FLUSH = 2
+# Ops between two checkpoints of a replay memo's prefix counts: a
+# served slice scans at most this many hit levels at each end.
+_MEMO_STRIDE = 64
 _KIND_CODE_STORE = KIND_CODES[OpKind.STORE]
 _KIND_CODE_FLUSH = KIND_CODES[OpKind.FLUSH]
+# One op's hit level as a replay memo byte (``_ReplayMemo.codes``).
+_L1_CODES = bytes([0])
+_MISS_CODES = bytes([3])
+_FLUSH_CODES = array("b", [FLUSHED]).tobytes()
 
 
 class _TracePlan:
@@ -87,6 +96,10 @@ class _TracePlan:
     round's counts.  ``cycle_prefixes`` caches the round's cycle prefix
     per cost tuple (:func:`_round_cycle_prefix`).  All four are None
     when ``period`` is 0.
+
+    ``memo`` is the root of the plan's replay memo (:class:`_ReplayMemo`,
+    None until a replay records one): the hit levels of the plan's ops
+    replayed from an empty hierarchy.
     """
 
     __slots__ = (
@@ -94,8 +107,140 @@ class _TracePlan:
         "se1", "tg1", "se2", "tg2", "se3", "tg3",
         "pre_store", "pre_flush", "guard_min", "period",
         "round_levels", "round_prefix", "round_counts", "cycle_prefixes",
-        "__weakref__",
+        "memo", "__weakref__",
     )
+
+
+class _ReplayMemo:
+    """The hit levels of one plan's ops, replayed after one history.
+
+    A trial replays its traces on a fresh hierarchy, and the state at
+    any op depends only on the ops replayed since the hierarchy was
+    empty, not on how they were sliced.  So a later trial with the same
+    history can take each op's hit level from the first one, and every
+    count and the exact budget cut follow from them
+    (:meth:`Core._serve_trace`).  An entry is one plan after one
+    history: a root entry (``_TracePlan.memo``) after an empty
+    hierarchy, and each of its ``children`` after the whole plan,
+    keyed weakly by the plan replayed next, so an entry dies with its
+    traces.
+
+    ``codes`` holds the hit level of each recorded op from op 0 on
+    (``FLUSHED``, or the level index, 3 for memory), one byte each.
+    ``marks`` holds the L1, L2 and L3 hits before every
+    ``_MEMO_STRIDE``-th op, three per checkpoint, for every checkpoint
+    up to ``len(codes)``; flushes come from the plan's ``pre_flush``
+    and memory accesses are the rest.  ``cycle_marks`` caches the
+    cycles before each checkpoint per cost tuple, as
+    ``_TracePlan.cycle_prefixes`` does for a round.
+    """
+
+    __slots__ = ("codes", "marks", "cycle_marks", "children")
+
+    def __init__(self) -> None:
+        self.codes = array("b")
+        self.marks = array("q", (0, 0, 0))
+        self.cycle_marks: Dict[tuple, array] = {}
+        self.children: "weakref.WeakKeyDictionary[_TracePlan, _ReplayMemo]" \
+            = weakref.WeakKeyDictionary()
+
+    def extend(self, codes: array) -> None:
+        """Append the hit levels of the ops after the recorded ones."""
+        self.codes.extend(codes)
+        recorded, marks = self.codes, self.marks
+        l1, l2, l3 = marks[-3:]
+        for mark in range(len(marks) // 3,
+                          len(recorded) // _MEMO_STRIDE + 1):
+            window = recorded[(mark - 1) * _MEMO_STRIDE:mark * _MEMO_STRIDE]
+            l1 += window.count(0)
+            l2 += window.count(1)
+            l3 += window.count(2)
+            marks.extend((l1, l2, l3))
+
+    def hits_before(self, op: int) -> tuple:
+        """The L1, L2 and L3 hits among the first ``op`` recorded ops."""
+        mark = op // _MEMO_STRIDE
+        window = self.codes[mark * _MEMO_STRIDE:op]
+        marks = self.marks
+        return (marks[3 * mark] + window.count(0),
+                marks[3 * mark + 1] + window.count(1),
+                marks[3 * mark + 2] + window.count(2))
+
+    def cycles_at_marks(self, pre_flush: list, costs: tuple) -> array:
+        """Cycles before each checkpoint (see :func:`_cycles_of`)."""
+        cycles = self.cycle_marks.get(costs)
+        if cycles is None:
+            cycles = self.cycle_marks[costs] = array("q")
+        marks = self.marks
+        for mark in range(len(cycles), len(marks) // 3):
+            op = mark * _MEMO_STRIDE
+            cycles.append(_cycles_of(op, pre_flush[op],
+                                     marks[3 * mark:3 * mark + 3], costs))
+        return cycles
+
+
+def _cycles_of(ops: int, flushes: int, hits, costs: tuple) -> int:
+    """Cycles of ``ops`` batch ops of which ``flushes`` are flushes and
+    ``hits`` the L1, L2 and L3 hits, the rest memory accesses, for
+    ``costs`` = the cycles of a flush, an L1, L2 and L3 hit and a memory
+    access (:meth:`Core._batch_costs`)."""
+    l1, l2, l3 = hits
+    cost_flush, cost1, cost2, cost3, cost_memory = costs
+    return (flushes * cost_flush + l1 * cost1 + l2 * cost2 + l3 * cost3
+            + (ops - flushes - l1 - l2 - l3) * cost_memory)
+
+
+def _level_versions(cache: CacheHierarchy) -> tuple:
+    """The write generation of each level (see ``CacheLevel.version``)."""
+    return tuple(level.version for level in cache.levels)
+
+
+def _memo_entry(cache: CacheHierarchy, plan: _TracePlan,
+                start: int) -> Optional[_ReplayMemo]:
+    """The memo entry of a batch slice of ``plan`` from op ``start``, or
+    None outside memo mode.
+
+    ``cache.memo`` is ``[entry, plan, op, plan length, plans on the
+    path, level versions]``, with every plan held weakly: the
+    hierarchy's sets, with its lag applied, are the state after the
+    entry's history and the plan's ops before ``op``.
+    A hierarchy enters memo mode at a block start while no level's sets
+    are allocated and nothing is deferred, if its L3 is not shared.  A
+    slice that continues the position keeps the entry; a block start
+    right after the whole plan moves to the child entry of its plan.
+    Anything else leaves memo mode, settling first: a slice elsewhere
+    (another task's), a write by anything but a batch slice (the
+    versions moved: an access, a flush, a release or a scalar slice), a
+    shared L3, or a plan already on the path, which bounds the memo by
+    distinct plans on a machine that loops one program.
+    """
+    memo = cache.memo
+    shared = cache.levels[-1].shared
+    if memo is None:
+        if (start or shared or cache.deferred is not None
+                or any(cache._set_lists)):
+            return None
+        entry = plan.memo
+        if entry is None:
+            entry = plan.memo = _ReplayMemo()
+        cache.memo = [entry, weakref.ref(plan), 0, len(plan.kindcat),
+                      weakref.WeakSet((plan,)), _level_versions(cache)]
+        return entry
+    entry, current, position, length, path, versions = memo
+    if not shared and versions == _level_versions(cache):
+        if plan is current():
+            if start == position:
+                return entry
+        elif not start and position == length and plan not in path:
+            child = entry.children.get(plan)
+            if child is None:
+                child = entry.children[plan] = _ReplayMemo()
+            path.add(plan)
+            memo[:4] = child, weakref.ref(plan), 0, len(plan.kindcat)
+            return child
+    cache.settle()
+    cache.memo = None
+    return None
 
 
 def _shared_runs(values: _np.ndarray) -> list:
@@ -189,6 +334,7 @@ def _trace_plan(trace: Trace, descriptors: tuple) -> _TracePlan:
                      - offsets - 1)
 
     plan = _TracePlan()
+    plan.memo = None
     plan.kindcat = kindcat.tolist()
     plan.se1 = (line1 & m1).tolist()
     plan.tg1 = (line1 >> t1).tolist()
@@ -410,8 +556,6 @@ class Core:
     def _run_trace(self, cursor: BlockCursor, block: TraceBlock,
                    budget_ns: float) -> tuple:
         cache = self.cache
-        if cache.cold:
-            cache.warm()
         if (cache._num_levels == 3 and not cache.prefetch_next_line
                 and len(block.ops) >= _BATCH_MIN_OPS):
             # The batch path accumulates cycles/instructions in Python
@@ -428,7 +572,17 @@ class Core:
                     and folded_cycles.is_integer()
                     and self._integer_latencies()):
                 plan = _trace_plan(block.ops, cache._descriptors)
+                entry = _memo_entry(cache, plan, cursor.op_index)
+                if entry is not None:
+                    served = self._serve_trace(cursor, block, budget_ns,
+                                               plan, entry)
+                    if served is not None:
+                        return served
+                if cache.cold:
+                    cache.warm()
                 return self._run_trace_batch(cursor, block, budget_ns, plan)
+        if cache.cold:
+            cache.warm()
         return self._run_trace_generic(cursor, block, budget_ns)
 
     def _integer_latencies(self) -> bool:
@@ -437,6 +591,129 @@ class Core:
                 and type(d2[0].config.hit_latency_cycles) is int
                 and type(d3[0].config.hit_latency_cycles) is int
                 and type(self.cache.memory_latency_cycles) is int)
+
+    def _batch_costs(self, block: TraceBlock) -> tuple:
+        """Cycles of a flush, an L1, L2 and L3 hit and a memory access
+        in a batch slice of ``block``: its folded instructions plus the
+        op's own latency."""
+        folded_cycles = int((block.instructions_per_op
+                             + block.event_scale - 1.0) * block.cpi)
+        cache = self.cache
+        return (folded_cycles + _FLUSH_LATENCY_CYCLES,) + tuple(
+            folded_cycles + latency for latency in (
+                *(level.config.hit_latency_cycles for level in cache.levels),
+                cache.memory_latency_cycles))
+
+    def _serve_trace(self, cursor: BlockCursor, block: TraceBlock,
+                     budget_ns: float, plan: _TracePlan,
+                     entry: _ReplayMemo) -> Optional[tuple]:
+        """Serve a batch slice from the replay memo ``entry``; None when
+        its record ends before the slice would.
+
+        Op ``j`` runs iff the cycles before it, counted from the slice
+        start, are under budget (the batch executor's cut in every
+        branch).  With the cycle prefix ``C`` of the recorded hit levels
+        and integer cycles, that is ``C[j] < C[start] + ceil(budget)``:
+        a bisection over the checkpoints and a scan of at most
+        ``_MEMO_STRIDE`` hit levels find the cut, and the checkpoints
+        plus the counts of two short windows give every statistic.  The
+        sets are neither written nor allocated: the slice goes on the
+        lag (:meth:`CacheHierarchy.settle`) as ``[plan, codes, start,
+        end]``.
+        """
+        start = cursor.op_index
+        codes = entry.codes
+        recorded = len(codes)
+        pre_flush = plan.pre_flush
+        costs = self._batch_costs(block)
+        start_hits = entry.hits_before(start)
+        start_cycles = _cycles_of(start, pre_flush[start], start_hits, costs)
+        threshold = start_cycles + math.ceil(self.ns_to_cycles(budget_ns))
+        end_hits = entry.hits_before(recorded)
+        end_cycles = _cycles_of(recorded, pre_flush[recorded], end_hits,
+                                costs)
+        if end_cycles < threshold:
+            if recorded < len(plan.kindcat):
+                return None
+            end = recorded
+        else:
+            marks = entry.cycles_at_marks(pre_flush, costs)
+            mark = bisect_left(marks, threshold)
+            end = max(start, (mark - 1) * _MEMO_STRIDE)
+            end_cycles = start_cycles if end == start else marks[mark - 1]
+            # Each hit level's cost, with a flush's (FLUSHED) last.
+            cost_of = costs[1:] + costs[:1]
+            for code in codes[end:mark * _MEMO_STRIDE]:
+                end_cycles += cost_of[code]
+                end += 1
+                if end_cycles >= threshold:
+                    break
+            end_hits = entry.hits_before(end)
+        cache = self.cache
+        cache.served_slices += 1
+        cache.chain = None
+        cache.defer([plan, codes, start, end])
+        cache.memo[2] = end
+        l1h, l2h, l3h = (after - before
+                         for after, before in zip(end_hits, start_hits))
+        l3m = (end - start - pre_flush[end] + pre_flush[start]
+               - l1h - l2h - l3h)
+        return self._retire_slice(cursor, block, plan, start, end,
+                                  end_cycles - start_cycles,
+                                  l1h, l2h, l3h, l3m)
+
+    def _retire_slice(self, cursor: BlockCursor, block: TraceBlock,
+                      plan: _TracePlan, start: int, end: int, cycles: int,
+                      l1h: int, l2h: int, l3h: int, l3m: int) -> tuple:
+        """Account ops ``[start, end)`` of a batch slice, ``cycles`` long
+        with these L1, L2 and L3 hits and L3 misses: the hierarchy's
+        statistics, one PMU epoch, the cursor.  Returns ``(ns,
+        instructions)``."""
+        cache = self.cache
+        ops_done = end - start
+        event_scale = int(block.event_scale)
+        # Per-op retired instructions: flush and access ops both retire
+        # instructions_per_op + event_scale (the flush itself or the
+        # probing access plus the folded line-local accesses).
+        instructions = ops_done * int(block.instructions_per_op
+                                      + block.event_scale)
+        pre_flush, pre_store = plan.pre_flush, plan.pre_store
+        n_flush = pre_flush[end] - pre_flush[start]
+        n_access = ops_done - n_flush
+        n_store = pre_store[end] - pre_store[start]
+        stores = n_store * event_scale
+        loads = (n_access - n_store) * event_scale
+        l2m = l3h + l3m
+        l1m = l2h + l2m
+        if n_flush:
+            cache.stats.flushes += n_flush
+        if n_access:
+            level1, level2, level3 = cache.levels
+            stats = cache.stats
+            stats.accesses += n_access
+            level1.hits += l1h
+            level1.misses += l1m
+            level2.hits += l2h
+            level2.misses += l2m
+            level3.hits += l3h
+            level3.misses += l3m
+            hits = stats.hits
+            hits[level1.config.name] += l1h
+            hits[level2.config.name] += l2h
+            hits[level3.config.name] += l3h
+            misses = stats.misses
+            misses[level1.config.name] += l1m
+            misses[level2.config.name] += l2m
+            misses[level3.config.name] += l3m
+            misses["memory"] += l3m
+        self.pmu.accumulate_epoch(
+            _EPOCH_EVENTS,
+            (float(instructions), float(cycles), cycles * self.tsc_ratio,
+             float(loads), float(stores), float(n_flush),
+             float(l1m), float(l2m), float(l2m), float(l3m)),
+            block.privilege)
+        cursor.consume_ops(ops_done)
+        return self.cycles_to_ns(cycles), float(instructions)
 
     def _run_trace_batch(self, cursor: BlockCursor, block: TraceBlock,
                          budget_ns: float, plan: _TracePlan) -> tuple:
@@ -479,33 +756,28 @@ class Core:
         round's cycle prefix for this block's costs; a bisection finds
         the cut.  On a hierarchy that shares no level, the partial
         round's prefix is counted but not written: the sets stay at the
-        boundary state and ``cache.deferred`` records the prefix.  A
-        slice that continues the chain takes the rest of the round from
-        the profile (the sets are then the boundary state again) or
+        boundary state and the prefix goes on the lag
+        (``cache.deferred``) as one segment.  A slice that continues the
+        chain takes the rest of the round from the profile (the sets are
+        then the boundary state again, and the segment is dropped) or
         extends the prefix; anything else that reads or writes the sets
-        applies the prefix's writes first (:meth:`CacheHierarchy.settle`).
-        A shared L3 replays the partial round op by op.
+        applies the lag first (:meth:`CacheHierarchy.settle`).  A shared
+        L3 replays the partial round op by op.
+
+        In memo mode (``cache.memo``, see :func:`_memo_entry`) the slice
+        also records each op's hit level, for later trials to serve
+        (:meth:`_serve_trace`): a probe appends its level, an MRU,
+        guaranteed-miss or flush run a constant, and counted rounds and
+        round prefixes their part of the profile.
         """
         budget_cycles = self.ns_to_cycles(budget_ns)
-        event_scale = int(block.event_scale)
-        # Per-op retired instructions: flush and access ops both retire
-        # instructions_per_op + event_scale (the flush itself or the
-        # probing access plus the folded line-local accesses).
-        op_instructions = int(block.instructions_per_op + block.event_scale)
-        folded_cycles = int((block.instructions_per_op
-                             + block.event_scale - 1.0) * block.cpi)
         cache = self.cache
         d1, d2, d3 = cache._descriptors
         level1, _s1, _m1, _t1, sets1, w1, _n1 = d1
         level2, _s2, _m2, _t2, sets2, w2, _n2 = d2
         level3, _s3, _m3, _t3, sets3, w3, _n3 = d3
-        lat1 = level1.config.hit_latency_cycles
-        lat2 = level2.config.hit_latency_cycles
-        lat3 = level3.config.hit_latency_cycles
-        lat_mem = cache.memory_latency_cycles
-        cost_mru = folded_cycles + lat1
-        cost_flush = folded_cycles + _FLUSH_LATENCY_CYCLES
-        cost_miss = folded_cycles + lat_mem
+        costs = self._batch_costs(block)
+        cost_flush, cost_mru, cost2, cost3, cost_miss = costs
 
         kindcat = plan.kindcat
         seg_end = plan.seg_end
@@ -514,14 +786,12 @@ class Core:
         se1, tg1 = plan.se1, plan.tg1
         se2, tg2 = plan.se2, plan.tg2
         se3, tg3 = plan.se3, plan.tg3
-        pre_flush = plan.pre_flush
         period = plan.period
         if period:
+            round_levels = plan.round_levels
             pre_l1, pre_l2, pre_l3, pre_mem = plan.round_prefix[1:]
             l1h_r, l2h_r, l3h_r, l3m_r = plan.round_counts[1:]
-            cycle_prefix = _round_cycle_prefix(plan, (
-                cost_flush, cost_mru, folded_cycles + lat2,
-                folded_cycles + lat3, cost_miss))
+            cycle_prefix = _round_cycle_prefix(plan, costs)
             # A whole round runs iff its last op starts under budget.
             last_op = cycle_prefix[period - 1]
             round_cycles = cycle_prefix[period]
@@ -530,9 +800,15 @@ class Core:
         # Ops of the round at p - deferred that this slice counted but
         # did not write to the sets (see CacheHierarchy.settle).
         deferred = 0
+        # In memo mode, each op's hit level from the slice start on.
+        memo = cache.memo
+        recording = memo is not None
+        if recording:
+            record = array("b")
+            record_level = record.append
 
         cycles = 0
-        l1h = l1m = l2h = l2m = l3h = l3m = 0
+        l1h = l2h = l3h = l3m = 0
         start = cursor.op_index
         chain = cache.chain
         if (chain is not None and chain[1] == start and chain[0]() is plan
@@ -542,14 +818,15 @@ class Core:
         else:
             chain_start = start
             cache.settle()
-        # Still set only when this slice continues its chain.
+        # Still set only when this slice continues its chain: the lag is
+        # then that chain's round prefix.
         resumed = cache.deferred
         p = start
         if resumed is not None:
             # The sets hold the state at the round boundary start -
             # offset: finish the round from the profile, or go on
             # deferring if the budget ends inside it again.
-            offset = resumed[2]
+            offset = resumed[0][3]
             cut = _round_cut(cycle_prefix, offset, period,
                              -cycle_prefix[offset], budget_cycles)
             cycles = cycle_prefix[cut] - cycle_prefix[offset]
@@ -557,8 +834,8 @@ class Core:
             l2h = pre_l2[cut] - pre_l2[offset]
             l3h = pre_l3[cut] - pre_l3[offset]
             l3m = pre_mem[cut] - pre_mem[offset]
-            l1m = l2h + l3h + l3m
-            l2m = l3h + l3m
+            if recording:
+                record.fromlist(round_levels[offset:cut])
             p = start - offset + cut
             if cut < period:
                 deferred = cut
@@ -608,10 +885,10 @@ class Core:
                     if len(entries1) >= w1:
                         entries1.popitem(last=False)
                     entries1[ti1] = True
-                l1m += n
-                l2m += n
                 l3m += n
                 cycles += n * cost_miss
+                if recording:
+                    record.frombytes(_MISS_CODES * n)
                 p += n
                 continue
             if cat == 0:
@@ -628,25 +905,31 @@ class Core:
                         entries1.move_to_end(tag1)
                         l1h += 1
                         cycles += cost_mru
+                        if recording:
+                            record_level(0)
                     else:
-                        l1m += 1
                         tag2 = tg2[p]
                         entries2 = sets2[se2[p]]
                         if tag2 in entries2:
                             entries2.move_to_end(tag2)
                             l2h += 1
-                            cycles += folded_cycles + lat2
+                            cycles += cost2
+                            if recording:
+                                record_level(1)
                         else:
-                            l2m += 1
                             tag3 = tg3[p]
                             entries3 = sets3[se3[p]]
                             if tag3 in entries3:
                                 entries3.move_to_end(tag3)
                                 l3h += 1
-                                cycles += folded_cycles + lat3
+                                cycles += cost3
+                                if recording:
+                                    record_level(2)
                             else:
                                 l3m += 1
-                                cycles += folded_cycles + lat_mem
+                                cycles += cost_miss
+                                if recording:
+                                    record_level(3)
                                 if len(entries3) >= w3:
                                     entries3.popitem(last=False)
                                 entries3[tag3] = True
@@ -674,11 +957,11 @@ class Core:
                         if p >= total or cycles + last_op >= budget_cycles:
                             break
                     l1h += rounds * l1h_r
-                    l1m += rounds * (l2h_r + l3h_r + l3m_r)
                     l2h += rounds * l2h_r
-                    l2m += rounds * (l3h_r + l3m_r)
                     l3h += rounds * l3h_r
                     l3m += rounds * l3m_r
+                    if recording:
+                        record.extend(array("b", round_levels) * rounds)
                 if p >= total or cycles >= budget_cycles:
                     continue
                 if defers:
@@ -686,11 +969,11 @@ class Core:
                                      budget_cycles)
                     cycles += cycle_prefix[cut]
                     l1h += pre_l1[cut]
-                    l1m += pre_l2[cut] + pre_l3[cut] + pre_mem[cut]
                     l2h += pre_l2[cut]
-                    l2m += pre_l3[cut] + pre_mem[cut]
                     l3h += pre_l3[cut]
                     l3m += pre_mem[cut]
+                    if recording:
+                        record.fromlist(round_levels[:cut])
                     p += cut
                     deferred = cut
                     continue
@@ -716,6 +999,8 @@ class Core:
             if cat == 1:
                 l1h += n
                 cycles += n * cost_mru
+                if recording:
+                    record.frombytes(_L1_CODES * n)
             else:
                 if n == length and p == flush_start[p]:
                     level_wipes = plan.flush_collapsed[p]
@@ -732,56 +1017,32 @@ class Core:
                         sets2[se2[i]].pop(tg2[i], None)
                         sets3[se3[i]].pop(tg3[i], None)
                 cycles += n * cost_flush
+                if recording:
+                    record.frombytes(_FLUSH_CODES * n)
             p += n
 
-        ops_done = p - start
-        if not ops_done:
+        if p == start:
             return 0.0, 0.0
         level1.version += 1
         level2.version += 1
         level3.version += 1
         cache.chain = (weakref.ref(plan), p, chain_start, level1.version,
                        level2.version, level3.version)
-        if deferred:
-            cache.defer((((se1, tg1), (se2, tg2), (se3, tg3)),
-                         plan.round_levels, deferred))
-        elif resumed is not None:
+        if resumed is not None or deferred:
+            # The resumed prefix is finished (the sets are back at the
+            # round boundary) or replaced by this slice's.
             cache.defer(None)
-        pre_store = plan.pre_store
-        n_flush = pre_flush[p] - pre_flush[start]
-        n_access = ops_done - n_flush
-        n_store = pre_store[p] - pre_store[start]
-        stores = n_store * event_scale
-        loads = (n_access - n_store) * event_scale
-        instructions = ops_done * op_instructions
-        if n_flush:
-            cache.stats.flushes += n_flush
-        if n_access:
-            stats = cache.stats
-            stats.accesses += n_access
-            level1.hits += l1h
-            level1.misses += l1m
-            level2.hits += l2h
-            level2.misses += l2m
-            level3.hits += l3h
-            level3.misses += l3m
-            hits = stats.hits
-            hits[_n1] += l1h
-            hits[_n2] += l2h
-            hits[_n3] += l3h
-            misses = stats.misses
-            misses[_n1] += l1m
-            misses[_n2] += l2m
-            misses[_n3] += l3m
-            misses["memory"] += l3m
-        self.pmu.accumulate_epoch(
-            _EPOCH_EVENTS,
-            (float(instructions), float(cycles), cycles * self.tsc_ratio,
-             float(loads), float(stores), float(n_flush),
-             float(l1m), float(l2m), float(l2m), float(l3m)),
-            block.privilege)
-        cursor.consume_ops(ops_done)
-        return self.cycles_to_ns(cycles), float(instructions)
+        if deferred:
+            cache.defer([plan, round_levels, 0, deferred])
+        if recording:
+            entry = memo[0]
+            recorded = len(entry.codes)
+            if p > recorded:
+                entry.extend(record[recorded - start:])
+            memo[2] = p
+            memo[5] = _level_versions(cache)
+        return self._retire_slice(cursor, block, plan, start, p, cycles,
+                                  l1h, l2h, l3h, l3m)
 
     def _run_trace_generic(self, cursor: BlockCursor, block: TraceBlock,
                            budget_ns: float) -> tuple:

@@ -358,3 +358,65 @@ class TestVersion:
         hierarchy.chain = (None, 64, 0, 1, 1, 1)
         hierarchy.release()
         assert hierarchy.chain is None
+
+
+class _Columns:
+    """Set-index and tag columns of a trace, as a replay plan has them
+    (every op in set 0 of each level, tag = op's line)."""
+
+    def __init__(self, lines):
+        self.se1 = self.se2 = self.se3 = [0] * len(lines)
+        self.tg1 = self.tg2 = self.tg3 = list(lines)
+
+
+class TestLag:
+    """``CacheHierarchy.deferred``: ops counted but not yet written."""
+
+    @staticmethod
+    def three_levels():
+        return CacheHierarchy([
+            CacheConfig("L1D", 4 * LINE, ways=2, hit_latency_cycles=4),
+            CacheConfig("L2", 8 * LINE, ways=4, hit_latency_cycles=12),
+            CacheConfig("L3", 16 * LINE, ways=8, hit_latency_cycles=40),
+        ], memory_latency_cycles=100)
+
+    def test_contiguous_segments_of_one_record_merge(self):
+        hierarchy = self.three_levels()
+        plan, codes, other = _Columns(range(6)), [3] * 6, [3] * 6
+        hierarchy.defer([plan, codes, 0, 2])
+        hierarchy.defer([plan, codes, 2, 5])
+        hierarchy.defer([plan, other, 5, 6])
+        assert hierarchy.deferred == [[plan, codes, 0, 5],
+                                      [plan, other, 5, 6]]
+        assert all(level.pending is hierarchy for level in hierarchy.levels)
+
+    def test_settle_allocates_and_writes_in_order(self):
+        """Lines 0-2 miss every level (line 2 evicts line 0 from the
+        2-way L1), the flush pops line 1, and line 0 then hits L2: the
+        sets hold what those ops leave."""
+        hierarchy = self.three_levels()
+        reference = self.three_levels()
+        plan = _Columns([0, 1, 2, 1, 0])
+        codes = [3, 3, 3, -1, 1]
+        hierarchy.defer([plan, codes, 0, 3])
+        hierarchy.defer([plan, codes, 3, 5])
+        assert hierarchy.cold
+        # Every level has two sets: these addresses are set 0, tag line.
+        for line in (0, 1, 2):
+            reference.access_fast(line * 2 * LINE)
+        reference.clflush(1 * 2 * LINE)
+        assert reference.access_fast(0) == 1
+        assert hierarchy.levels[0].occupancy == 2  # settles
+        assert hierarchy.deferred is None
+        assert all(level.pending is None for level in hierarchy.levels)
+        assert [list(level._sets[0]) for level in hierarchy.levels] == [
+            list(level._sets[0]) for level in reference.levels]
+
+    def test_release_drops_the_lag_unwritten(self):
+        hierarchy = self.three_levels()
+        hierarchy.defer([_Columns([0]), [3], 0, 1])
+        hierarchy.memo = ["position"]
+        hierarchy.release()
+        assert hierarchy.deferred is None and hierarchy.memo is None
+        assert hierarchy.cold
+        assert all(level.pending is None for level in hierarchy.levels)

@@ -199,7 +199,7 @@ def assert_plan_matches(ops, descriptors):
     expected = reference_plan(trace, descriptors)
     assert _trace_plan(trace, descriptors) is plan  # kept on the trace
     for slot in _TracePlan.__slots__:
-        if slot not in ("__weakref__",) + ROUND_PROFILE:
+        if slot not in ("__weakref__", "memo") + ROUND_PROFILE:
             assert getattr(plan, slot) == expected[slot], slot
     if not plan.period:
         assert all(getattr(plan, slot) is None for slot in ROUND_PROFILE)

@@ -5,6 +5,8 @@ program is sliced by preemption must not change *what* it executes —
 total instructions, events, and CPU time are conserved.
 """
 
+import gc
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -12,14 +14,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.cache import CacheConfig, CacheHierarchy, CacheLevel
-from repro.hw.core import Core, ExecStop, _trace_plan
+from repro.hw.core import Core, ExecStop, _ReplayMemo, _trace_plan
 from repro.hw.machine import Machine
 from repro.hw.pmu import Pmu, RDPMC_FIXED_FLAG
 from repro.hw.presets import i7_920
 from repro.workloads.base import (KIND_CODES, BlockCursor, ListProgram,
                                   MemOp, OpKind, RateBlock, Trace,
                                   TraceBlock)
-from repro.workloads.meltdown import _flush_reload_tile
+from repro.workloads.meltdown import _flush_reload_round
 
 LINE = 64
 
@@ -200,7 +202,7 @@ _round_ops = st.lists(
 )
 
 
-def _build_trace(round_spec, repeats, ipo, event_scale):
+def _round_trace(round_spec, repeats):
     ops = []
     for kind, index in round_spec:
         if kind == "load":
@@ -215,8 +217,12 @@ def _build_trace(round_spec, repeats, ipo, event_scale):
             ops.append(MemOp(0x400_0000 + index * 4096, OpKind.LOAD))
     # Tiled as a Trace, so a round that happens to be flush-first is
     # counted instead of replayed.
-    ops = Trace.from_ops(ops) * repeats
-    block = TraceBlock(ops=ops, instructions_per_op=float(ipo),
+    return Trace.from_ops(ops) * repeats
+
+
+def _build_trace(round_spec, repeats, ipo, event_scale):
+    block = TraceBlock(ops=_round_trace(round_spec, repeats),
+                       instructions_per_op=float(ipo),
                        event_scale=float(event_scale))
     return ListProgram("prop-batch", [block])
 
@@ -293,16 +299,17 @@ def _slot_address(slot):
     return slot * LINE if slot < 6 else 0x400_0000 + slot * 4096
 
 
-def make_counting_core(cache, force_generic):
-    """A 1 GHz core on ``cache`` whose PMU counts loads, LLC and L1
-    misses and flushes; with ``force_generic``, only the scalar path."""
+def make_counting_core(cache, force_generic, frequency_hz=1e9):
+    """A core (1 GHz unless given) on ``cache`` whose PMU counts loads,
+    LLC and L1 misses and flushes; with ``force_generic``, only the
+    scalar path."""
     pmu = Pmu()
     for index, event in enumerate(("LOADS", "LLC_MISSES", "L1D_MISSES",
                                    "CACHE_FLUSHES")):
         pmu.program_counter(index, event, user=True, kernel=True)
     pmu.enable_fixed(user=True, kernel=True)
     pmu.global_enable()
-    core = Core(frequency_hz=1e9, pmu=pmu, cache=cache)
+    core = Core(frequency_hz=frequency_hz, pmu=pmu, cache=cache)
     if force_generic:
         core._integer_latencies = lambda: False
         core._run_trace_batch = None  # fails loudly if it is reached
@@ -319,12 +326,12 @@ def make_sharing_cores(force_generic):
             for _ in range(2)]
 
 
-def make_private_core(force_generic):
+def make_private_core(force_generic, frequency_hz=1e9):
     """One core on a hierarchy that shares no level: the batch path may
     defer a partial round's writes."""
     return make_counting_core(CacheHierarchy([_L1, _L2, _L3],
                                              memory_latency_cycles=100),
-                              force_generic)
+                              force_generic, frequency_hz)
 
 
 def flush_first_tile(flushed, accesses, repeats):
@@ -366,6 +373,8 @@ def apply_foreign(op, cores, tile):
         core.cache.clflush(_slot_address(op[1]))
     elif name == "contains":
         core.cache.contains(_slot_address(op[1]))
+    elif name == "occupancy":
+        core.cache.levels[op[1]].occupancy
     elif name == "level-release":
         # One level's sets go: the hierarchy is cold until its next
         # touch, which brings back an empty level under warm ones.
@@ -672,9 +681,11 @@ class TestDeferredRoundPrefix:
         """The first slice runs two rounds (the second is counted) and
         stops inside the third, so its prefix is deferred; the touch
         must settle it before it reads or writes the sets."""
-        trace = flush_first_tile(*self.REORDER, 40)
         op = self.TOUCHES[touch]
         for budget in range(2 * self.ROUND_NS + 1, 3 * self.ROUND_NS, 4):
+            # A fresh tile each time: a replay memo recorded on an
+            # earlier budget's tile would serve the first slice.
+            trace = flush_first_tile(*self.REORDER, 40)
             steps = [(budget, op), (self.ROUND_NS + 100, op)]
             assert (run_private(trace, 4, steps, force_generic=False)
                     == run_private(trace, 4, steps, force_generic=True))
@@ -692,8 +703,14 @@ class TestPartialRoundsAreDeferred:
             machine.core._integer_latencies = lambda: False
         return machine.core
 
+    @staticmethod
+    def _fresh_tile():
+        """The Meltdown tile, freshly compiled: the memoized one may
+        carry a replay memo that would serve a fresh machine's slices."""
+        return _flush_reload_round(0x4000_0000, 4096, 83) * 40
+
     def test_only_the_first_round_inserts(self):
-        tile = _flush_reload_tile(0x4000_0000, 4096, 83, 40)
+        tile = self._fresh_tile()
         core = self._machine_core(force_generic=False)
         _count_inserts(core)
         cursor = BlockCursor(ListProgram("tile", [TraceBlock(ops=tile)]))
@@ -714,7 +731,7 @@ class TestPartialRoundsAreDeferred:
         assert core.cache.levels[2].misses == 40 * plan.round_counts[4]
 
     def test_contains_after_a_deferred_slice_matches_generic(self):
-        tile = _flush_reload_tile(0x4000_0000, 4096, 83, 40)
+        tile = self._fresh_tile()
         probes = [0x4000_0000 + index * 4096 for index in range(256)]
 
         def observe(force_generic):
@@ -733,3 +750,270 @@ class TestPartialRoundsAreDeferred:
         assert any(deferred for deferred, _ in batch)
         assert [lines for _, lines in batch] == [
             lines for _, lines in observe(force_generic=True)]
+
+
+# ---------------------------------------------------------------------------
+# The replay memo: a later trial with the same trace history is served
+# ---------------------------------------------------------------------------
+
+# One trace of a memo program: a flush-first tile or a tiled mixed round,
+# each at least 64 ops (the batch floor), with its own ipo and scale.
+_memo_traces = st.tuples(
+    st.one_of(_flush_first_rounds.map(lambda spec: ("tile", spec)),
+              _round_ops.map(lambda spec: ("mixed", spec))),
+    st.integers(2, 6), st.integers(0, 4), st.integers(1, 3),
+    st.booleans())
+_memo_programs = st.lists(_memo_traces, min_size=1, max_size=4)
+_memo_budgets = st.lists(st.integers(50, 6_000), max_size=12)
+# Foreign ops that read the sets (memo mode goes on) or write them
+# (memo mode ends), each after one slice of the served trial.
+_memo_reads = st.one_of(
+    st.tuples(st.just("contains"), _slots),
+    st.tuples(st.just("occupancy"), st.integers(0, 2)))
+_memo_writes = st.one_of(
+    st.tuples(st.just("access"), _slots, st.booleans()),
+    st.tuples(st.just("clflush"), _slots),
+    st.tuples(st.just("level-release"), st.integers(0, 2)),
+    st.tuples(st.just("replay-short"), _slots, st.booleans()))
+_memo_foreign = st.tuples(st.integers(1, 6),
+                          st.one_of(st.just(("none",)), _memo_reads,
+                                    _memo_writes))
+
+
+def memo_blocks(specs):
+    """The blocks of a memo program: one fresh trace per spec, a rate
+    block after each one whose flag is set."""
+    blocks = []
+    for (kind, spec), repeats, ipo, event_scale, rate_after in specs:
+        trace = (flush_first_tile(*spec, repeats) if kind == "tile"
+                 else _round_trace(spec, max(repeats, -(-64 // len(spec)))))
+        blocks.append(TraceBlock(ops=trace, instructions_per_op=float(ipo),
+                                 event_scale=float(event_scale)))
+        if rate_after:
+            blocks.append(RateBlock(instructions=700, rates={"LOADS": 0.5}))
+    return blocks
+
+
+def run_memo_trial(cursors, budgets, force_generic, foreign=(0, ("none",)),
+                   frequency_hz=1e9):
+    """One trial on a fresh private hierarchy: slices of ``budgets``
+    (then 10 ms each) taken by each program of ``cursors`` in turn
+    until all are done, the foreign op ``(after slice, op)`` applied
+    once.  Returns the core, the log (each slice's time, instructions
+    and counters, the sets after the foreign op and at the end) and
+    every PMU epoch."""
+    core = make_private_core(force_generic, frequency_hz)
+    epochs = []
+    accumulate = core.pmu.accumulate_epoch
+
+    def recording(*args):
+        epochs.append(args)
+        return accumulate(*args)
+
+    core.pmu.accumulate_epoch = recording
+    batch_slices = []
+    if not force_generic:
+        run_batch = core._run_trace_batch
+
+        def counting(*args):
+            batch_slices.append(1)
+            return run_batch(*args)
+
+        core._run_trace_batch = counting
+    core.batch_slices = batch_slices
+    budgets = iter(budgets)
+    pending = list(cursors)
+    log, taken = [], 0
+    while pending:
+        cursor = pending.pop(0)
+        result = core.execute(cursor, next(budgets, 10_000_000))
+        log.append((result.consumed_ns, result.instructions, result.stop,
+                    counters(core)))
+        taken += 1
+        if taken == foreign[0] and foreign[1][0] != "none":
+            apply_foreign(foreign[1], (core, None), None)
+            log.append(set_contents(core))
+        if result.stop is not ExecStop.PROGRAM_DONE:
+            pending.append(cursor)
+    core.cache.settle()
+    log.append(set_contents(core))
+    return core, log, epochs
+
+
+def one_program(blocks):
+    return [BlockCursor(ListProgram("memo", blocks))]
+
+
+class TestReplayMemo:
+    @given(_memo_programs, _memo_budgets, _memo_budgets, _memo_foreign,
+           st.sampled_from((1e9, 2.5e9, 2.67e9)))
+    @settings(max_examples=60, deadline=None)
+    def test_served_trial_matches_generic(self, specs, budgets_a,
+                                          budgets_b, foreign, frequency_hz):
+        """Trial A records the program's hit levels on a fresh
+        hierarchy; trial B, on another with other budgets, is served
+        from them.  B's slices, PMU epochs, statistics and level
+        counters equal the per-op reference's, and so do the sets after
+        a foreign read or write between two slices (which settles the
+        lag; a write ends memo mode) and at the end.  Off 1 GHz, a
+        budget is a fractional number of cycles."""
+        blocks = memo_blocks(specs)
+        run_memo_trial(one_program(blocks), budgets_a, False,
+                       frequency_hz=frequency_hz)
+        served = run_memo_trial(one_program(blocks), budgets_b, False,
+                                foreign, frequency_hz)
+        reference = run_memo_trial(one_program(blocks), budgets_b, True,
+                                   foreign, frequency_hz)
+        assert served[1:] == reference[1:]
+        core = served[0]
+        assert core.cache.served_slices >= 1
+        if foreign[1][0] in ("none", "contains", "occupancy"):
+            # Nothing broke the history: no slice replayed.
+            assert not core.batch_slices
+
+    @given(_memo_programs, _memo_budgets, _memo_budgets, st.booleans())
+    # Two traces over the same eight lines: the second one's hit levels
+    # depend on how much of the first ran before it.  The twin starts
+    # the second trace while the first task is a few ops into the first.
+    @example([(("mixed", [("load", line) for line in range(8)]),
+               8, 0, 1, False)] * 2, [], [50], True)
+    @settings(max_examples=30, deadline=None)
+    def test_interleaved_second_task_matches_generic(
+            self, specs, budgets_a, budgets_b, rotate):
+        """A second task on the same core, running the same program or
+        the same traces from the second one on, breaks the history at
+        its first slice: memo mode ends, and the rest replays as the
+        reference does."""
+        blocks = memo_blocks(specs)
+        run_memo_trial(one_program(blocks), budgets_a, force_generic=False)
+        twin = blocks[1:] + blocks[:1] if rotate else blocks
+
+        def two_tasks():
+            return one_program(blocks) + [BlockCursor(ListProgram(
+                "twin", twin))]
+
+        served = run_memo_trial(two_tasks(), budgets_b, False)
+        reference = run_memo_trial(two_tasks(), budgets_b, True)
+        assert served[1:] == reference[1:]
+        assert served[0].cache.served_slices >= 1
+        assert served[0].cache.memo is None
+
+    @given(_memo_programs, _memo_budgets, _memo_budgets)
+    @settings(max_examples=30, deadline=None)
+    def test_repeated_plan_matches_generic(self, specs, budgets_a,
+                                           budgets_b):
+        """A program that replays its first trace again: memo mode ends
+        at the repeat, so the second replay runs the batch executor."""
+        blocks = memo_blocks(specs)
+        blocks.append(TraceBlock(ops=blocks[0].ops))
+        run_memo_trial(one_program(blocks), budgets_a, force_generic=False)
+        served = run_memo_trial(one_program(blocks), budgets_b, False)
+        reference = run_memo_trial(one_program(blocks), budgets_b, True)
+        assert served[1:] == reference[1:]
+        assert served[0].cache.served_slices >= 1
+        assert served[0].batch_slices
+
+    def test_fractional_budgets_cut_where_the_executor_does(self):
+        """Every first-slice budget up to 400 ns at 2.67 GHz, over 40
+        misses of 101 cycles: a budget is a fractional number of cycles,
+        and an op runs iff the cycles before it are under budget, so the
+        served cut rounds the budget up (cycles are integers), never
+        down (38 ns is 101.46 cycles: the second miss runs)."""
+        blocks = memo_blocks([(("mixed", [("load", line)
+                                          for line in range(40)]),
+                               2, 1, 1, False)])
+        run_memo_trial(one_program(blocks), [], False, frequency_hz=2.67e9)
+        for budget in range(1, 400):
+            served = run_memo_trial(one_program(blocks), [budget], False,
+                                    frequency_hz=2.67e9)
+            reference = run_memo_trial(one_program(blocks), [budget], True,
+                                       frequency_hz=2.67e9)
+            assert served[1:] == reference[1:], budget
+            assert served[0].cache.served_slices == 2
+
+    def test_a_foreign_write_ends_memo_mode(self):
+        """A foreign load of a line the trace reaches later turns that
+        op's miss into an L1 hit, so the record no longer holds: the
+        write moves the level versions, and the next slice replays."""
+        blocks = memo_blocks([(("mixed", [("load", line)
+                                          for line in range(40)]),
+                               2, 0, 1, False)])
+        run_memo_trial(one_program(blocks), [], force_generic=False)
+        foreign = (1, ("access", 5, False))
+        served = run_memo_trial(one_program(blocks), [150], False, foreign)
+        reference = run_memo_trial(one_program(blocks), [150], True, foreign)
+        assert served[1:] == reference[1:]
+        assert served[0].cache.served_slices == 1
+        assert served[0].batch_slices == [1]
+
+    def test_a_looping_machine_does_not_grow_the_memo(self):
+        """One hierarchy replays a two-trace program three times over:
+        the memo holds the first pass (a root and one child), and the
+        later passes replay."""
+        first, second = (flush_first_tile([0, 1], [(0, 0, False)], 30),
+                         _round_trace([("load", 3), ("store", 4)], 40))
+        blocks = [TraceBlock(ops=first), TraceBlock(ops=second)]
+        core, _log, _epochs = run_memo_trial(one_program(blocks * 3), [],
+                                             force_generic=False)
+        root = _trace_plan(first, core.cache._descriptors).memo
+        (child,) = root.children.values()
+        assert len(child.children) == 0
+        assert len(root.codes) == len(first)
+        assert len(child.codes) == len(second)
+        assert core.cache.served_slices == 0
+
+    def test_dropping_the_traces_frees_their_entries(self):
+        """An entry lives on its plan (a root) or is keyed weakly by it
+        (a child), so dropping the traces frees every entry."""
+
+        def live_entries():
+            return sum(type(item) is _ReplayMemo for item in gc.get_objects())
+
+        before = live_entries()
+        first = flush_first_tile([0, 1], [(0, 0, False)], 30)
+        second = _round_trace([("load", 3), ("store", 4)], 40)
+        for _trial in range(2):
+            core, _log, _epochs = run_memo_trial(one_program(
+                [TraceBlock(ops=first), TraceBlock(ops=second)]), [],
+                force_generic=False)
+            core.cache.release()
+        assert core.cache.served_slices == 2
+        assert live_entries() == before + 2
+        plan = weakref.ref(_trace_plan(first, core.cache._descriptors))
+        del second
+        assert len(plan().memo.children) == 0
+        assert live_entries() == before + 1
+        del first
+        assert plan() is None
+        assert live_entries() == before
+
+    def test_a_resumed_chain_does_not_span_served_slices(self):
+        """A batch slice runs a flush, another machine finishes the
+        record, and the next slice is served.  A second task then
+        resumes the trace right after the flush: the first slice's
+        chain must not cover it, because the served ops reloaded the
+        flushed line, so its last load is no guaranteed miss."""
+        flushed, lines = _slot_address(0), (_slot_address(1),
+                                            _slot_address(3))
+        trace = Trace.from_ops([(flushed, OpKind.FLUSH)]
+                               + [(lines[op % 2], OpKind.LOAD)
+                                  for op in range(70)]
+                               + [(flushed, OpKind.LOAD)])
+
+        def run(force_generic):
+            core = make_private_core(force_generic)
+            (cursor,) = one_program([TraceBlock(ops=trace)])
+            log = [core.execute(cursor, 40)]  # the flush alone
+            if not force_generic:
+                run_memo_trial(one_program([TraceBlock(ops=trace)]), [],
+                               force_generic=False)
+            log.append(core.execute(cursor, 10_000_000))
+            (twin,) = one_program([TraceBlock(ops=trace)])
+            twin.peek()
+            twin.consume_ops(1)
+            log.append(core.execute(twin, 10_000_000))
+            return log, counters(core), core.cache.served_slices
+
+        served, reference = run(False), run(True)
+        assert served[:2] == reference[:2]
+        assert served[2] == 1

@@ -29,6 +29,7 @@ import pytest
 from repro.control import ControlConfig
 from repro.experiments import fig9
 from repro.experiments.runner import run_monitored, run_trials
+from repro.hw.cache import CacheHierarchy
 from repro.faults import FaultPlan, RunLedger
 from repro.obs import hooks as obs_hooks
 from repro.sim.clock import ms, us
@@ -462,6 +463,23 @@ def test_table2_digests_match_golden(golden):
 def test_fig7_digests_match_golden(golden):
     computed = compute_fig7_digests()
     assert_matches_golden(computed, golden, "fig7/")
+
+
+def test_fig7_digests_match_golden_when_served(golden, monkeypatch):
+    """The Fig. 7 digests computed twice in one process: the second
+    time, each trial's trace history is one the first recorded, so its
+    trace slices are served from the replay memo instead of replayed."""
+    compute_fig7_digests()
+    served = []
+    release = CacheHierarchy.release
+
+    def counting(self):
+        served.append(self.served_slices)
+        release(self)
+
+    monkeypatch.setattr(CacheHierarchy, "release", counting)
+    assert_matches_golden(compute_fig7_digests(), golden, "fig7/")
+    assert len(served) == 2 and all(served)
 
 
 def test_fig9_digests_match_golden(golden):
